@@ -139,11 +139,14 @@ def cmd_solve(args) -> int:
     )
     print(f"csv written to {csv_path}")
     if not report.converged:
-        print(
-            f"warning: no convergence within {cfg.max_iter} sweeps "
-            f"(tol {_fmt(cfg.tol)})",
-            file=sys.stderr,
-        )
+        if report.method == "picard":
+            detail = f"{cfg.max_iter} sweeps (tol {_fmt(cfg.tol)})"
+        else:
+            detail = (
+                f"{report.iterations} corrector iterations at some node "
+                f"(worst update {_fmt(report.final_residual)})"
+            )
+        print(f"warning: no convergence within {detail}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     return EXIT_OK
 

@@ -16,9 +16,14 @@ solve_marching computes nodes left to right in one pass.  The
 rectangle scheme is fully explicit.  The trapezoid scheme predicts
 with the rectangle value and then iterates the diagonal corrector
 x -> known + w_jj f(t_j, x) to convergence (the map contracts with
-factor w_jj * Lip(f), tiny for any usable step), so the marching
-solution coincides with the Picard fixed point up to tolerances.
-Pass corrections="single" for a classic one-shot corrector.
+factor w_jj * Lip(f), small for any usable step), so the marching
+solution coincides with the Picard fixed point up to tolerances.  When
+w_jj * Lip(f) is too large the corrector can fail to converge; the
+report then says so (converged=False).  Pass corrections="single" for a
+classic one-shot corrector.
+
+Both solvers touch the weights only through WeightTable.apply, row and
+diag.
 
 Right limits of a returned trajectory are rebuilt from the final left
 limits, so right - left = I_k(left) holds to roundoff.
@@ -246,7 +251,7 @@ def solve_picard(
     for _ in range(max_iter):
         jsum, _, right_norms = _jump_data(spec, mesh, values)
         g = sampler.sample_all(values, right_norms)
-        new = spec.x0[None, :] + jsum + table.weights @ g
+        new = spec.x0[None, :] + jsum + table.apply(g)
         residual = float(np.max(np.linalg.norm(new - values, axis=1)))
         history.append(residual)
         values = new
@@ -280,9 +285,16 @@ def solve_marching(
     rectangle row and then fixed-point iterates the diagonal corrector
     until the update is below corrector_tol (relative); with
     corrections="single" exactly one corrector application is made.
+
+    The report gives the largest corrector iteration count over the
+    nodes as iterations and the largest final corrector update as
+    final_residual; converged is False when some node used up
+    max_corrections without meeting corrector_tol.
     """
     if corrections not in ("converge", "single"):
         raise ValueError(f"corrections must be 'converge' or 'single', got {corrections!r}")
+    if max_corrections < 1:
+        raise ValueError(f"max_corrections must be at least 1, got {max_corrections!r}")
     table = build_weights(mesh, spec.alpha, scheme)
     rect = (
         table
@@ -299,28 +311,31 @@ def solve_marching(
     g = np.zeros((n, d))
     jsum = np.zeros(d)
     right_norms: dict[int, float] = {}
-    W = table.weights
+    wdiag = table.diag()
+    most_corrections = 0
+    worst_gap = 0.0
+    failed = 0
 
     def f_at(i: int, x: np.ndarray) -> np.ndarray:
         return sampler.eval_node(i, x, values, right_norms, norms)
 
     for i in range(n):
         base = spec.x0 + jsum
-        if scheme == "rectangle":
-            xi = base + rect.weights[i, :i] @ g[:i]
-        else:
-            known = base + W[i, :i] @ g[:i]
-            wjj = W[i, i]
-            xi = base + rect.weights[i, :i] @ g[:i]  # predictor
-            if corrections == "single":
-                xi = known + wjj * f_at(i, xi)
-            else:
-                for _ in range(max_corrections):
-                    nxt = known + wjj * f_at(i, xi)
-                    gap = float(np.max(np.abs(nxt - xi)))
-                    xi = nxt
-                    if gap <= corrector_tol * (1.0 + float(np.max(np.abs(xi)))):
-                        break
+        xi = base + rect.row(i)[:i] @ g[:i]  # the rectangle value predicts
+        if scheme == "trapezoid":
+            known = base + table.row(i)[:i] @ g[:i]
+            wjj = wdiag[i]
+            limit = 1 if corrections == "single" else max_corrections
+            for count in range(1, limit + 1):
+                nxt = known + wjj * f_at(i, xi)
+                gap = float(np.max(np.abs(nxt - xi)))
+                xi = nxt
+                if gap <= corrector_tol * (1.0 + float(np.max(np.abs(xi)))):
+                    break
+            else:  # tolerance not met; the single corrector stops here by design
+                failed += corrections == "converge"
+            most_corrections = max(most_corrections, count)
+            worst_gap = max(worst_gap, gap)
         values[i] = xi
         norms[i] = np.linalg.norm(xi)
         g[i] = f_at(i, xi)
@@ -332,9 +347,9 @@ def solve_marching(
 
     return SolveReport(
         trajectory=_final_trajectory(spec, mesh, values),
-        iterations=1,
-        final_residual=0.0,
-        converged=True,
+        iterations=most_corrections,
+        final_residual=worst_gap,
+        converged=failed == 0,
         scheme=scheme,
         method="marching",
         residual_history=(),

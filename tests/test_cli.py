@@ -70,6 +70,24 @@ class TestExitCodes:
         # trajectory still written for inspection
         assert out.exists()
 
+    def test_marching_corrector_failure_exits_2(self, tmp_path, capsys):
+        # w_jj * 32 is about 3 at h = 2^-6: the trapezoid corrector stalls
+        data = {
+            "problem": {
+                "alpha": 0.5,
+                "T": 1.0,
+                "x0": 1.0,
+                "rhs": {"kind": "plain", "f": "-32*sin(x)"},
+            },
+            "numerics": {"target_h": H_COARSE, "method": "marching"},
+            "output": {"csv": "stall.csv"},
+        }
+        code = main(["solve", "--config", str(write_config(tmp_path, data))])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "converged=no" in captured.out
+        assert "no convergence" in captured.err
+
     def test_check_contraction_holds_exits_0(self, tmp_path, capsys):
         cfg = write_config(tmp_path, coarse("delay-exp"))
         code = main(["check", "--config", str(cfg)])

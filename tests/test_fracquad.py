@@ -34,7 +34,7 @@ def test_row_sums_integrate_one_exactly(scheme, alpha):
     # rows applied to g == 1 must give t_j^alpha / gamma(alpha+1)
     mesh = _mesh(times=(0.3, 0.6), target_h=2.0**-6)
     table = build_weights(mesh, alpha, scheme)
-    sums = table.weights.sum(axis=1)
+    sums = table.dense().sum(axis=1)
     exact = mesh.nodes**alpha / gamma(alpha + 1.0)
     assert sums[0] == 0.0
     scale = np.maximum(np.abs(exact), 1e-300)
@@ -45,7 +45,7 @@ def test_row_sums_integrate_one_exactly(scheme, alpha):
 def test_weights_nonnegative(scheme):
     mesh = _mesh(times=(0.3,), target_h=2.0**-5)
     table = build_weights(mesh, 0.4, scheme)
-    assert np.min(table.weights) >= -1e-15
+    assert np.min(table.dense()) >= -1e-15
 
 
 def test_trapezoid_exact_on_linear():
@@ -166,7 +166,7 @@ def test_stable_on_fine_uniform_mesh():
     # row sums survive thousands of nearly equal nodes (expm1/log1p path)
     mesh = _mesh(target_h=2.0**-11)
     table = build_weights(mesh, 0.5, "trapezoid")
-    sums = table.weights.sum(axis=1)
+    sums = table.dense().sum(axis=1)
     exact = mesh.nodes**0.5 / gamma(1.5)
     rel = np.abs(sums[1:] - exact[1:]) / exact[1:]
     assert np.max(rel) <= 1e-12

@@ -19,7 +19,7 @@ from fracimpulse.solver import (
     solve_picard,
     split_component_integral,
 )
-from fracimpulse.special import mittag_leffler
+from fracimpulse.special import gamma, mittag_leffler
 
 
 def _linear(alpha=0.5, lam=-1.0, x0=1.0, T=1.0):
@@ -266,6 +266,29 @@ class TestFailureModes:
         assert rep.iterations == 2
         assert rep.final_residual > 1e-15
         assert len(rep.residual_history) == 2
+
+    def test_marching_reports_corrector_failure(self):
+        # f = -lam sin(x) with w_jj * lam = 3: the trapezoid corrector
+        # x -> known - w_jj lam sin(x) does not contract at x0 = 1
+        h = 2.0**-6
+        w_jj = h**0.5 / gamma(2.5)
+        for lam, stalls in ((3.0 / w_jj, True), (0.3 / w_jj, False)):
+            spec = ProblemSpec(
+                alpha=0.5,
+                T=1.0,
+                rhs=RhsSpec(kind="plain", f=lambda t, x, lam=lam: -lam * np.sin(x)),
+                x0=np.array([1.0]),
+            )
+            mesh = build_mesh(spec, h)
+            rep = solve_marching(spec, mesh, max_corrections=60)
+            assert rep.converged is not stalls
+            if stalls:
+                assert rep.iterations == 60
+                assert rep.final_residual > 1e-3
+                assert not solve_picard(spec, mesh).converged
+            else:
+                assert 1 <= rep.iterations < 60
+                assert rep.final_residual <= 1e-12
 
     def test_residual_history_contracts(self):
         spec = _linear()

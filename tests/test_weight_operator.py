@@ -1,0 +1,189 @@
+"""The structured weight operator against its dense reference.
+
+Properties are drawn over random orders, horizons, impulse layouts and
+meshes whose segments share one step (a single Toeplitz run) or do not
+(dense cross-blocks between runs).
+"""
+
+import math
+import re
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fracimpulse.fracquad import WEIGHT_BYTES_BUDGET, build_weights
+from fracimpulse.problem import (
+    ImpulseSchedule,
+    Mesh,
+    MeshError,
+    ProblemSpec,
+    RhsSpec,
+    build_mesh,
+)
+from fracimpulse.special import gamma
+
+REL = 1e-12
+PROPERTY = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def _spec(T, times):
+    return ProblemSpec(
+        alpha=0.5,
+        T=T,
+        rhs=RhsSpec(kind="plain", f=lambda t, x: x),
+        x0=np.array([1.0]),
+        impulses=ImpulseSchedule(times=times, jumps=tuple(lambda x: x for _ in times)),
+    )
+
+
+@st.composite
+def meshes(draw, max_steps=400):
+    """A mesh of at most max_steps + 1 nodes on [0, T] with 0-3 impulses."""
+    T = draw(st.floats(0.2, 4.0))
+    n_imp = draw(st.integers(0, 3))
+    if draw(st.booleans()):  # one step h for every segment
+        n = draw(st.integers(8 * (n_imp + 1), max_steps))
+        cuts = sorted(draw(st.sets(st.integers(4, n - 4), min_size=n_imp, max_size=n_imp)))
+        h = T / n
+        return Mesh(
+            nodes=h * np.arange(n + 1.0),
+            boundary_idx=(0, *cuts, n),
+            seg_steps=(h,) * (n_imp + 1),
+        )
+    fracs = sorted(draw(st.sets(st.integers(1, 19), min_size=n_imp, max_size=n_imp)))
+    times = tuple(T * f / 20.0 for f in fracs)
+    target_h = T / draw(st.integers(max(40, 25 * n_imp), max_steps))
+    return build_mesh(_spec(T, times), target_h)
+
+
+def _extend(mesh, extra):
+    """The same mesh with its last segment `extra` steps longer."""
+    h = mesh.seg_steps[-1]
+    nodes = np.concatenate([mesh.nodes, mesh.nodes[-1] + h * np.arange(1.0, extra + 1.0)])
+    return Mesh(
+        nodes=nodes,
+        boundary_idx=(*mesh.boundary_idx[:-1], mesh.boundary_idx[-1] + extra),
+        seg_steps=mesh.seg_steps,
+    )
+
+
+alphas = st.floats(0.05, 0.95)
+schemes = st.sampled_from(["rectangle", "trapezoid"])
+
+
+@PROPERTY
+@given(mesh=meshes(), alpha=alphas, scheme=schemes, d=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_apply_row_diag_match_dense(mesh, alpha, scheme, d, seed):
+    table = build_weights(mesh, alpha, scheme)
+    W = table.dense()
+    g = np.random.default_rng(seed).standard_normal((mesh.n_nodes, d))
+    scale = np.abs(W) @ np.abs(g)
+    assert np.all(np.abs(table.apply(g) - W @ g) <= REL * scale)
+    for j in range(mesh.n_nodes):
+        row = W[j, : j + 1]
+        assert np.all(np.abs(table.row(j) - row) <= REL * np.max(np.abs(row)))
+    assert np.all(np.abs(table.diag() - np.diag(W)) <= REL * np.abs(np.diag(W)))
+
+
+@PROPERTY
+@given(mesh=meshes(), alpha=alphas, scheme=schemes)
+def test_rows_integrate_one_exactly(mesh, alpha, scheme):
+    got = build_weights(mesh, alpha, scheme).apply(np.ones(mesh.n_nodes))
+    exact = mesh.nodes**alpha / gamma(alpha + 1.0)
+    assert got[0] == 0.0
+    assert np.all(np.abs(got[1:] - exact[1:]) <= REL * exact[1:])
+
+
+@PROPERTY
+@given(mesh=meshes(), alpha=alphas)
+def test_trapezoid_exact_on_linear(mesh, alpha):
+    t = mesh.nodes
+    got = build_weights(mesh, alpha, "trapezoid").apply(t)
+    exact = gamma(2.0) / gamma(2.0 + alpha) * t ** (1.0 + alpha)
+    assert got[0] == 0.0
+    assert np.all(np.abs(got[1:] - exact[1:]) <= REL * exact[1:])
+
+
+@PROPERTY
+@given(mesh=meshes(), alpha=alphas, scheme=schemes, d=st.integers(1, 2), data=st.data())
+def test_apply_is_causal_bitwise(mesh, alpha, scheme, d, data):
+    table = build_weights(mesh, alpha, scheme)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((mesh.n_nodes, d))
+    j = data.draw(st.integers(0, mesh.n_nodes - 2))
+    changed = g.copy()
+    changed[j + 1 :] = rng.standard_normal(changed[j + 1 :].shape)
+    assert np.array_equal(table.apply(changed)[: j + 1], table.apply(g)[: j + 1])
+
+
+@PROPERTY
+@given(
+    mesh=meshes(),
+    alpha=alphas,
+    scheme=schemes,
+    extra=st.integers(1, 1500),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prefix_bitwise_across_mesh_lengths(mesh, alpha, scheme, extra, seed):
+    longer = _extend(mesh, extra)
+    short_table = build_weights(mesh, alpha, scheme)
+    long_table = build_weights(longer, alpha, scheme)
+    g = np.random.default_rng(seed).standard_normal(longer.n_nodes)
+    n = mesh.n_nodes
+    assert np.array_equal(long_table.apply(g)[:n], short_table.apply(g[:n]))
+    for j in range(n):
+        assert np.array_equal(long_table.row(j), short_table.row(j))
+
+
+def test_far_blocks_match_dense_on_a_long_run():
+    # 2049 nodes reach five FFT levels beyond the diagonal blocks
+    mesh = build_mesh(_spec(1.0, ()), 2.0**-11)
+    table = build_weights(mesh, 0.3, "trapezoid")
+    W = table.dense()
+    g = np.cos(7.0 * mesh.nodes)
+    assert np.all(np.abs(table.apply(g) - W @ g) <= REL * (np.abs(W) @ np.abs(g)))
+
+
+def test_single_step_storage_is_linear():
+    mesh = build_mesh(_spec(1.0, (0.5,)), 2.0**-14)
+    assert len(mesh.seg_steps) == 2 and mesh.seg_steps[0] == mesh.seg_steps[1]
+    for scheme in ("rectangle", "trapezoid"):
+        table = build_weights(mesh, 0.5, scheme)
+        assert table.weights.nbytes <= 64 * 8 * mesh.n_nodes
+
+
+def test_budget_refuses_cross_blocks_before_allocating():
+    # runs of 16000 and 16001 steps: the second run's cross-block alone
+    # would take 16001 * 16001 * 8 bytes, about 2 GB
+    n1, n2 = 16000, 16001
+    nodes = np.concatenate([np.linspace(0.0, 0.5, n1 + 1), np.linspace(0.5, 1.0, n2 + 1)[1:]])
+    mesh = Mesh(nodes=nodes, boundary_idx=(0, n1, n1 + n2), seg_steps=(0.5 / n1, 0.5 / n2))
+    assert mesh.seg_steps[0] != mesh.seg_steps[1]
+    tracemalloc.start()
+    try:
+        with pytest.raises(MeshError, match=r"needs \d+ bytes") as err:
+            build_weights(mesh, 0.5, "trapezoid")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(re.search(r"needs (\d+) bytes", str(err.value)).group(1)) > WEIGHT_BYTES_BUDGET
+    assert peak < 2**24
+
+
+def test_dense_reference_refuses_over_budget():
+    n = math.isqrt(WEIGHT_BYTES_BUDGET // 8) + 1
+    mesh = Mesh(nodes=np.linspace(0.0, 1.0, n), boundary_idx=(0, n - 1), seg_steps=(1.0 / (n - 1),))
+    table = build_weights(mesh, 0.5, "trapezoid")
+    tracemalloc.start()
+    try:
+        with pytest.raises(MeshError, match=f"needs {8 * n * n} bytes"):
+            table.dense()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
