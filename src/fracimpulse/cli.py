@@ -143,7 +143,8 @@ def cmd_solve(args) -> int:
             detail = f"{cfg.max_iter} sweeps (tol {_fmt(cfg.tol)})"
         else:
             detail = (
-                f"{report.iterations} corrector iterations at some node "
+                f"{report.iterations} corrector iterations at "
+                f"{report.unconverged_nodes} of {report.trajectory.mesh.n_nodes} nodes "
                 f"(worst update {_fmt(report.final_residual)})"
             )
         print(f"warning: no convergence within {detail}", file=sys.stderr)

@@ -155,18 +155,44 @@ def _state_env(x: np.ndarray) -> dict[str, float]:
     return {f"x{i + 1}": float(v) for i, v in enumerate(x)}
 
 
-def _lag_env(x: np.ndarray) -> dict[str, float]:
-    if x.size == 1:
-        return {"xr": float(x[0])}
-    return {f"xr{i + 1}": float(v) for i, v in enumerate(x)}
-
-
 def _vector_fn(trees: tuple[Expr, ...], build_env: Callable[..., dict]) -> Callable:
+    """Tree-walk evaluator for jumps and histories (one state per call)."""
+
     def call(*args):
         env = build_env(*args)
         return np.array([exprlang.evaluate(tree, env) for tree in trees])
 
     return call
+
+
+def _components(prefix: str, x: np.ndarray) -> dict[str, np.ndarray]:
+    if x.shape[-1] == 1:
+        return {prefix: x[..., 0]}
+    return {f"{prefix}{i + 1}": x[..., i] for i in range(x.shape[-1])}
+
+
+def _compiled_rhs(trees: tuple[Expr, ...]) -> Callable:
+    """f(t, x[, x_lag, hist_sup]) from compiled trees, broadcasting over
+    leading axes: t (...), x and x_lag (..., d), hist_sup (...) give an
+    (..., d) array, so one call samples a whole mesh or a single node."""
+    fns = [exprlang.compile_expr(tree) for tree in trees]
+
+    def f(t, x, x_lag=None, hist_sup=None):
+        x = np.asarray(x, dtype=float)
+        env = {"t": t, **_components("x", x)}
+        if x_lag is not None:
+            env.update(_components("xr", np.asarray(x_lag, dtype=float)), xtsup=hist_sup)
+        if x.size == x.shape[-1]:
+            # one node (marching): the tree walk costs less than numpy's
+            # per-call overhead on one-element arrays
+            point = {name: np.asarray(value).item() for name, value in env.items()}
+            return np.array([exprlang.evaluate(tree, point) for tree in trees]).reshape(x.shape)
+        out = np.empty(x.shape)
+        for k, fn in enumerate(fns):
+            out[..., k] = fn(env)
+        return out
+
+    return f
 
 
 @dataclass(frozen=True)
@@ -385,35 +411,20 @@ def parse_config(data: Any) -> RunConfig:
         )
         asts["delay.history"] = hist_trees
 
-        def history(s: float) -> np.ndarray:
-            env = {"t": float(s)}
-            return np.array([exprlang.evaluate(tree, env) for tree in hist_trees])
-
+        history = _vector_fn(hist_trees, lambda s: {"t": float(s)})
         delay_spec = DelaySpec(r=r, history=history)
 
     if kind == "split":
         rhs = RhsSpec(
             kind=kind,
-            f1=_vector_fn(asts["rhs.f1"], lambda t, x: {"t": float(t), **_state_env(x)}),
-            f2=_vector_fn(asts["rhs.f2"], lambda t, x: {"t": float(t), **_state_env(x)}),
+            f1=_compiled_rhs(asts["rhs.f1"]),
+            f2=_compiled_rhs(asts["rhs.f2"]),
             envelopes=envelopes,
+            vectorized=True,
         )
-    elif delayed:
-
-        def build_env(t, x, xlag, hsup):
-            return {
-                "t": float(t),
-                **_state_env(x),
-                **_lag_env(np.atleast_1d(xlag)),
-                "xtsup": float(hsup),
-            }
-
-        rhs = RhsSpec(kind=kind, f=_vector_fn(asts["rhs.f"], build_env), envelopes=envelopes)
     else:
         rhs = RhsSpec(
-            kind=kind,
-            f=_vector_fn(asts["rhs.f"], lambda t, x: {"t": float(t), **_state_env(x)}),
-            envelopes=envelopes,
+            kind=kind, f=_compiled_rhs(asts["rhs.f"]), envelopes=envelopes, vectorized=True
         )
 
     try:

@@ -20,6 +20,23 @@ Evaluation is strict about domains: division by zero, sqrt/ln outside
 their domains, negative base to a non-integer power, and overflow all
 raise EvalError naming the offending subexpression instead of letting
 NaN or inf propagate.
+
+Two evaluators share these semantics.  evaluate walks the tree for one
+binding of scalars.  compile_expr turns a tree, once, into a numpy
+closure fn(env) whose variables may be arrays: it broadcasts over their
+shapes and returns a float64 array of the broadcast shape, so the same
+closure serves one point (scalars) and a whole mesh (arrays).  ``^`` is
+np.power, never Python ``**`` (which turns a negative base with a
+non-integer exponent into a complex number).  The closure runs under
+np.errstate(divide, over, invalid = "raise"); when numpy raises
+FloatingPointError it evaluates the bindings one by one with evaluate,
+in C order, so the first failing binding raises the same EvalError,
+naming the same subexpression, that evaluate raises.  The tree walk is
+the error oracle; the closure only makes the success path fast.  With
+finite inputs every domain error and overflow raises in numpy too;
+non-finite inputs propagate as IEEE arithmetic has them (the solvers
+reject non-finite right-hand sides).  Transcendental functions may
+differ from the math module's in the last bit.
 """
 
 from __future__ import annotations
@@ -27,7 +44,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
+
+import numpy as np
 
 __all__ = [
     "Expr",
@@ -41,6 +60,7 @@ __all__ = [
     "EvalError",
     "parse",
     "evaluate",
+    "compile_expr",
     "pretty",
     "variables",
 ]
@@ -286,6 +306,79 @@ def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
             raise _fail(expr, "overflow")
         return r
     raise TypeError(f"not an Expr node: {expr!r}")
+
+
+_NP_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+_NP_FUNCTIONS = {
+    "exp": np.exp,
+    "sin": np.sin,
+    "cos": np.cos,
+    "abs": np.abs,
+    "sqrt": np.sqrt,
+    "ln": np.log,
+}
+
+
+def _numpy_closure(expr: Expr) -> Callable[[Mapping[str, np.ndarray]], object]:
+    if isinstance(expr, Num):
+        value = expr.value
+        return lambda env: value
+    if isinstance(expr, Var):
+        name = expr.name
+
+        def var(env):
+            try:
+                return np.asarray(env[name], dtype=float)
+            except KeyError:
+                raise EvalError(f"unbound variable '{name}'") from None
+
+        return var
+    if isinstance(expr, Unary):
+        operand = _numpy_closure(expr.operand)
+        return lambda env: np.negative(operand(env))
+    if isinstance(expr, BinOp):
+        op = _NP_BINARY[expr.op]
+        left, right = _numpy_closure(expr.left), _numpy_closure(expr.right)
+        return lambda env: op(left(env), right(env))
+    if isinstance(expr, Call):
+        if expr.func not in _NP_FUNCTIONS:
+            raise _fail(expr, f"unknown function {expr.func!r}")
+        fn, arg = _NP_FUNCTIONS[expr.func], _numpy_closure(expr.arg)
+        return lambda env: fn(arg(env))
+    raise TypeError(f"not an Expr node: {expr!r}")
+
+
+def _walk_each(expr: Expr, env: Mapping[str, object]) -> np.ndarray:
+    """evaluate at every binding of the broadcast env, in C order."""
+    names = list(env)
+    arrays = np.broadcast_arrays(*(np.asarray(env[name], dtype=float) for name in names))
+    shape = arrays[0].shape if arrays else ()
+    out = np.empty(shape)
+    for idx in np.ndindex(shape):
+        out[idx] = evaluate(expr, {name: a[idx] for name, a in zip(names, arrays)})
+    return out
+
+
+def compile_expr(expr: Expr) -> Callable[[Mapping[str, object]], np.ndarray]:
+    """The tree as a numpy closure fn(env) -> array of env's broadcast shape.
+
+    env maps variable names to floats or arrays.  Errors are those of
+    evaluate at the first failing binding in C order (see the module
+    docstring).
+    """
+    body = _numpy_closure(expr)
+
+    def run(env: Mapping[str, object]) -> np.ndarray:
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                value = body(env)
+        except FloatingPointError:
+            return _walk_each(expr, env)
+        out = np.empty(np.broadcast_shapes(*(np.shape(v) for v in env.values())))
+        out[...] = value
+        return out
+
+    return run
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "unary": 3, "^": 4, "atom": 5}

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprlang import BinOp, Expr, Num, Unary, Var, evaluate
+from .exprlang import BinOp, Expr, Num, Unary, Var, compile_expr
 from .problem import Mesh, MeshError
 from .special import gamma
 
@@ -408,12 +408,14 @@ def convergence_order(
     if hs[0] <= 0.0:
         raise ValueError("step sizes must be positive")
 
+    sample = compile_expr(g)
+
     def value_at(h: float, use_scheme: str) -> tuple[float, float]:
         n = max(1, round(t / h))
         nodes = np.linspace(0.0, t, n + 1)
         mesh = Mesh(nodes=nodes, boundary_idx=(0, n), seg_steps=(t / n,))
         table = build_weights(mesh, alpha, use_scheme)
-        samples = np.array([evaluate(g, {"t": float(s)}) for s in nodes])
+        samples = sample({"t": nodes})
         return float(frac_integral(table, samples, n)), t / n
 
     mono = _monomial_of(g)

@@ -169,6 +169,17 @@ class RhsSpec:
         general_delay:  f(t, x, x_lag, hist_sup)
     where x_lag = x(t - r) and hist_sup = sup norm of the history
     segment.  Envelope keys allowed per kind are in ENVELOPE_ROLES.
+
+    With vectorized=False (the default) the solvers call each callable
+    once per node, with t a float, x and x_lag (d,) arrays and hist_sup
+    a float; it returns a (d,) array, or a scalar when d = 1.  With
+    vectorized=True they call it once per batch of n nodes (a whole
+    Picard sweep, or n = 1 when marching), with t (n,), x and x_lag
+    (n, d) and hist_sup (n,) arrays; it returns an (n, d) array, or (n,)
+    when d = 1.  A batched callable must evaluate row i from row i of
+    its arguments alone.  The library cannot tell whether a callable
+    broadcasts, so the flag is the caller's promise.  Callables built
+    from a config file broadcast over any leading axes and set it.
     """
 
     kind: str
@@ -176,6 +187,7 @@ class RhsSpec:
     f1: Callable | None = None
     f2: Callable | None = None
     envelopes: Mapping[str, Envelope] = field(default_factory=dict)
+    vectorized: bool = False
 
     def __post_init__(self):
         if self.kind not in RHS_KINDS:

@@ -23,7 +23,10 @@ report then says so (converged=False).  Pass corrections="single" for a
 classic one-shot corrector.
 
 Both solvers touch the weights only through WeightTable.apply, row and
-diag.
+diag, and sample f through one sampler: a Picard sweep samples every
+node in one batch (one call of a vectorized RHS, see RhsSpec, with lags
+sliced from the iterate and window sups from an O(N) sliding max), and
+marching samples batches of one node.
 
 Right limits of a returned trajectory are rebuilt from the final left
 limits, so right - left = I_k(left) holds to roundoff.
@@ -64,6 +67,24 @@ class SolveReport:
     scheme: str
     method: str
     residual_history: tuple[float, ...] = ()
+    unconverged_nodes: int = 0
+
+
+def _sliding_max(a: np.ndarray, width: int) -> np.ndarray:
+    """out[i] = max(a[max(i - width + 1, 0) : i + 1]) in O(len(a)).
+
+    van Herk / Gil-Werman: pad width - 1 entries of -inf in front, cut
+    into blocks of width, and combine each block's suffix max at i with
+    the next block's prefix max at i + width - 1.
+    """
+    n = a.size
+    blocks = -(-(n + width - 1) // width)
+    padded = np.full(blocks * width, -np.inf)
+    padded[width - 1 : width - 1 + n] = a
+    cut = padded.reshape(blocks, width)
+    prefix = np.maximum.accumulate(cut, axis=1).ravel()
+    suffix = np.maximum.accumulate(cut[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.maximum(suffix[:n], prefix[width - 1 : width - 1 + n])
 
 
 class _DelayData:
@@ -92,12 +113,28 @@ class _DelayData:
             ]
         )
         self.r = delay.r
+        # the history part of window_sup at the nodes i < q, whose windows
+        # reach below t = 0: a prefix max over the grid values and a
+        # suffix max over the knots at or right of the window's left end
+        j_hi = np.arange(q, q - min(q, mesh.n_nodes), -1)
+        hist = np.maximum.accumulate(self.phi_norms[1:])[j_hi - 1]
+        if self.knots.size:
+            first = np.searchsorted(self.knots, -j_hi * (self.r / self.q) - 1e-12)
+            suffix = np.maximum.accumulate(self.knot_norms[::-1])[::-1]
+            hist = np.maximum(hist, np.append(suffix, -np.inf)[first])
+        self.hist_sups = hist
 
     def lagged(self, i: int, values: np.ndarray) -> np.ndarray:
         """x(t_i - r): node value for t_i >= r, history value below."""
         if i >= self.q:
             return values[i - self.q]
         return self.phi_vals[self.q - i]
+
+    def lagged_all(self, values: np.ndarray) -> np.ndarray:
+        """lagged(i, values) for every node, as one (N, d) array."""
+        n = values.shape[0]
+        below = self.phi_vals[self.q : 0 : -1][:n]
+        return np.concatenate([below, values[: max(n - self.q, 0)]])
 
     def window_sup(
         self,
@@ -125,67 +162,122 @@ class _DelayData:
                     sup = max(sup, float(np.max(self.knot_norms[first:])))
         return sup
 
+    def window_sups(self, norms: np.ndarray, right_norms: dict[int, float]) -> np.ndarray:
+        """window_sup at every node at once, in O(N), bitwise equal."""
+        n, q = norms.size, self.q
+        sup = _sliding_max(norms, min(q + 1, n))
+        k = self.hist_sups.size
+        sup[:k] = np.maximum(sup[:k], self.hist_sups)
+        for idx, value in right_norms.items():  # right limit at the left endpoint
+            if idx + q < n:
+                sup[idx + q] = max(sup[idx + q], value)
+        return sup
 
-class _RhsSampler:
-    """Evaluates f along an iterate, with node-identified error reporting."""
 
-    def __init__(self, spec: ProblemSpec, mesh: Mesh):
-        self.spec = spec
-        self.mesh = mesh
+class _Sampler:
+    """f at a run of consecutive nodes, as an (n, d) array.
+
+    A vectorized RHS is called once per run; a per-node callable is
+    called in a loop that writes straight into a preallocated array.
+    Shape and finiteness are checked once per run.  Errors name the
+    first offending node; for a vectorized RHS that node is found by
+    re-scanning the run node by node, on the error path only.  parts
+    are the callables whose sum is f (f1 and f2 for the split kind).
+    """
+
+    def __init__(self, spec: ProblemSpec, mesh: Mesh, parts: tuple | None = None):
+        rhs = spec.rhs
+        if parts is None:
+            parts = (rhs.f1, rhs.f2) if rhs.kind == "split" else (rhs.f,)
+        self.parts = parts
+        self.vectorized = rhs.vectorized
         self.dim = spec.dim
-        self.delay_data = _DelayData(spec, mesh) if spec.delay is not None else None
+        self.times = mesh.nodes
+        self.delay = _DelayData(spec, mesh) if spec.delay is not None else None
 
-    def eval_node(
-        self,
-        i: int,
-        x: np.ndarray,
-        values: np.ndarray,
-        right_norms: dict[int, float],
-        norms: np.ndarray,
-    ) -> np.ndarray:
-        rhs = self.spec.rhs
-        t = float(self.mesh.nodes[i])
-        try:
-            if rhs.kind == "plain":
-                out = rhs.f(t, x)
-            elif rhs.kind == "split":
-                out = np.atleast_1d(np.asarray(rhs.f1(t, x), dtype=float)) + np.atleast_1d(
-                    np.asarray(rhs.f2(t, x), dtype=float)
-                )
-            else:
-                dd = self.delay_data
-                saved = values[i].copy()
-                saved_norm = norms[i]
-                values[i] = x
-                norms[i] = np.linalg.norm(x)
-                try:
-                    lag = dd.lagged(i, values)
-                    sup = dd.window_sup(i, norms, right_norms)
-                finally:
-                    values[i] = saved
-                    norms[i] = saved_norm
-                out = rhs.f(t, x, lag, sup)
-        except (ArithmeticError, ValueError) as e:
-            raise SolverError(
-                f"rhs evaluation failed at node {i} (t={t!r}): {e}"
-            ) from e
-        arr = np.atleast_1d(np.asarray(out, dtype=float))
-        if arr.shape != (self.dim,):
-            raise SolverError(
-                f"rhs at node {i} (t={t!r}) returned shape {arr.shape}, "
-                f"expected ({self.dim},)"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise SolverError(f"rhs at node {i} (t={t!r}) returned a non-finite value")
-        return arr
-
-    def sample_all(
-        self, values: np.ndarray, right_norms: dict[int, float]
-    ) -> np.ndarray:
+    def sweep(self, values: np.ndarray, right_norms: dict[int, float]) -> np.ndarray:
+        """f along a whole iterate, with batched lags and window sups."""
+        dd = self.delay
+        if dd is None:
+            return self(0, values)
         norms = np.linalg.norm(values, axis=1)
-        g = np.empty_like(values)
-        for i in range(values.shape[0]):
-            g[i] = self.eval_node(i, values[i], values, right_norms, norms)
+        return self(0, values, dd.lagged_all(values), dd.window_sups(norms, right_norms))
+
+    def __call__(self, start: int, x, x_lag=None, sups=None) -> np.ndarray:
+        """f at nodes start .. start + n - 1 from (n, d) x and x_lag, (n,) sups."""
+        t = self.times[start : start + x.shape[0]]
+        args = (t, x) if x_lag is None else (t, x, x_lag, sups)
+        g = self._batched(start, args) if self.vectorized else self._looped(start, args)
+        self._check_finite(start, g)
+        return g
+
+    def _node_error(self, i: int, error: Exception) -> SolverError:
+        t = float(self.times[i])
+        return SolverError(f"rhs evaluation failed at node {i} (t={t!r}): {error}")
+
+    def _check_finite(self, start: int, g: np.ndarray):
+        if not np.isfinite(g).all():
+            i = start + int(np.argmin(np.isfinite(g).all(axis=1)))
+            t = float(self.times[i])
+            raise SolverError(f"rhs at node {i} (t={t!r}) returned a non-finite value")
+
+    def _split_sum(self, *row):
+        f1, f2 = self.parts
+        return np.atleast_1d(np.asarray(f1(*row), dtype=float)) + np.atleast_1d(
+            np.asarray(f2(*row), dtype=float)
+        )
+
+    def _looped(self, start: int, args: tuple) -> np.ndarray:
+        d = self.dim
+        g = np.empty((args[0].size, d))
+        accepted = ((), (1,)) if d == 1 else ((d,),)
+        f = self.parts[0] if len(self.parts) == 1 else self._split_sum
+        rows = zip(*(a.tolist() if a.ndim == 1 else a for a in args))
+        i = 0
+        try:
+            for i, row in enumerate(rows):
+                out = f(*row)
+                if np.shape(out) not in accepted:
+                    self._check_finite(start, g[:i])
+                    shape = np.atleast_1d(np.asarray(out, dtype=float)).shape
+                    raise SolverError(
+                        f"rhs at node {start + i} (t={row[0]!r}) returned shape "
+                        f"{shape}, expected ({d},)"
+                    )
+                g[i] = out
+        except (ArithmeticError, ValueError) as e:
+            self._check_finite(start, g[:i])
+            raise self._node_error(start + i, e) from e
+        return g
+
+    def _call_parts(self, args: tuple) -> np.ndarray:
+        g = None
+        for f in self.parts:
+            out = np.asarray(f(*args), dtype=float)
+            if out.ndim == 1 and self.dim == 1:
+                out = out[:, None]
+            g = out if g is None else g + out
+        return g
+
+    def _batched(self, start: int, args: tuple) -> np.ndarray:
+        n = args[0].size
+        try:
+            g = self._call_parts(args)
+        except (ArithmeticError, ValueError) as e:
+            for i in range(n):
+                try:
+                    one = self._call_parts(tuple(a[i : i + 1] for a in args))
+                except (ArithmeticError, ValueError) as node_error:
+                    raise self._node_error(start + i, node_error) from node_error
+                self._check_finite(start + i, one)
+            raise SolverError(
+                f"rhs evaluation failed on nodes {start}..{start + n - 1}: {e}"
+            ) from e
+        if g.shape != (n, self.dim):
+            raise SolverError(
+                f"rhs on nodes {start}..{start + n - 1} returned shape {g.shape}, "
+                f"expected ({n}, {self.dim})"
+            )
         return g
 
 
@@ -241,7 +333,7 @@ def solve_picard(
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     table = build_weights(mesh, spec.alpha, scheme)
-    sampler = _RhsSampler(spec, mesh)
+    sampler = _Sampler(spec, mesh)
 
     values = _initial_iterate(spec, mesh)
     history: list[float] = []
@@ -250,7 +342,7 @@ def solve_picard(
     residual = math.inf
     for _ in range(max_iter):
         jsum, _, right_norms = _jump_data(spec, mesh, values)
-        g = sampler.sample_all(values, right_norms)
+        g = sampler.sweep(values, right_norms)
         new = spec.x0[None, :] + jsum + table.apply(g)
         residual = float(np.max(np.linalg.norm(new - values, axis=1)))
         history.append(residual)
@@ -288,8 +380,9 @@ def solve_marching(
 
     The report gives the largest corrector iteration count over the
     nodes as iterations and the largest final corrector update as
-    final_residual; converged is False when some node used up
-    max_corrections without meeting corrector_tol.
+    final_residual; unconverged_nodes counts the nodes that used up
+    max_corrections without meeting corrector_tol, and converged is
+    False when there is one.
     """
     if corrections not in ("converge", "single"):
         raise ValueError(f"corrections must be 'converge' or 'single', got {corrections!r}")
@@ -301,13 +394,14 @@ def solve_marching(
         if scheme == "rectangle"
         else build_weights(mesh, spec.alpha, "rectangle")
     )
-    sampler = _RhsSampler(spec, mesh)
+    sampler = _Sampler(spec, mesh)
+    dd = sampler.delay
     impulse_at = {idx: k for k, idx in enumerate(mesh.impulse_idx)}
 
     n = mesh.n_nodes
     d = spec.dim
     values = np.tile(spec.x0, (n, 1))
-    norms = np.linalg.norm(values, axis=1)
+    norms = np.zeros(n)
     g = np.zeros((n, d))
     jsum = np.zeros(d)
     right_norms: dict[int, float] = {}
@@ -317,9 +411,16 @@ def solve_marching(
     failed = 0
 
     def f_at(i: int, x: np.ndarray) -> np.ndarray:
-        return sampler.eval_node(i, x, values, right_norms, norms)
+        if dd is None:
+            return sampler(i, x[None, :])[0]
+        sup = max(rest, float(np.linalg.norm(x)))  # window_sup with |x| at node i
+        return sampler(i, x[None, :], lag, np.array([sup]))[0]
 
     for i in range(n):
+        if dd is not None:
+            lag = dd.lagged(i, values)[None, :]
+            norms[i] = 0.0
+            rest = dd.window_sup(i, norms, right_norms)
         base = spec.x0 + jsum
         xi = base + rect.row(i)[:i] @ g[:i]  # the rectangle value predicts
         if scheme == "trapezoid":
@@ -328,16 +429,17 @@ def solve_marching(
             limit = 1 if corrections == "single" else max_corrections
             for count in range(1, limit + 1):
                 nxt = known + wjj * f_at(i, xi)
-                gap = float(np.max(np.abs(nxt - xi)))
+                gap = float(np.abs(nxt - xi).max())
                 xi = nxt
-                if gap <= corrector_tol * (1.0 + float(np.max(np.abs(xi)))):
+                if gap <= corrector_tol * (1.0 + float(np.abs(xi).max())):
                     break
             else:  # tolerance not met; the single corrector stops here by design
                 failed += corrections == "converge"
             most_corrections = max(most_corrections, count)
             worst_gap = max(worst_gap, gap)
         values[i] = xi
-        norms[i] = np.linalg.norm(xi)
+        if dd is not None:
+            norms[i] = np.linalg.norm(xi)
         g[i] = f_at(i, xi)
         k = impulse_at.get(i)
         if k is not None:
@@ -353,6 +455,7 @@ def solve_marching(
         scheme=scheme,
         method="marching",
         residual_history=(),
+        unconverged_nodes=failed,
     )
 
 
@@ -386,8 +489,5 @@ def split_component_integral(
     f = spec.rhs.f1 if component == 1 else spec.rhs.f2
     if table is None:
         table = build_weights(traj.mesh, spec.alpha, scheme)
-    nodes = traj.mesh.nodes
-    g = np.empty_like(traj.values)
-    for i in range(nodes.size):
-        g[i] = np.atleast_1d(np.asarray(f(float(nodes[i]), traj.values[i]), dtype=float))
+    g = _Sampler(spec, traj.mesh, parts=(f,))(0, traj.values)
     return frac_integral(table, g)

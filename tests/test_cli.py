@@ -1,6 +1,7 @@
 """Command line contract: exit codes, CSV shape, determinism, reports."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -87,6 +88,8 @@ class TestExitCodes:
         assert code == 2
         assert "converged=no" in captured.out
         assert "no convergence" in captured.err
+        stalled = re.search(r"at (\d+) of 65 nodes", captured.err)
+        assert stalled and int(stalled.group(1)) > 0
 
     def test_check_contraction_holds_exits_0(self, tmp_path, capsys):
         cfg = write_config(tmp_path, coarse("delay-exp"))

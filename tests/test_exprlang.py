@@ -13,6 +13,7 @@ from fracimpulse.exprlang import (
     ParseError,
     Unary,
     Var,
+    compile_expr,
     evaluate,
     parse,
     pretty,
@@ -178,3 +179,104 @@ def test_numbers_are_nonnegative_literals():
     tree = parse("-2")
     assert tree == Unary("-", Num(2.0))
     assert math.copysign(1.0, evaluate(tree, {})) == -1.0
+
+
+# every operator and function, alone and nested
+COMPILED_CORPUS = [
+    "x + t",
+    "x - t",
+    "x*t",
+    "x/t",
+    "x^t",
+    "x^2",
+    "(-2)^3 + xr^2",
+    "2^3^t",
+    "-x",
+    "--x",
+    "exp(-t)",
+    "sin(x)",
+    "cos(xr)",
+    "abs(xr)",
+    "sqrt(x)",
+    "ln(x)",
+    "exp(-t)*xtsup/((1+exp(t))*(1+xtsup))",
+    "x1*xr2 - x2/(1 + t^2)",
+    "sqrt(abs(sin(xr)) + ln(1 + x^2))",
+    "0.5",
+]
+
+
+def _points(rng, n):
+    return {
+        "t": rng.uniform(0.1, 2.0, n),
+        "x": rng.uniform(0.1, 3.0, n),
+        "xr": rng.uniform(-2.0, 2.0, n),
+        "xtsup": rng.uniform(0.0, 3.0, n),
+        "x1": rng.uniform(-1.0, 1.0, n),
+        "x2": rng.uniform(-1.0, 1.0, n),
+        "xr2": rng.uniform(-1.0, 1.0, n),
+    }
+
+
+@pytest.mark.parametrize("source", COMPILED_CORPUS)
+def test_compiled_matches_tree_walk(source):
+    tree = parse(source)
+    fn = compile_expr(tree)
+    env = _points(np.random.default_rng(11), 64)
+    walked = np.array(
+        [evaluate(tree, {k: v[i] for k, v in env.items()}) for i in range(64)]
+    )
+    batched = fn(env)
+    assert batched.shape == (64,)
+    np.testing.assert_allclose(batched, walked, rtol=1e-14, atol=0.0)
+    for i in range(64):
+        scalar = fn({k: float(v[i]) for k, v in env.items()})
+        assert np.shape(scalar) == ()
+        assert scalar == pytest.approx(walked[i], rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "source,good,bad",
+    [
+        ("2 + 1/x", 1.0, 0.0),
+        ("0^-1 + x", 1.0, 1.0),
+        ("(-2)^(x/4)", 4.0, 2.0),
+        ("x*sqrt(-1)", 1.0, 1.0),
+        ("ln(x - 1)", 2.0, 1.0),
+        ("exp(1000*x)", 0.5, 1.0),
+        ("(x - 1)^-2", 2.0, 1.0),
+    ],
+)
+def test_compiled_domain_errors_match_tree_walk(source, good, bad):
+    tree = parse(source)
+    with pytest.raises(EvalError) as walked:
+        evaluate(tree, {"x": bad})
+    fn = compile_expr(tree)
+    with pytest.raises(EvalError) as scalar:
+        fn({"x": bad})
+    assert str(scalar.value) == str(walked.value)
+    with pytest.raises(EvalError) as batched:
+        fn({"x": np.array([good, good, bad, good])})
+    assert str(batched.value) == str(walked.value)
+
+
+@pytest.mark.parametrize(
+    "xs,reason",
+    [([4.0, 2.0, 1.0], "square root"), ([4.0, 1.0, 2.0], "division by zero")],
+)
+def test_compiled_batch_raises_first_failing_point(xs, reason):
+    fn = compile_expr(parse("1/(x - 1) + sqrt(x - 3)"))
+    with pytest.raises(EvalError, match=reason):
+        fn({"x": np.array(xs)})
+
+
+def test_compiled_unbound_variable():
+    with pytest.raises(EvalError, match="unbound variable 'xr'"):
+        compile_expr(parse("x + xr"))({"x": np.ones(3)})
+
+
+def test_compiled_broadcasts_over_leading_axes():
+    fn = compile_expr(parse("x*t + xr"))
+    out = fn({"t": np.arange(3.0)[:, None], "x": np.ones((3, 2)), "xr": 1.0})
+    assert out.shape == (3, 2)
+    assert out.tolist() == [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]

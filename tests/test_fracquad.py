@@ -157,6 +157,10 @@ class TestConvergenceOrder:
         assert not study.exact
         assert study.order >= 1.5
 
+    def test_constant_integrand_is_exact(self):
+        study = convergence_order("rectangle", 0.5, parse("2"), 1.0, [0.1, 0.05, 0.025])
+        assert study.exact
+
     def test_needs_three_steps(self):
         with pytest.raises(ValueError):
             convergence_order("trapezoid", 0.5, parse("t"), 1.0, [0.1, 0.05])

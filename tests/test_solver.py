@@ -282,6 +282,7 @@ class TestFailureModes:
             mesh = build_mesh(spec, h)
             rep = solve_marching(spec, mesh, max_corrections=60)
             assert rep.converged is not stalls
+            assert (rep.unconverged_nodes > 0) is stalls
             if stalls:
                 assert rep.iterations == 60
                 assert rep.final_residual > 1e-3
