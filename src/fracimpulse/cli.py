@@ -15,6 +15,7 @@ timestamps), so files can be compared byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -277,7 +278,11 @@ def cmd_example(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process (about 1 ms, a large part
+    of a check) and shared by every main() call; parsing leaves it
+    unchanged."""
     parser = _Parser(
         prog="fracimpulse",
         description="impulsive fractional initial value problems: "

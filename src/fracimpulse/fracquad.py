@@ -26,7 +26,9 @@ differences A^a - B^a are evaluated via expm1/log1p so row sums hold to
 1e-12 relative even on fine meshes.
 
 build_weights does not store the (N+1)^2 table.  Consecutive mesh
-segments whose steps are bitwise equal form a run.  Inside a run of step
+segments whose steps agree to a few ulps form a run (the node values
+of one segment already deviate from k h by that much; 0.3/615 and
+0.4/820, say, differ in the last bit).  Inside a run of step
 h a cell's weights depend only on the node distance k = j - i, so the
 run's diagonal block is the lower-triangular Toeplitz matrix of a
 generator a[k], evaluated in closed form at A = k h, B = (k-1) h.  The
@@ -81,6 +83,9 @@ BLOCK = 64
 # product shape, and with it the arithmetic of each row, does not depend
 # on how many rows the run has.
 CROSS_ROWS = 16
+# Segment steps this many ulps apart share a run: a segment's linspace
+# nodes already differ from k*h by that much.
+STEP_ULPS = 4
 # Largest weight storage build_weights or WeightTable.dense() allocates.
 WEIGHT_BYTES_BUDGET = 2**30
 
@@ -226,12 +231,12 @@ class WeightTable:
 
 def _runs(mesh: Mesh) -> list[tuple[int, int, float]]:
     """(start, stop, step) of each maximal stretch of segments whose steps
-    are bitwise equal."""
+    agree to STEP_ULPS ulps; a run keeps the step of its first segment."""
     runs: list[tuple[int, int, float]] = []
     bounds = mesh.boundary_idx
     for lo, hi, h in zip(bounds, bounds[1:], mesh.seg_steps):
-        if runs and runs[-1][2] == h:
-            runs[-1] = (runs[-1][0], hi, h)
+        if runs and abs(runs[-1][2] - h) <= STEP_ULPS * math.ulp(h):
+            runs[-1] = (runs[-1][0], hi, runs[-1][2])
         else:
             runs.append((lo, hi, h))
     return runs

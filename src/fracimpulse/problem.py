@@ -511,8 +511,10 @@ def history_sup_norm(traj: Trajectory, delay: DelaySpec, t: float) -> float:
     are the mesh nodes inside the window, the delay-aligned grid points
     in the negative part, any declared history sample times in the
     window, and both window endpoints.  Impulse nodes strictly inside
-    the window contribute their left limit; an impulse node sitting
-    exactly at the window's left endpoint contributes its right limit.
+    the window contribute their left limit; an impulse node at the
+    window's left endpoint contributes its right limit.  A node counts
+    as on the window (and at an endpoint) to 1e-12 relative, so
+    t - r matches its node on non-dyadic steps too.
     """
     mesh = traj.mesh
     if mesh.delay_steps is None:
@@ -525,6 +527,12 @@ def history_sup_norm(traj: Trajectory, delay: DelaySpec, t: float) -> float:
     lo = t - r
     h = r / mesh.delay_steps
 
+    def near_node(s: float) -> int | None:
+        """Index of the node within the window bounds' tolerance of s."""
+        slack = 1e-12 * max(1.0, abs(s))
+        i = int(np.searchsorted(nodes, s - slack))
+        return i if i < nodes.size and nodes[i] <= s + slack else None
+
     sup = 0.0
     # trajectory part: nodes in [max(lo, 0), t], left limits inside window
     i0 = int(np.searchsorted(nodes, max(lo, 0.0) - 1e-12 * max(1.0, abs(lo))))
@@ -532,14 +540,14 @@ def history_sup_norm(traj: Trajectory, delay: DelaySpec, t: float) -> float:
     if i1 >= i0:
         sup = float(np.max(np.linalg.norm(traj.values[i0 : i1 + 1], axis=1)))
     # right-limit rule at the window's left endpoint
-    left_idx = mesh.node_index(lo)
+    left_idx = near_node(lo)
     if left_idx is not None and left_idx in mesh.impulse_idx:
         k = mesh.impulse_idx.index(left_idx)
         sup = max(sup, float(np.linalg.norm(traj.right_values[k])))
     # endpoints not on nodes
     if lo >= 0.0 and left_idx is None:
         sup = max(sup, float(np.linalg.norm(traj.evaluate(lo, "left"))))
-    if mesh.node_index(t) is None:
+    if near_node(t) is None:
         sup = max(sup, float(np.linalg.norm(traj.evaluate(t, "left"))))
 
     # history part: delay-aligned grid offsets below zero, plus declared knots

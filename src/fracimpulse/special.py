@@ -15,7 +15,11 @@ c * ||g||_{1/p} * t^(a-p) with c = holder_constant(a, p).
 Envelope instances are the nonnegative comparison functions (bounds and
 Lipschitz envelopes) fed to lp_seminorm; they come in three concrete
 forms so config files can declare them: constants, decaying exponentials
-scale*exp(-rate*t), and piecewise-linear sample tables.
+scale*exp(-rate*t), and piecewise-linear sample tables.  lp_seminorm
+takes the closed form of the first two, and integrates sample tables
+and plain callables by a Gauss-Legendre quadrature of (g/M)^(1/p), M
+the largest sampled value, so no exponent p in (0, 1) underflows or
+overflows g^(1/p).
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ _ML_CANCEL_FLOOR = 3e-11
 _SEMINORM_REL_TOL = 1e-10
 _SEMINORM_MAX_NODES = 2**20
 _PANEL_ORDER = 16
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_ORDER)
 
 
 def gamma(x: float) -> float:
@@ -109,10 +114,16 @@ def mittag_leffler(alpha: float, z: float, tol: float = 1e-14) -> float:
 def lp_seminorm(g: Callable[[float], float], p: float, T: float) -> float:
     r"""Seminorm ||g||_{1/p} = (\int_0^T g(s)^{1/p} ds)^p for 0 < p < 1.
 
-    g must be nonnegative and evaluable on [0, T].  The integral is
-    computed by composite 16-point Gauss-Legendre quadrature with panel
-    doubling until the relative change drops below 1e-10, capped at 2^20
-    nodes total.
+    g must be nonnegative and evaluable on [0, T].  Constant and
+    exp_decay envelopes take their closed forms: v*T^p for the constant
+    v, and s*(p/r*(1 - exp(-r*T/p)))^p for s*exp(-r*t) (s*T^p at
+    r = 0); a result too large for a double raises ArithmeticError.
+    Any other g (sampled envelopes, plain callables) is integrated by
+    composite 16-point Gauss-Legendre quadrature with panel doubling
+    until the relative change drops below 1e-10, capped at 2^20 nodes.
+    The quadrature integrates (g/M)^{1/p}, M the largest sampled value,
+    and multiplies M back after the power, so g^{1/p} can neither
+    underflow to 0 nor overflow for small p.
     """
     p = float(p)
     T = float(T)
@@ -120,21 +131,26 @@ def lp_seminorm(g: Callable[[float], float], p: float, T: float) -> float:
         raise ValueError(f"lp_seminorm requires 0 < p < 1, got p={p!r}")
     if not T > 0.0:
         raise ValueError(f"lp_seminorm requires T > 0, got T={T!r}")
+    if isinstance(g, Envelope) and g.form != "samples":
+        return _closed_form_seminorm(g, p, T)
 
-    ref_x, ref_w = np.polynomial.legendre.leggauss(_PANEL_ORDER)
     inv_p = 1.0 / p
 
-    def level(panels: int) -> float:
+    def level(panels: int, scale: float) -> tuple[float, float]:
+        """Integral of (g/scale')^{1/p} and scale' = max(scale, sampled g)."""
         edges = np.linspace(0.0, T, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])
-        nodes = (mid[:, None] + half[:, None] * ref_x[None, :]).ravel()
+        nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
         vals = _eval_nonnegative(g, nodes)
-        weights = (half[:, None] * ref_w[None, :]).ravel()
-        return float(weights @ vals**inv_p)
+        scale = max(scale, float(vals.max()))
+        if scale == 0.0:
+            return 0.0, 0.0
+        weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+        return float(weights @ (vals / scale) ** inv_p), scale
 
     panels = 1
-    prev = level(panels)
+    prev, scale = level(panels, 0.0)
     while True:
         panels *= 2
         if panels * _PANEL_ORDER > _SEMINORM_MAX_NODES:
@@ -142,11 +158,40 @@ def lp_seminorm(g: Callable[[float], float], p: float, T: float) -> float:
                 f"lp_seminorm did not converge to rel tol {_SEMINORM_REL_TOL:g} "
                 f"within {_SEMINORM_MAX_NODES} nodes"
             )
-        cur = level(panels)
+        cur, new_scale = level(panels, scale)
+        if new_scale > scale:  # a larger sample: restate prev in the new scale
+            prev *= (scale / new_scale) ** inv_p
+            scale = new_scale
         if abs(cur - prev) <= _SEMINORM_REL_TOL * max(abs(cur), 1e-300):
             break
         prev = cur
-    return cur**p
+    return scale * cur**p
+
+
+def _closed_form_seminorm(env: "Envelope", p: float, T: float) -> float:
+    if env.form == "constant":
+        out = env.value * T**p
+    else:
+        # int_0^T e^{-rt/p} dt = T * (1 - e^{-x})/x with x = rT/p; the
+        # ratio stays accurate when r (and x) is tiny or subnormal
+        scale, rate = env.scale, env.rate
+        x = rate * T / p
+        if x == 0.0 or scale == 0.0:
+            out = scale * T**p
+        elif x > 700.0:  # e^{-x} is below 1e-304 and x may be inf: p/r
+            out = scale * (p / rate) ** p
+        elif x > -700.0:
+            out = scale * (T * (-math.expm1(-x) / x)) ** p
+        else:  # e^{-x} overflows: take logs, -log1p(-e^x) is below 1e-304
+            try:
+                out = scale * math.exp(p * (-x + math.log(p / -rate)))
+            except OverflowError:
+                out = math.inf
+    if not math.isfinite(out):
+        raise ArithmeticError(
+            f"lp_seminorm of {env!r} over [0, {T!r}] at p={p!r} overflows a double"
+        )
+    return out
 
 
 def _eval_nonnegative(g: Callable[[float], float], nodes: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Certificate quantities against closed forms and the normalization identity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -266,3 +267,35 @@ def test_choose_p_fallback_half_alpha():
     )
     p, auto = choose_p(spec)
     assert auto and p == pytest.approx(0.3)
+
+
+def _linear_problem(lam, jump_lip, alpha=0.5, horizon=1.0):
+    return ProblemSpec(
+        alpha=alpha,
+        T=horizon,
+        rhs=RhsSpec(
+            kind="plain", f=lambda t, x: -lam * x, envelopes={"lip": Envelope.constant(lam)}
+        ),
+        x0=np.array([1.0]),
+        impulses=ImpulseSchedule(
+            times=(0.5,), jumps=(lambda x: x,), jump_bound=1.0, jump_lip=jump_lip
+        ),
+    )
+
+
+def test_weak_envelope_does_not_vanish_at_small_p():
+    # 0.999 + c * 0.001 * T^a / Gamma(a+1) > 1 at every p; the seminorm of
+    # the 0.001 envelope once underflowed to 0 at p = alpha/65
+    cert = certify(_linear_problem(0.001, 0.999))
+    assert cert.verdict == "contraction_fails"
+    assert cert.gamma_stated > 1.0
+
+
+def test_strong_envelope_certifies_without_overflow():
+    lam = 400.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = certify(_linear_problem(lam, 0.0))
+    holder = ((1.0 - cert.p) / (0.5 - cert.p)) ** (1.0 - cert.p)
+    assert cert.gamma_stated == pytest.approx(holder * lam / math.gamma(1.5), rel=1e-9)
+    assert cert.verdict == "contraction_fails"

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from fracimpulse import build_mesh, builtin_example, certify, parse_config
-from fracimpulse.cli import main
+from fracimpulse.cli import build_parser, main
 
 H_COARSE = 2.0**-6
 
@@ -166,6 +166,20 @@ class TestExitCodes:
         code = main(["order", "--config", str(cfg), "--h-list", "0.05,0.1,0.2"])
         assert code == 1
         assert "decreasing" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_keeps_no_options_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    cfg = write_config(tmp_path, coarse("delay-exp"))
+    report = tmp_path / "report.txt"
+    assert main(["check", "--config", str(cfg), "--report", str(report)]) == 0
+    first = capsys.readouterr().out
+    report.unlink()
+    assert main(["check", "--config", str(cfg)]) == 0
+    second = capsys.readouterr().out
+    assert second.splitlines()[:-1] == first.splitlines()[:-1]
+    assert str(report) in first and str(report) not in second
+    assert not report.exists()
 
 
 class TestTrajectoryCsv:

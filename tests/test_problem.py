@@ -15,6 +15,7 @@ from fracimpulse.problem import (
     build_mesh,
     history_sup_norm,
 )
+from fracimpulse.solver import _DelayData
 
 
 def _plain_spec(T=1.0, times=(), jumps=None, alpha=0.5, x0=1.0, **impulse_kwargs):
@@ -279,6 +280,20 @@ class TestHistorySupNorm:
         traj = Trajectory(mesh=mesh, values=values, right_values=np.array([[7.0]]))
         # window [0.5, 1.0]: left endpoint is the impulse node, right limit rule
         assert history_sup_norm(traj, spec.delay, 1.0) == pytest.approx(7.0)
+
+    def test_right_limit_at_non_dyadic_window_left_endpoint(self):
+        # 0.7 - 0.3 = 0.39999999999999997 is not bitwise the node 0.4; the
+        # solver's window sup still counts the impulse's right limit there
+        spec = _delay_spec(r=0.3, times=(0.4,), history=lambda s: np.array([0.0]))
+        mesh = build_mesh(spec, 0.05)
+        traj = Trajectory(
+            mesh=mesh, values=np.zeros((mesh.n_nodes, 1)), right_values=np.array([[7.0]])
+        )
+        i = mesh.node_index(0.7)
+        assert i is not None and 0.7 - 0.3 != mesh.nodes[i - mesh.delay_steps]
+        assert history_sup_norm(traj, spec.delay, 0.7) == 7.0
+        dd = _DelayData(spec, mesh)
+        assert dd.window_sup(i, np.zeros(mesh.n_nodes), {mesh.impulse_idx[0]: 7.0}) == 7.0
 
     def test_needs_delay_mesh(self):
         plain = _plain_spec()

@@ -27,11 +27,12 @@ PROPERTY = settings(
 @st.composite
 def delay_windows(draw):
     """A delay mesh with a dyadic step (node times and window ends are
-    exact), a history with knots, and a random iterate whose right
-    limits often dominate.  q may exceed the node count, so every
-    node can sit below q; when some window starts on a node, one impulse
-    sits exactly at a window's left endpoint."""
-    h = 2.0 ** -draw(st.integers(3, 6))
+    exact) or any other step (t - r then misses its node by rounding),
+    a history with knots, and a random iterate whose right limits often
+    dominate.  q may exceed the node count, so every node can sit below
+    q; when some window starts on a node, one impulse sits at a window's
+    left endpoint."""
+    h = draw(st.one_of(st.integers(3, 6).map(lambda k: 2.0**-k), st.floats(0.01, 0.2)))
     steps = draw(st.integers(4, 120))
     q = draw(st.integers(1, steps + 10))
     d = draw(st.integers(1, 2))

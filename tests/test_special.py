@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracimpulse.special import (
     Envelope,
@@ -110,6 +112,38 @@ class TestLpSeminorm:
         with pytest.raises(ValueError):
             lp_seminorm(lambda t: np.asarray(t) - 0.5, 0.5, 1.0)
 
+    def test_small_exponent_neither_underflows_nor_overflows(self):
+        # g^(1/p) = 0.001^130 underflows and 400^130 overflows unscaled
+        p = 0.5 / 65
+        assert lp_seminorm(lambda t: 0.001 + 0.0 * t, p, 1.0) == pytest.approx(0.001, rel=1e-12)
+        assert lp_seminorm(lambda t: 400.0 + 0.0 * t, p, 1.0) == pytest.approx(400.0, rel=1e-12)
+        # a sampled ramp from 1e-3 to 1e3, whose top reaches 1e390 unscaled:
+        # (int_0^2 g^{1/p})^p = (p/(b(1+p)) * (g(2)^{(1+p)/p} - g(0)^{(1+p)/p}))^p
+        env = Envelope.from_samples([0.0, 2.0], [1e-3, 1e3])
+        expected = (2.0 / (1e3 - 1e-3) * p / (1.0 + p)) ** p * 1e3 ** (1.0 + p)
+        assert lp_seminorm(env, p, 2.0) == pytest.approx(expected, rel=1e-6)
+
+    def test_closed_form_overflow_raises(self):
+        # e^{1000 t} over [0, 1]: the seminorm itself exceeds a double
+        with pytest.raises(ArithmeticError, match="overflows"):
+            lp_seminorm(Envelope.exp_decay(1.0, -1000.0), 0.01, 1.0)
+        with pytest.raises(ArithmeticError, match="overflows"):
+            lp_seminorm(Envelope.constant(1e308), 0.5, 4.0)
+
+    def test_exp_decay_steep_growth_stays_finite(self):
+        # int_0^1 (e^{400 t})^(1/p) dt = int_0^1 e^{800 t} dt overflows a double;
+        # its p-th power, about e^400, does not
+        p, rate = 0.5, -400.0
+        expected = math.exp(400.0 + p * math.log(p / 400.0))
+        got = lp_seminorm(Envelope.exp_decay(1.0, rate), p, 1.0)
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_exp_decay_extreme_rates(self):
+        # a subnormal rate is no decay at all; a huge one leaves (p/r)^p
+        assert lp_seminorm(Envelope.exp_decay(2.0, 5e-324), 0.25, 1.5) == 2.0 * 1.5**0.25
+        got = lp_seminorm(Envelope.exp_decay(1.0, 1e308), 0.01, 2.0)
+        assert got == pytest.approx((0.01 / 1e308) ** 0.01, rel=1e-12)
+
     def test_rejects_bad_exponent(self):
         with pytest.raises(ValueError):
             lp_seminorm(lambda t: 1.0, 1.0, 1.0)
@@ -185,3 +219,22 @@ class TestEnvelope:
     def test_seminorm_accepts_envelopes(self):
         env = Envelope.constant(0.1)
         assert lp_seminorm(env, 0.25, 1.0) == pytest.approx(0.1, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(0.1, 0.95),
+    frac=st.floats(1.0 / 65.0, 1.0, exclude_max=True),
+    T=st.floats(0.5, 2.0),
+    scale=st.floats(1e-3, 400.0),
+    rate=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+    constant=st.booleans(),
+)
+def test_closed_forms_match_quadrature(alpha, frac, T, scale, rate, constant):
+    """Constant and exp_decay envelopes take closed forms; the same
+    function as a plain callable goes through the scaled quadrature."""
+    p = alpha * frac
+    env = Envelope.constant(scale) if constant else Envelope.exp_decay(scale, rate)
+    closed = lp_seminorm(env, p, T)
+    quadrature = lp_seminorm(lambda t: env(np.asarray(t)), p, T)
+    assert closed == pytest.approx(quadrature, rel=1e-9)

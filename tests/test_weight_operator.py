@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fracimpulse.config import builtin_example, parse_config
 from fracimpulse.fracquad import WEIGHT_BYTES_BUDGET, build_weights
 from fracimpulse.problem import (
     ImpulseSchedule,
@@ -147,6 +148,25 @@ def test_far_blocks_match_dense_on_a_long_run():
     W = table.dense()
     g = np.cos(7.0 * mesh.nodes)
     assert np.all(np.abs(table.apply(g) - W @ g) <= REL * (np.abs(W) @ np.abs(g)))
+
+
+def test_near_equal_steps_form_one_run():
+    # the builtin logistic mesh at 2^-11: segment steps 0.3/615 and
+    # 0.4/820 are both 1/2050 but differ in the last bit
+    mesh = build_mesh(parse_config(builtin_example("logistic")).problem, 2.0**-11)
+    assert len(set(mesh.seg_steps)) > 1
+    for scheme in ("rectangle", "trapezoid"):
+        table = build_weights(mesh, 0.5, scheme)
+        assert len(table.runs) == 1 and table.runs[0].cross is None
+        assert table.weights.nbytes <= 64 * 8 * mesh.n_nodes
+        W = table.dense()
+        g = np.cos(7.0 * mesh.nodes)
+        assert np.all(np.abs(table.apply(g) - W @ g) <= REL * (np.abs(W) @ np.abs(g)))
+    # steps 1% apart still form two runs
+    n1, n2 = 100, 101
+    nodes = np.concatenate([np.linspace(0.0, 0.5, n1 + 1), np.linspace(0.5, 1.0, n2 + 1)[1:]])
+    mesh = Mesh(nodes=nodes, boundary_idx=(0, n1, n1 + n2), seg_steps=(0.5 / n1, 0.5 / n2))
+    assert len(build_weights(mesh, 0.5, "trapezoid").runs) == 2
 
 
 def test_single_step_storage_is_linear():
