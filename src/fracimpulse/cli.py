@@ -31,7 +31,7 @@ from .config import (
     load_config,
     parse_config,
 )
-from .exprlang import BinOp, Num, Unary, Var
+from .exprlang import monomial
 from .problem import MeshError, ProblemError, Trajectory, build_mesh
 from .solver import SolverError, solve_marching, solve_picard
 from .special import mittag_leffler
@@ -58,18 +58,19 @@ def _fmt(x: float) -> str:
 def trajectory_csv(traj: Trajectory) -> str:
     """CSV text: header t,side,x1..xd; impulse nodes get a left and a
     right row, every other node a single row with side=both."""
-    dim = traj.dim
-    header = "t,side," + ",".join(f"x{i + 1}" for i in range(dim))
+    header = "t,side," + ",".join(f"x{i + 1}" for i in range(traj.dim))
     lines = [header]
-    impulse_at = {idx: k for k, idx in enumerate(traj.mesh.impulse_idx)}
-    for i, t in enumerate(traj.mesh.nodes):
-        row = ",".join(_fmt(v) for v in traj.values[i])
-        if i in impulse_at:
-            lines.append(f"{_fmt(t)},left,{row}")
-            right = ",".join(_fmt(v) for v in traj.right_values[impulse_at[i]])
-            lines.append(f"{_fmt(t)},right,{right}")
+    rights = {
+        idx: ",".join(map(repr, row))
+        for idx, row in zip(traj.mesh.impulse_idx, traj.right_values.tolist())
+    }
+    for i, (t, row) in enumerate(zip(traj.mesh.nodes.tolist(), traj.values.tolist())):
+        left = ",".join(map(repr, row))
+        if i in rights:
+            lines.append(f"{t!r},left,{left}")
+            lines.append(f"{t!r},right,{rights[i]}")
         else:
-            lines.append(f"{_fmt(t)},both,{row}")
+            lines.append(f"{t!r},both,{left}")
     return "\n".join(lines) + "\n"
 
 
@@ -108,17 +109,14 @@ def certificate_report(cert: Certificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _solve(cfg: RunConfig, method: str | None, scheme: str | None):
-    method = method or cfg.method
+def _solve(cfg: RunConfig, method: str | None, scheme: str | None, target_h=None):
     scheme = scheme or cfg.scheme
-    mesh = build_mesh(cfg.problem, cfg.target_h)
-    if method == "picard":
-        report = solve_picard(
+    mesh = build_mesh(cfg.problem, cfg.target_h if target_h is None else target_h)
+    if (method or cfg.method) == "picard":
+        return solve_picard(
             cfg.problem, mesh, scheme=scheme, tol=cfg.tol, max_iter=cfg.max_iter
         )
-    else:
-        report = solve_marching(cfg.problem, mesh, scheme=scheme)
-    return report
+    return solve_marching(cfg.problem, mesh, scheme=scheme)
 
 
 def cmd_solve(args) -> int:
@@ -174,27 +172,8 @@ def _linear_coefficient(cfg: RunConfig) -> float | None:
     trees = cfg.asts.get("rhs.f")
     if trees is None or len(trees) != 1:
         return None
-
-    def coeff(node) -> float | None:
-        if isinstance(node, Var) and node.name == "x":
-            return 1.0
-        if isinstance(node, Unary):
-            inner = coeff(node.operand)
-            return None if inner is None else -inner
-        if isinstance(node, BinOp):
-            if node.op == "*":
-                if isinstance(node.left, Num):
-                    inner = coeff(node.right)
-                    return None if inner is None else node.left.value * inner
-                if isinstance(node.right, Num):
-                    inner = coeff(node.left)
-                    return None if inner is None else inner * node.right.value
-            if node.op == "/" and isinstance(node.right, Num) and node.right.value != 0:
-                inner = coeff(node.left)
-                return None if inner is None else inner / node.right.value
-        return None
-
-    return coeff(trees[0])
+    mono = monomial(trees[0], "x")
+    return mono[0] if mono is not None and mono[1] == 1.0 else None
 
 
 def _parse_h_list(text: str) -> list[float]:
@@ -232,27 +211,14 @@ def cmd_order(args) -> int:
         except (ValueError, OverflowError, ArithmeticError):
             ref = None  # oracle declined (cancellation); use a fine grid
     if ref is None:
-        fine_mesh = build_mesh(cfg.problem, min(h_list) / 8.0)
-        if method == "picard":
-            fine = solve_picard(
-                cfg.problem, fine_mesh, scheme=scheme, tol=cfg.tol, max_iter=cfg.max_iter
-            )
-        else:
-            fine = solve_marching(cfg.problem, fine_mesh, scheme=scheme)
-        ref = fine.trajectory.values[-1]
+        ref = _solve(cfg, method, scheme, min(h_list) / 8.0).trajectory.values[-1]
         ref_label = f"fine-grid reference (target_h = {_fmt(min(h_list) / 8.0)})"
 
     print(f"order study: method={method} scheme={scheme}")
     print(f"reference: {ref_label}")
     errors = []
     for h in h_list:
-        mesh = build_mesh(cfg.problem, h)
-        if method == "picard":
-            rep = solve_picard(
-                cfg.problem, mesh, scheme=scheme, tol=cfg.tol, max_iter=cfg.max_iter
-            )
-        else:
-            rep = solve_marching(cfg.problem, mesh, scheme=scheme)
+        rep = _solve(cfg, method, scheme, h)
         err = float(np.max(np.abs(rep.trajectory.values[-1] - ref)))
         errors.append(err)
         print(f"h = {_fmt(h)}   error at T = {_fmt(err)}")

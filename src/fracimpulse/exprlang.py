@@ -63,6 +63,7 @@ __all__ = [
     "compile_expr",
     "pretty",
     "variables",
+    "monomial",
 ]
 
 
@@ -237,6 +238,33 @@ def variables(expr: Expr) -> frozenset[str]:
         elif isinstance(node, Call):
             stack.append(node.arg)
     return frozenset(out)
+
+
+def monomial(expr: Expr, var: str) -> tuple[float, float] | None:
+    """(c, b) when the tree is c * var^b, else None.
+
+    Matches numbers, var, unary minus, products with a constant factor,
+    division by a nonzero number and var^number.
+    """
+    if isinstance(expr, Num):
+        return expr.value, 0.0
+    if isinstance(expr, Var):
+        return (1.0, 1.0) if expr.name == var else None
+    if isinstance(expr, Unary):
+        inner = monomial(expr.operand, var)
+        return None if inner is None else (-inner[0], inner[1])
+    if not isinstance(expr, BinOp):
+        return None
+    if expr.op == "^" and isinstance(expr.right, Num):
+        return (1.0, expr.right.value) if monomial(expr.left, var) == (1.0, 1.0) else None
+    if expr.op == "/" and isinstance(expr.right, Num) and expr.right.value != 0.0:
+        inner = monomial(expr.left, var)
+        return None if inner is None else (inner[0] / expr.right.value, inner[1])
+    if expr.op == "*":
+        lhs, rhs = monomial(expr.left, var), monomial(expr.right, var)
+        if lhs is not None and rhs is not None and 0.0 in (lhs[1], rhs[1]):
+            return lhs[0] * rhs[0], lhs[1] + rhs[1]
+    return None
 
 
 def _fail(node: Expr, reason: str) -> "EvalError":

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprlang import BinOp, Expr, Num, Unary, Var, compile_expr
+from .exprlang import Expr, compile_expr, monomial
 from .problem import Mesh, MeshError
 from .special import gamma
 
@@ -353,33 +353,6 @@ def power_integral(alpha: float, beta: float, t: float) -> float:
     return gamma(beta + 1.0) / gamma(beta + 1.0 + alpha) * t ** (beta + alpha)
 
 
-def _monomial_of(expr: Expr) -> tuple[float, float] | None:
-    """Match c, c*t^b, t^b, t, -t^b ... returning (coefficient, power)."""
-    if isinstance(expr, Num):
-        return expr.value, 0.0
-    if isinstance(expr, Var) and expr.name == "t":
-        return 1.0, 1.0
-    if isinstance(expr, Unary) and expr.op == "-":
-        inner = _monomial_of(expr.operand)
-        if inner is not None:
-            return -inner[0], inner[1]
-        return None
-    if isinstance(expr, BinOp):
-        if expr.op == "^":
-            base = _monomial_of(expr.left)
-            if base is not None and base == (1.0, 1.0) and isinstance(expr.right, Num):
-                return 1.0, expr.right.value
-            return None
-        if expr.op == "*":
-            lhs = _monomial_of(expr.left)
-            rhs = _monomial_of(expr.right)
-            if lhs is not None and rhs is not None:
-                if lhs[1] == 0.0 or rhs[1] == 0.0:
-                    return lhs[0] * rhs[0], lhs[1] + rhs[1]
-            return None
-    return None
-
-
 @dataclass(frozen=True)
 class OrderStudy:
     """Result of an empirical refinement study."""
@@ -423,7 +396,7 @@ def convergence_order(
         samples = sample({"t": nodes})
         return float(frac_integral(table, samples, n)), t / n
 
-    mono = _monomial_of(g)
+    mono = monomial(g, "t")
     if mono is not None:
         coef, beta = mono
         reference = coef * power_integral(alpha, beta, t)

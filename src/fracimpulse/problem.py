@@ -144,8 +144,8 @@ class ImpulseSchedule:
                         f"{worst:.6g} > declared jump_bound {self.jump_bound:.6g}"
                     )
             if self.jump_lip is not None:
-                ys = xs[rng.permutation(samples)]
-                vals2 = np.stack([self.apply(k, y) for y in ys])
+                perm = rng.permutation(samples)
+                ys, vals2 = xs[perm], vals[perm]
                 gaps = np.linalg.norm(vals - vals2, axis=1)
                 dists = np.linalg.norm(xs - ys, axis=1)
                 bad = gaps > self.jump_lip * dists * (1.0 + 1e-9) + 1e-12

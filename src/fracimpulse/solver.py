@@ -19,8 +19,7 @@ x -> known + w_jj f(t_j, x) to convergence (the map contracts with
 factor w_jj * Lip(f), small for any usable step), so the marching
 solution coincides with the Picard fixed point up to tolerances.  When
 w_jj * Lip(f) is too large the corrector can fail to converge; the
-report then says so (converged=False).  Pass corrections="single" for a
-classic one-shot corrector.
+report then says so (converged=False).
 
 Both solvers touch the weights only through WeightTable.apply, row and
 diag, and sample f through one sampler: a Picard sweep samples every
@@ -97,30 +96,22 @@ class _DelayData:
             raise SolverError("delay problem requires a mesh built with the delay")
         self.q = q
         h = delay.r / q
-        vals = []
-        for j in range(q + 1):
-            v = np.atleast_1d(np.asarray(delay.history(-j * h), dtype=float))
-            vals.append(v)
-        self.phi_vals = np.stack(vals)  # row j = phi(-j*h)
-        self.phi_norms = np.linalg.norm(self.phi_vals, axis=1)
-        knots = [s for s in delay.sample_times if s < 0.0]
-        knots.sort()
-        self.knots = np.asarray(knots)
-        self.knot_norms = np.array(
-            [
-                np.linalg.norm(np.atleast_1d(np.asarray(delay.history(s), dtype=float)))
-                for s in knots
-            ]
-        )
-        self.r = delay.r
+
+        def phi(s: float) -> np.ndarray:
+            return np.atleast_1d(np.asarray(delay.history(s), dtype=float))
+
+        self.phi_vals = np.stack([phi(-j * h) for j in range(q + 1)])  # row j: phi(-jh)
+        phi_norms = np.linalg.norm(self.phi_vals, axis=1)
+        knots = np.array(sorted(s for s in delay.sample_times if s < 0.0))
+        knot_norms = np.array([np.linalg.norm(phi(s)) for s in knots.tolist()])
         # the history part of window_sup at the nodes i < q, whose windows
         # reach below t = 0: a prefix max over the grid values and a
         # suffix max over the knots at or right of the window's left end
         j_hi = np.arange(q, q - min(q, mesh.n_nodes), -1)
-        hist = np.maximum.accumulate(self.phi_norms[1:])[j_hi - 1]
-        if self.knots.size:
-            first = np.searchsorted(self.knots, -j_hi * (self.r / self.q) - 1e-12)
-            suffix = np.maximum.accumulate(self.knot_norms[::-1])[::-1]
+        hist = np.maximum.accumulate(phi_norms[1:])[j_hi - 1]
+        if knots.size:
+            first = np.searchsorted(knots, -j_hi * h - 1e-12)
+            suffix = np.maximum.accumulate(knot_norms[::-1])[::-1]
             hist = np.maximum(hist, np.append(suffix, -np.inf)[first])
         self.hist_sups = hist
 
@@ -150,16 +141,10 @@ class _DelayData:
         """
         lo_idx = i - self.q
         sup = float(np.max(norms[max(lo_idx, 0) : i + 1]))
-        if lo_idx >= 0 and lo_idx in right_norms:
-            sup = max(sup, right_norms[lo_idx])
         if lo_idx < 0:
-            j_hi = -lo_idx  # offsets -h .. -j_hi*h lie in the window
-            sup = max(sup, float(np.max(self.phi_norms[1 : j_hi + 1])))
-            if self.knots.size:
-                lo_t = -j_hi * (self.r / self.q)
-                first = int(np.searchsorted(self.knots, lo_t - 1e-12))
-                if first < self.knots.size:
-                    sup = max(sup, float(np.max(self.knot_norms[first:])))
+            return max(sup, float(self.hist_sups[i]))
+        if lo_idx in right_norms:
+            sup = max(sup, right_norms[lo_idx])
         return sup
 
     def window_sups(self, norms: np.ndarray, right_norms: dict[int, float]) -> np.ndarray:
@@ -281,19 +266,12 @@ class _Sampler:
         return g
 
 
-def _jump_data(spec: ProblemSpec, mesh: Mesh, values: np.ndarray):
-    """Jump increments at the current left limits: cumulative sum per node,
-    right-limit map, and right-limit norms."""
-    n, d = values.shape
-    jsum = np.zeros((n, d))
-    rights = {}
-    right_norms = {}
+def _increments(spec: ProblemSpec, mesh: Mesh, values: np.ndarray) -> np.ndarray:
+    """I_k at the left limits values[t_k], one row per impulse: (m, d)."""
+    incs = np.zeros((len(mesh.impulse_idx), values.shape[1]))
     for k, idx in enumerate(mesh.impulse_idx):
-        inc = spec.impulses.apply(k, values[idx])
-        jsum[idx + 1 :] += inc
-        rights[idx] = values[idx] + inc
-        right_norms[idx] = float(np.linalg.norm(rights[idx]))
-    return jsum, rights, right_norms
+        incs[k] = spec.impulses.apply(k, values[idx])
+    return incs
 
 
 def _initial_iterate(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
@@ -306,14 +284,8 @@ def _initial_iterate(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
 
 
 def _final_trajectory(spec: ProblemSpec, mesh: Mesh, values: np.ndarray) -> Trajectory:
-    rights = [
-        values[idx] + spec.impulses.apply(k, values[idx])
-        for k, idx in enumerate(mesh.impulse_idx)
-    ]
-    rights_arr = (
-        np.stack(rights) if rights else np.zeros((0, values.shape[1]))
-    )
-    return Trajectory(mesh=mesh, values=values, right_values=rights_arr)
+    rights = values[list(mesh.impulse_idx)] + _increments(spec, mesh, values)
+    return Trajectory(mesh=mesh, values=values, right_values=rights)
 
 
 def solve_picard(
@@ -340,10 +312,17 @@ def solve_picard(
     converged = False
     iterations = 0
     residual = math.inf
+    impulse_idx = np.array(mesh.impulse_idx, dtype=int)
     for _ in range(max_iter):
-        jsum, _, right_norms = _jump_data(spec, mesh, values)
+        incs = _increments(spec, mesh, values)
+        steps = np.zeros_like(values)  # the jump sum is their running total
+        steps[impulse_idx + 1] = incs
+        rights = values[impulse_idx] + incs
+        right_norms = {
+            idx: float(np.linalg.norm(r)) for idx, r in zip(mesh.impulse_idx, rights)
+        }
         g = sampler.sweep(values, right_norms)
-        new = spec.x0[None, :] + jsum + table.apply(g)
+        new = spec.x0[None, :] + np.cumsum(steps, axis=0) + table.apply(g)
         residual = float(np.max(np.linalg.norm(new - values, axis=1)))
         history.append(residual)
         values = new
@@ -369,14 +348,12 @@ def solve_marching(
     scheme: str = "trapezoid",
     corrector_tol: float = 1e-13,
     max_corrections: int = 60,
-    corrections: str = "converge",
 ) -> SolveReport:
     """One-pass time stepping, left to right.
 
     rectangle is explicit.  trapezoid predicts each node with the
     rectangle row and then fixed-point iterates the diagonal corrector
-    until the update is below corrector_tol (relative); with
-    corrections="single" exactly one corrector application is made.
+    until the update is below corrector_tol (relative).
 
     The report gives the largest corrector iteration count over the
     nodes as iterations and the largest final corrector update as
@@ -384,8 +361,6 @@ def solve_marching(
     max_corrections without meeting corrector_tol, and converged is
     False when there is one.
     """
-    if corrections not in ("converge", "single"):
-        raise ValueError(f"corrections must be 'converge' or 'single', got {corrections!r}")
     if max_corrections < 1:
         raise ValueError(f"max_corrections must be at least 1, got {max_corrections!r}")
     table = build_weights(mesh, spec.alpha, scheme)
@@ -426,15 +401,14 @@ def solve_marching(
         if scheme == "trapezoid":
             known = base + table.row(i)[:i] @ g[:i]
             wjj = wdiag[i]
-            limit = 1 if corrections == "single" else max_corrections
-            for count in range(1, limit + 1):
+            for count in range(1, max_corrections + 1):
                 nxt = known + wjj * f_at(i, xi)
                 gap = float(np.abs(nxt - xi).max())
                 xi = nxt
                 if gap <= corrector_tol * (1.0 + float(np.abs(xi).max())):
                     break
-            else:  # tolerance not met; the single corrector stops here by design
-                failed += corrections == "converge"
+            else:
+                failed += 1
             most_corrections = max(most_corrections, count)
             worst_gap = max(worst_gap, gap)
         values[i] = xi
@@ -461,12 +435,10 @@ def solve_marching(
 
 def jump_residual(traj: Trajectory, spec: ProblemSpec) -> float:
     """max_k | right_k - left_k - I_k(left_k) |, zero without impulses."""
-    worst = 0.0
-    for k in range(len(spec.impulses)):
-        left = traj.left_limit(k)
-        gap = traj.right_limit(k) - left - spec.impulses.apply(k, left)
-        worst = max(worst, float(np.max(np.abs(gap))))
-    return worst
+    mesh = traj.mesh
+    left = traj.values[list(mesh.impulse_idx)]
+    gaps = traj.right_values - left - _increments(spec, mesh, traj.values)
+    return float(np.max(np.abs(gaps), initial=0.0))
 
 
 def split_component_integral(

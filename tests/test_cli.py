@@ -5,10 +5,12 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fracimpulse import build_mesh, builtin_example, certify, parse_config
-from fracimpulse.cli import build_parser, main
+from fracimpulse.cli import build_parser, main, trajectory_csv
+from fracimpulse.problem import Mesh, Trajectory
 
 H_COARSE = 2.0**-6
 
@@ -238,6 +240,23 @@ class TestTrajectoryCsv:
         assert code == 0
         assert "method=marching scheme=rectangle" in captured.out
 
+    def test_exact_text_of_a_two_dimensional_trajectory(self):
+        mesh = Mesh(
+            nodes=np.array([0.0, 0.5, 1.0]), boundary_idx=(0, 1, 2), seg_steps=(0.5, 0.5)
+        )
+        traj = Trajectory(
+            mesh=mesh,
+            values=np.array([[-0.0, 1e-310], [1.5e300, 0.1], [0.1, -0.0]]),
+            right_values=np.array([[0.1, 1.5e300]]),
+        )
+        assert trajectory_csv(traj) == (
+            "t,side,x1,x2\n"
+            "0.0,both,-0.0,1e-310\n"
+            "0.5,left,1.5e+300,0.1\n"
+            "0.5,right,0.1,1.5e+300\n"
+            "1.0,both,0.1,-0.0\n"
+        )
+
 
 class TestCheckReport:
     def test_report_file_matches_stdout(self, tmp_path, capsys):
@@ -314,6 +333,19 @@ class TestOrderStudy:
         )
         slope = float(order_line.split("=")[1])
         assert 0.5 < slope < 3.0
+
+    @pytest.mark.parametrize("f", ["(2*3)*x", "-2*x"])
+    def test_constant_product_factor_uses_closed_form(self, tmp_path, capsys, f):
+        data = {
+            "problem": {"alpha": 0.5, "T": 1.0, "x0": 1.0, "rhs": {"kind": "plain", "f": f}},
+        }
+        cfg_path = write_config(tmp_path, data)
+        code = main(
+            ["order", "--config", str(cfg_path), "--h-list", "0.125,0.0625,0.03125"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "closed-form reference (Mittag-Leffler)" in out
 
     def test_cancellation_prone_oracle_falls_back(self, tmp_path, capsys):
         # linear with lam = -4 at alpha = 0.3: the series oracle refuses

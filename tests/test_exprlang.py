@@ -15,6 +15,7 @@ from fracimpulse.exprlang import (
     Var,
     compile_expr,
     evaluate,
+    monomial,
     parse,
     pretty,
     variables,
@@ -280,3 +281,45 @@ def test_compiled_broadcasts_over_leading_axes():
     out = fn({"t": np.arange(3.0)[:, None], "x": np.ones((3, 2)), "xr": 1.0})
     assert out.shape == (3, 2)
     assert out.tolist() == [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]
+
+
+@pytest.mark.parametrize(
+    "source, var, expected",
+    [
+        # forms the convergence-order matcher (var t) accepted
+        ("5", "t", (5.0, 0.0)),
+        ("t", "t", (1.0, 1.0)),
+        ("-t", "t", (-1.0, 1.0)),
+        ("t^2.5", "t", (1.0, 2.5)),
+        ("2*t^0.5", "t", (2.0, 0.5)),
+        ("t^2*3", "t", (3.0, 2.0)),
+        ("-t^2", "t", (-1.0, 2.0)),
+        ("(1*t)^2", "t", (1.0, 2.0)),
+        ("2*3", "t", (6.0, 0.0)),
+        # forms the CLI's linear-coefficient matcher (var x) accepted
+        ("x", "x", (1.0, 1.0)),
+        ("-x", "x", (-1.0, 1.0)),
+        ("2*x", "x", (2.0, 1.0)),
+        ("x*2", "x", (2.0, 1.0)),
+        ("x/4", "x", (0.25, 1.0)),
+        ("-(x*0.5)", "x", (-0.5, 1.0)),
+        ("2*(3*x)", "x", (6.0, 1.0)),
+        ("-x*4", "x", (-4.0, 1.0)),
+        # rejected by both
+        ("x*x", "x", None),
+        ("t^x", "t", None),
+        ("(2*t)^2", "t", None),
+        ("x/0", "x", None),
+        ("3", "x", (3.0, 0.0)),  # a constant, so not linear in x (b != 1)
+        ("sin(t)", "t", None),
+        ("t+1", "t", None),
+        ("xr", "x", None),
+        # accepted only by the union of the two grammars
+        ("t/2", "t", (0.5, 1.0)),
+        ("(2*3)*x", "x", (6.0, 1.0)),
+        ("x^1", "x", (1.0, 1.0)),
+        ("-2*x", "x", (-2.0, 1.0)),
+    ],
+)
+def test_monomial(source, var, expected):
+    assert monomial(parse(source), var) == expected

@@ -135,6 +135,49 @@ class TestSpotCheck:
         sched = ImpulseSchedule(times=(0.5,), jumps=(lambda x: 100.0 * x,))
         sched.spot_check(radius=2.0, dim=1)
 
+    def test_each_map_evaluated_once_per_sample(self):
+        calls = [0, 0]
+
+        def counted(k, scale):
+            def jump(x):
+                calls[k] += 1
+                return scale * x
+
+            return jump
+
+        sched = ImpulseSchedule(
+            times=(0.25, 0.5),
+            jumps=(counted(0, 0.1), counted(1, 0.2)),
+            jump_bound=0.5,
+            jump_lip=0.2,
+        )
+        sched.spot_check(radius=2.0, dim=2, samples=37)
+        assert calls == [37, 37]
+
+    @pytest.mark.parametrize(
+        "second, declared, message",
+        [
+            (
+                lambda x: 3.0 * x,
+                {"jump_bound": 0.5},
+                "impulse 1 at t=0.5: |I_k| reached 5.9802 > declared jump_bound 0.5",
+            ),
+            (
+                lambda x: np.sin(3.0 * x),
+                {"jump_lip": 0.5},
+                "impulse 1 at t=0.5: jump map moved 1.13301 over distance 2.11392, "
+                "exceeding declared jump_lip 0.5",
+            ),
+        ],
+    )
+    def test_violation_messages_are_pinned(self, second, declared, message):
+        sched = ImpulseSchedule(
+            times=(0.25, 0.5), jumps=(lambda x: 0.1 * x, second), **declared
+        )
+        with pytest.raises(ProblemError) as err:
+            sched.spot_check(radius=2.0, dim=2, samples=40)
+        assert str(err.value) == message
+
 
 class TestBuildMesh:
     def test_segment_steps_divide_evenly(self):

@@ -115,20 +115,6 @@ class TestMethodAgreement:
         gap = np.max(np.abs(a.trajectory.values - b.trajectory.values))
         assert gap <= 1e-9
 
-    def test_single_correction_less_accurate_but_close(self):
-        spec = _linear()
-        mesh = build_mesh(spec, 2.0**-7)
-        one = solve_marching(spec, mesh, corrections="single")
-        full = solve_marching(spec, mesh)
-        gap = np.max(np.abs(one.trajectory.values - full.trajectory.values))
-        assert 0.0 < gap < 1e-2
-
-    def test_invalid_corrections_mode(self):
-        spec = _linear()
-        mesh = build_mesh(spec, 2.0**-4)
-        with pytest.raises(ValueError):
-            solve_marching(spec, mesh, corrections="twice")
-
 
 class TestFirstInterval:
     def test_bitwise_identity_before_first_impulse(self):
