@@ -137,18 +137,25 @@ def cmd_solve(args) -> int:
         f"converged={'yes' if report.converged else 'no'}"
     )
     print(f"csv written to {csv_path}")
-    if not report.converged:
-        if report.method == "picard":
-            detail = f"{cfg.max_iter} sweeps (tol {_fmt(cfg.tol)})"
-        else:
-            detail = (
-                f"{report.iterations} corrector iterations at "
-                f"{report.unconverged_nodes} of {report.trajectory.mesh.n_nodes} nodes "
-                f"(worst update {_fmt(report.final_residual)})"
-            )
-        print(f"warning: no convergence within {detail}", file=sys.stderr)
+    if _warn_if_not_converged(cfg, report):
         return EXIT_NOT_CONVERGED
     return EXIT_OK
+
+
+def _warn_if_not_converged(cfg: RunConfig, report) -> bool:
+    """Print solve's warning on stderr when report did not converge; True then."""
+    if report.converged:
+        return False
+    if report.method == "picard":
+        detail = f"{cfg.max_iter} sweeps (tol {_fmt(cfg.tol)})"
+    else:
+        detail = (
+            f"{report.iterations} corrector iterations at "
+            f"{report.unconverged_nodes} of {report.trajectory.mesh.n_nodes} nodes "
+            f"(worst update {_fmt(report.final_residual)})"
+        )
+    print(f"warning: no convergence within {detail}", file=sys.stderr)
+    return True
 
 
 def cmd_check(args) -> int:
@@ -211,7 +218,9 @@ def cmd_order(args) -> int:
         except (ValueError, OverflowError, ArithmeticError):
             ref = None  # oracle declined (cancellation); use a fine grid
     if ref is None:
-        ref = _solve(cfg, method, scheme, min(h_list) / 8.0).trajectory.values[-1]
+        fine = _solve(cfg, method, scheme, min(h_list) / 8.0)
+        _warn_if_not_converged(cfg, fine)
+        ref = fine.trajectory.values[-1]
         ref_label = f"fine-grid reference (target_h = {_fmt(min(h_list) / 8.0)})"
 
     print(f"order study: method={method} scheme={scheme}")
@@ -219,6 +228,10 @@ def cmd_order(args) -> int:
     errors = []
     for h in h_list:
         rep = _solve(cfg, method, scheme, h)
+        # the study still exits 0 (tests/test_cli.py expects it for
+        # diverging studies), so the warning is what says an error below
+        # does not measure the scheme
+        _warn_if_not_converged(cfg, rep)
         err = float(np.max(np.abs(rep.trajectory.values[-1] - ref)))
         errors.append(err)
         print(f"h = {_fmt(h)}   error at T = {_fmt(err)}")

@@ -25,7 +25,9 @@ Both solvers touch the weights only through WeightTable.apply, row and
 diag, and sample f through one sampler: a Picard sweep samples every
 node in one batch (one call of a vectorized RHS, see RhsSpec, with lags
 sliced from the iterate and window sups from an O(N) sliding max), and
-marching samples batches of one node.
+marching samples batches of one node.  A per-node callable costs its
+call plus a fraction of a microsecond per node: the outputs of a batch
+are collected and assembled into one array at once.
 
 Right limits of a returned trajectory are rebuilt from the final left
 limits, so right - left = I_k(left) holds to roundoff.
@@ -86,6 +88,61 @@ def _sliding_max(a: np.ndarray, width: int) -> np.ndarray:
     return np.maximum(suffix[:n], prefix[width - 1 : width - 1 + n])
 
 
+def _check_finite(g: np.ndarray, what: str, where) -> None:
+    """Raise for the first row of g that holds a non-finite value."""
+    finite = np.isfinite(g)
+    if np.count_nonzero(finite) < g.size:  # cheaper than .all() on a one-node run
+        i = int(np.argmin(finite.all(axis=1)))
+        raise SolverError(f"{what} at {where(i)} returned a non-finite value")
+
+
+def _point_error(what: str, at: str, error: Exception) -> SolverError:
+    return SolverError(f"{what} evaluation failed at {at}: {error}")
+
+
+def _assemble(outs: list, dim: int, what: str, where) -> np.ndarray:
+    """The outputs of a per-point callable as one (len(outs), dim) array.
+
+    Each output must have shape () or (1,) when dim = 1 and (dim,)
+    otherwise.  One np.array call builds the table; only when it fails
+    or gives another shape are the outputs walked in order, and the
+    first bad one is reported, after a non-finite value at an earlier
+    point.  what names the callable and where(i) point i in messages.
+    """
+    n = len(outs)
+    try:
+        g = np.array(outs, dtype=float)
+    except (ArithmeticError, TypeError, ValueError):
+        pass  # ragged or not numeric: the walk below finds the output
+    else:
+        if g.shape == (n, dim):
+            return g
+        if dim == 1 and g.shape == (n,):
+            return g.reshape(n, 1)
+    g = np.empty((n, dim))
+    accepted = ((), (1,)) if dim == 1 else ((dim,),)
+    for i, out in enumerate(outs):
+        try:
+            if np.shape(out) not in accepted:
+                _check_finite(g[:i], what, where)
+                shape = np.atleast_1d(np.asarray(out, dtype=float)).shape
+                raise SolverError(
+                    f"{what} at {where(i)} returned shape {shape}, expected ({dim},)"
+                )
+            g[i] = out
+        except (ArithmeticError, ValueError) as e:
+            _check_finite(g[:i], what, where)
+            raise _point_error(what, where(i), e) from e
+    return g
+
+
+def _history_values(delay, times: list, dim: int) -> np.ndarray:
+    """history(s) for each s in times, as one (len(times), dim) array."""
+    return _assemble(
+        [delay.history(s) for s in times], dim, "history", lambda i: f"t={times[i]!r}"
+    )
+
+
 class _DelayData:
     """Precomputed history values on the delay-aligned negative grid."""
 
@@ -97,13 +154,12 @@ class _DelayData:
         self.q = q
         h = delay.r / q
 
-        def phi(s: float) -> np.ndarray:
-            return np.atleast_1d(np.asarray(delay.history(s), dtype=float))
-
-        self.phi_vals = np.stack([phi(-j * h) for j in range(q + 1)])  # row j: phi(-jh)
+        grid = [-j * h for j in range(q + 1)]
+        self.phi_vals = _history_values(delay, grid, spec.dim)  # row j: phi(-jh)
         phi_norms = np.linalg.norm(self.phi_vals, axis=1)
         knots = np.array(sorted(s for s in delay.sample_times if s < 0.0))
-        knot_norms = np.array([np.linalg.norm(phi(s)) for s in knots.tolist()])
+        knot_vals = _history_values(delay, knots.tolist(), spec.dim)
+        knot_norms = np.array([np.linalg.norm(v) for v in knot_vals])
         # the history part of window_sup at the nodes i < q, whose windows
         # reach below t = 0: a prefix max over the grid values and a
         # suffix max over the knots at or right of the window's left end
@@ -162,10 +218,13 @@ class _DelayData:
 class _Sampler:
     """f at a run of consecutive nodes, as an (n, d) array.
 
-    A vectorized RHS is called once per run; a per-node callable is
-    called in a loop that writes straight into a preallocated array.
-    Shape and finiteness are checked once per run.  Errors name the
-    first offending node; for a vectorized RHS that node is found by
+    A vectorized RHS is called once per run.  A per-node callable is
+    called once per node; its outputs are collected in a list and
+    turned into the (n, d) array by one np.array call (_assemble), so a
+    node costs the call plus a fraction of a microsecond.  Shape and
+    finiteness are checked once per run.  Errors name the first
+    offending node: for a per-node callable by walking the outputs
+    already made, which calls f no second time; for a vectorized RHS by
     re-scanning the run node by node, on the error path only.  parts
     are the callables whose sum is f (f1 and f2 for the split kind).
     """
@@ -193,18 +252,12 @@ class _Sampler:
         t = self.times[start : start + x.shape[0]]
         args = (t, x) if x_lag is None else (t, x, x_lag, sups)
         g = self._batched(start, args) if self.vectorized else self._looped(start, args)
-        self._check_finite(start, g)
+        _check_finite(g, "rhs", self._nodes_from(start))
         return g
 
-    def _node_error(self, i: int, error: Exception) -> SolverError:
-        t = float(self.times[i])
-        return SolverError(f"rhs evaluation failed at node {i} (t={t!r}): {error}")
-
-    def _check_finite(self, start: int, g: np.ndarray):
-        if not np.isfinite(g).all():
-            i = start + int(np.argmin(np.isfinite(g).all(axis=1)))
-            t = float(self.times[i])
-            raise SolverError(f"rhs at node {i} (t={t!r}) returned a non-finite value")
+    def _nodes_from(self, start: int):
+        """where(i) for _assemble: the label of node start + i."""
+        return lambda i: f"node {start + i} (t={float(self.times[start + i])!r})"
 
     def _split_sum(self, *row):
         f1, f2 = self.parts
@@ -213,27 +266,22 @@ class _Sampler:
         )
 
     def _looped(self, start: int, args: tuple) -> np.ndarray:
-        d = self.dim
-        g = np.empty((args[0].size, d))
-        accepted = ((), (1,)) if d == 1 else ((d,),)
         f = self.parts[0] if len(self.parts) == 1 else self._split_sum
-        rows = zip(*(a.tolist() if a.ndim == 1 else a for a in args))
-        i = 0
-        try:
-            for i, row in enumerate(rows):
-                out = f(*row)
-                if np.shape(out) not in accepted:
-                    self._check_finite(start, g[:i])
-                    shape = np.atleast_1d(np.asarray(out, dtype=float)).shape
-                    raise SolverError(
-                        f"rhs at node {start + i} (t={row[0]!r}) returned shape "
-                        f"{shape}, expected ({d},)"
-                    )
-                g[i] = out
-        except (ArithmeticError, ValueError) as e:
-            self._check_finite(start, g[:i])
-            raise self._node_error(start + i, e) from e
-        return g
+        where = self._nodes_from(start)
+        outs: list = []
+        try:  # on a raise, outs holds the outputs of the earlier nodes
+            outs.extend(map(f, *(a.tolist() if a.ndim == 1 else a for a in args)))
+        except Exception as e:
+            failure = e
+        else:
+            failure = None
+        g = _assemble(outs, self.dim, "rhs", where)  # an earlier bad node comes first
+        if failure is None:
+            return g
+        if not isinstance(failure, (ArithmeticError, ValueError)):
+            raise failure
+        _check_finite(g, "rhs", where)
+        raise _point_error("rhs", where(len(outs)), failure) from failure
 
     def _call_parts(self, args: tuple) -> np.ndarray:
         g = None
@@ -250,11 +298,12 @@ class _Sampler:
             g = self._call_parts(args)
         except (ArithmeticError, ValueError) as e:
             for i in range(n):
+                where = self._nodes_from(start + i)
                 try:
                     one = self._call_parts(tuple(a[i : i + 1] for a in args))
                 except (ArithmeticError, ValueError) as node_error:
-                    raise self._node_error(start + i, node_error) from node_error
-                self._check_finite(start + i, one)
+                    raise _point_error("rhs", where(0), node_error) from node_error
+                _check_finite(one, "rhs", where)
             raise SolverError(
                 f"rhs evaluation failed on nodes {start}..{start + n - 1}: {e}"
             ) from e
@@ -298,7 +347,8 @@ def solve_picard(
     """Whole-mesh fixed-point iteration of the integral operator.
 
     Stops when the sup-norm distance between consecutive iterates is at
-    most tol; converged=False after max_iter sweeps otherwise.
+    most tol; converged=False after max_iter sweeps otherwise.  Raises
+    SolverError when that distance overflows (a diverging iterate).
     """
     if not (tol >= 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
@@ -323,7 +373,13 @@ def solve_picard(
         }
         g = sampler.sweep(values, right_norms)
         new = spec.x0[None, :] + np.cumsum(steps, axis=0) + table.apply(g)
-        residual = float(np.max(np.linalg.norm(new - values, axis=1)))
+        try:
+            with np.errstate(over="raise"):
+                residual = float(np.max(np.linalg.norm(new - values, axis=1)))
+        except FloatingPointError as e:  # the squares pass ~1e308
+            raise SolverError(
+                f"the iterate diverged at sweep {iterations + 1}: residual overflow ({e})"
+            ) from e
         history.append(residual)
         values = new
         iterations += 1

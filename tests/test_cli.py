@@ -367,6 +367,31 @@ class TestOrderStudy:
         assert "fine-grid reference" in out
         assert "estimated order = " in out
 
+    def test_unconverged_study_solve_is_reported(self, tmp_path, capsys):
+        # at h = 0.05 Picard stops unconverged after 200 sweeps, and its
+        # error alone gives "estimated order = 3.297"
+        data = {
+            "problem": {"alpha": 0.6, "T": 1.0, "x0": 1.0, "rhs": {"kind": "plain", "f": "6*x"}},
+        }
+        cfg_path = write_config(tmp_path, data)
+        main(["order", "--config", str(cfg_path), "--h-list", "0.05,0.025,0.0125"])
+        captured = capsys.readouterr()
+        assert "estimated order = 3.297" in captured.out
+        assert captured.err == "warning: no convergence within 200 sweeps (tol 1e-10)\n"
+
+    def test_unconverged_fine_grid_reference_is_reported(self, tmp_path, capsys):
+        # the cancellation-prone oracle declines, and every solve,
+        # the fine-grid reference first, stops after max_iter = 3 sweeps
+        data = {
+            "problem": {"alpha": 0.3, "T": 1.0, "x0": 1.0, "rhs": {"kind": "plain", "f": "-x*4"}},
+            "numerics": {"max_iter": 3},
+        }
+        cfg_path = write_config(tmp_path, data)
+        main(["order", "--config", str(cfg_path), "--h-list", "0.125,0.0625,0.03125"])
+        captured = capsys.readouterr()
+        assert "fine-grid reference" in captured.out
+        assert captured.err == "warning: no convergence within 3 sweeps (tol 1e-10)\n" * 4
+
     def test_quiescent_problem_reports_exact(self, tmp_path, capsys):
         data = {
             "problem": {

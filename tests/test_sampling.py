@@ -230,11 +230,167 @@ class TestPerNodeContract:
         with pytest.raises(SolverError, match=r"node 0 \(t=0\.0\) returned shape \(1,\), expected \(2,\)"):
             solve_picard(spec, mesh)
 
+    def test_same_wrong_shape_at_every_node(self):
+        # one array of shape (n, 1, 1) holds the right number of values
+        spec = _plain(lambda t, x: np.zeros((1, 1)))
+        mesh = build_mesh(spec, 0.25)
+        with pytest.raises(SolverError, match=r"node 0 \(t=0\.0\) returned shape \(1, 1\), expected \(1,\)"):
+            solve_picard(spec, mesh)
+
     def test_scalar_output_in_one_dimension(self):
         spec = _plain(lambda t, x: -float(x[0]))
         mesh = build_mesh(spec, 2.0**-4)
         ref = solve_picard(_plain(lambda t, x: -x), mesh)
         assert np.array_equal(solve_picard(spec, mesh).trajectory.values, ref.trajectory.values)
+
+
+    def test_mixed_scalar_and_one_element_outputs(self):
+        # the bulk assembly rejects the mix; the node walk accepts each
+        spec = _plain(lambda t, x: -float(x[0]) if t < 0.5 else -x)
+        mesh = build_mesh(spec, 2.0**-4)
+        ref = solve_picard(_plain(lambda t, x: -x), mesh)
+        rep = solve_picard(spec, mesh)
+        assert rep.trajectory.values.tobytes() == ref.trajectory.values.tobytes()
+        assert rep.residual_history == ref.residual_history
+
+    @pytest.mark.parametrize("error", [ValueError, TypeError])
+    def test_bad_shape_before_a_raise_is_reported(self, error):
+        # node 1 returns two values, node 3 raises: node 1's shape wins
+        def f(t, x):
+            if t == 0.25:
+                return np.zeros(2)
+            if t == 0.75:
+                raise error("boom")
+            return np.zeros_like(x)
+
+        mesh = build_mesh(_plain(f), 0.25)
+        with pytest.raises(SolverError, match=r"node 1 \(t=0\.25\) returned shape \(2,\), expected \(1,\)"):
+            solve_picard(_plain(f), mesh)
+
+    def test_non_finite_before_bad_shape_is_reported(self):
+        def f(t, x):
+            if t == 0.25:
+                return np.array([np.inf])
+            if t == 0.75:
+                return np.zeros((1, 1))
+            return np.zeros_like(x)
+
+        mesh = build_mesh(_plain(f), 0.25)
+        with pytest.raises(SolverError, match=r"node 1 \(t=0\.25\) returned a non-finite"):
+            solve_picard(_plain(f), mesh)
+
+    def test_type_error_after_non_finite_propagates(self):
+        # as before: only ValueError and ArithmeticError become node errors
+        def f(t, x):
+            if t == 0.25:
+                return np.array([np.nan])
+            if t == 0.75:
+                raise TypeError("not a node error")
+            return np.zeros_like(x)
+
+        mesh = build_mesh(_plain(f), 0.25)
+        with pytest.raises(TypeError, match="not a node error"):
+            solve_picard(_plain(f), mesh)
+
+    def test_one_call_per_node_and_sweep(self):
+        calls = []
+
+        def f(t, x):
+            calls.append(t)
+            return -x
+
+        spec = _plain(f)
+        mesh = build_mesh(spec, 2.0**-6)
+        rep = solve_picard(spec, mesh)
+        assert rep.converged
+        assert calls == mesh.nodes.tolist() * rep.iterations
+
+
+def _linear_closure(A, b, c):
+    """t, x -> c t + b + A x by elementwise products, for a float t and
+    (d,) x or (n,) t and (n, d) x: row i is bitwise the same either way."""
+
+    def f(t, x):
+        out = np.asarray(t, dtype=float)[..., None] * c + b
+        for j in range(A.shape[1]):
+            out = out + A[:, j] * x[..., j : j + 1]
+        return out
+
+    return f
+
+
+@PROPERTY
+@given(
+    d=st.integers(1, 3),
+    kind=st.sampled_from(["plain", "split"]),
+    alpha=st.floats(0.3, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_per_node_and_vectorized_trajectories_are_bitwise_equal(d, kind, alpha, seed):
+    rng = np.random.default_rng(seed)
+
+    def part():
+        return _linear_closure(
+            rng.uniform(-0.4, 0.4, (d, d)) / d, rng.uniform(-1, 1, d), rng.uniform(-1, 1, d)
+        )
+
+    parts = {"f": part()} if kind == "plain" else {"f1": part(), "f2": part()}
+    x0 = rng.uniform(-1, 1, d)
+    mesh = None
+    reports = []
+    for vectorized in (False, True):
+        spec = ProblemSpec(
+            alpha=alpha, T=1.0, rhs=RhsSpec(kind=kind, vectorized=vectorized, **parts), x0=x0
+        )
+        mesh = mesh or build_mesh(spec, 2.0**-5)
+        reports.append(solve_picard(spec, mesh))
+    per_node, batched = reports
+    assert per_node.trajectory.values.tobytes() == batched.trajectory.values.tobytes()
+    assert per_node.trajectory.right_values.tobytes() == batched.trajectory.right_values.tobytes()
+    assert per_node.residual_history == batched.residual_history
+
+
+def _delay_problem(history):
+    return ProblemSpec(
+        alpha=0.5,
+        T=1.0,
+        rhs=RhsSpec(kind="delay", f=lambda t, x, xr, sup: -xr + 0.1 * sup * x),
+        delay=DelaySpec(r=0.5, history=history),
+    )
+
+
+class TestHistoryGrid:
+    def test_scalar_and_one_element_histories_agree(self):
+        reports = []
+        for history in (lambda s: 1.0 - 0.3 * s, lambda s: np.array([1.0 - 0.3 * s])):
+            spec = _delay_problem(history)
+            reports.append(solve_picard(spec, build_mesh(spec, 2.0**-5)))
+        scalar, array = reports
+        assert scalar.trajectory.values.tobytes() == array.trajectory.values.tobytes()
+        assert scalar.residual_history == array.residual_history
+
+    def test_two_dimensional_history(self):
+        def history(s):
+            return np.array([1.0 + s, np.cos(s)])
+
+        spec = _delay_problem(history)
+        mesh = build_mesh(spec, 2.0**-5)
+        dd = _DelayData(spec, mesh)
+        h = spec.delay.r / mesh.delay_steps
+        grid = [history(-j * h) for j in range(mesh.delay_steps + 1)]
+        assert dd.phi_vals.tobytes() == np.array(grid).tobytes()
+        rep = solve_picard(spec, mesh)
+        assert rep.converged and rep.trajectory.values.shape == (mesh.n_nodes, 2)
+        assert rep.trajectory.values[0].tolist() == [1.0, 1.0]
+
+    def test_wrong_shape_names_the_time(self):
+        def history(s):
+            return np.zeros(3) if s == -0.25 else np.zeros(2)
+
+        spec = _delay_problem(history)
+        mesh = build_mesh(spec, 0.125)
+        with pytest.raises(SolverError, match=r"history at t=-0\.25 returned shape \(3,\), expected \(2,\)"):
+            solve_picard(spec, mesh)
 
 
 class TestConfigClosures:

@@ -277,6 +277,22 @@ class TestFailureModes:
                 assert 1 <= rep.iterations < 60
                 assert rep.final_residual <= 1e-12
 
+    def test_diverging_iterate_is_a_solver_error(self):
+        # the residual's squares overflow at sweep 12; without errstate
+        # numpy warns, and this repository's warning filter makes that
+        # warning the caller's exception instead of a SolverError
+        from fracimpulse.config import parse_config
+
+        cfg = parse_config(
+            {
+                "problem": {"alpha": 0.6, "T": 1.0, "x0": 1.0, "rhs": {"kind": "plain", "f": "x*x"}},
+                "numerics": {"target_h": 0.0015625},
+            }
+        )
+        mesh = build_mesh(cfg.problem, cfg.target_h)
+        with pytest.raises(SolverError, match=r"iterate diverged at sweep 12: residual overflow"):
+            solve_picard(cfg.problem, mesh)
+
     def test_residual_history_contracts(self):
         spec = _linear()
         mesh = build_mesh(spec, 2.0**-6)
