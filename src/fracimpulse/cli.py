@@ -7,7 +7,8 @@ Subcommands:
     example  write one of the builtin example configs
 
 Exit codes: 0 success, 1 configuration or input error, 2 solver did
-not produce a converged solution, 3 certificate not established.
+not produce a converged solution (for order: any of its solves), 3
+certificate not established.
 All output is deterministic for a fixed config (repr'd floats, no
 timestamps), so files can be compared byte for byte.
 """
@@ -32,6 +33,7 @@ from .config import (
     parse_config,
 )
 from .exprlang import monomial
+from .fracquad import fit_order
 from .problem import MeshError, ProblemError, Trajectory, build_mesh
 from .solver import SolverError, solve_marching, solve_picard
 from .special import mittag_leffler
@@ -217,9 +219,10 @@ def cmd_order(args) -> int:
             ref_label = "closed-form reference (Mittag-Leffler)"
         except (ValueError, OverflowError, ArithmeticError):
             ref = None  # oracle declined (cancellation); use a fine grid
+    unconverged = False
     if ref is None:
         fine = _solve(cfg, method, scheme, min(h_list) / 8.0)
-        _warn_if_not_converged(cfg, fine)
+        unconverged = _warn_if_not_converged(cfg, fine)
         ref = fine.trajectory.values[-1]
         ref_label = f"fine-grid reference (target_h = {_fmt(min(h_list) / 8.0)})"
 
@@ -228,22 +231,17 @@ def cmd_order(args) -> int:
     errors = []
     for h in h_list:
         rep = _solve(cfg, method, scheme, h)
-        # the study still exits 0 (tests/test_cli.py expects it for
-        # diverging studies), so the warning is what says an error below
-        # does not measure the scheme
-        _warn_if_not_converged(cfg, rep)
+        unconverged |= _warn_if_not_converged(cfg, rep)
         err = float(np.max(np.abs(rep.trajectory.values[-1] - ref)))
         errors.append(err)
         print(f"h = {_fmt(h)}   error at T = {_fmt(err)}")
 
-    scale = float(np.max(np.abs(np.atleast_1d(ref))))
-    if all(e <= 1e-12 * (1.0 + scale) for e in errors):
+    slope = fit_order(h_list, errors, ref)
+    if slope is None:
         print("estimated order = exact (all errors at roundoff level)")
-        return EXIT_OK
-    floored = np.maximum(errors, 1e-16)
-    slope = float(np.polyfit(np.log(h_list), np.log(floored), 1)[0])
-    print(f"estimated order = {_fmt(slope)}")
-    return EXIT_OK
+    else:
+        print(f"estimated order = {_fmt(slope)}")
+    return EXIT_NOT_CONVERGED if unconverged else EXIT_OK
 
 
 def cmd_example(args) -> int:

@@ -23,7 +23,9 @@ Right-hand sides, jumps, and histories are expressions (see exprlang);
 for state dimension d > 1 they become lists of d expressions over
 components x1..xd (and xr1..xrd), and x0 a list of d numbers.  The
 delay spec is present exactly when rhs.kind is delay/general_delay,
-and x0 may then be omitted (taken from history(0)).
+and x0 may then be omitted (taken from history(0)).  numerics.tol and
+numerics.max_iter apply to the picard method only; marching uses the
+corrector constants of the solver module instead.
 """
 
 from __future__ import annotations
@@ -303,24 +305,19 @@ def parse_config(data: Any) -> RunConfig:
     if delayed:
         rhs_vars = rhs_vars | _lag_vars(dim) | {"xtsup"}
 
-    if kind == "split":
-        for key in ("f1", "f2"):
-            if key not in rhs_raw:
-                _fail("problem.rhs", f"split kind requires {key!r}")
-        if "f" in rhs_raw:
-            _fail("problem.rhs.f", "split kind uses f1/f2, not f")
-        f1_trees = _parse_expr_vector(rhs_raw["f1"], "problem.rhs.f1", dim, rhs_vars)
-        f2_trees = _parse_expr_vector(rhs_raw["f2"], "problem.rhs.f2", dim, rhs_vars)
-        asts["rhs.f1"] = f1_trees
-        asts["rhs.f2"] = f2_trees
-    else:
-        if "f" not in rhs_raw:
-            _fail("problem.rhs", f"kind {kind!r} requires 'f'")
-        for key in ("f1", "f2"):
+    split = kind == "split"
+    parts = ("f1", "f2") if split else ("f",)
+    owner = "split kind" if split else f"kind {kind!r}"
+    stray = "split kind uses f1/f2, not f" if split else "only valid for the split kind"
+    for key in ("f", "f1", "f2"):
+        path = f"problem.rhs.{key}"
+        if key not in parts:
             if key in rhs_raw:
-                _fail(f"problem.rhs.{key}", "only valid for the split kind")
-        f_trees = _parse_expr_vector(rhs_raw["f"], "problem.rhs.f", dim, rhs_vars)
-        asts["rhs.f"] = f_trees
+                _fail(path, stray)
+        elif key not in rhs_raw:
+            _fail("problem.rhs", f"{owner} requires {key!r}")
+        else:
+            asts[f"rhs.{key}"] = _parse_expr_vector(rhs_raw[key], path, dim, rhs_vars)
 
     impulses_raw = prob.get("impulses", [])
     if not isinstance(impulses_raw, list):
@@ -414,18 +411,8 @@ def parse_config(data: Any) -> RunConfig:
         history = _vector_fn(hist_trees, lambda s: {"t": float(s)})
         delay_spec = DelaySpec(r=r, history=history)
 
-    if kind == "split":
-        rhs = RhsSpec(
-            kind=kind,
-            f1=_compiled_rhs(asts["rhs.f1"]),
-            f2=_compiled_rhs(asts["rhs.f2"]),
-            envelopes=envelopes,
-            vectorized=True,
-        )
-    else:
-        rhs = RhsSpec(
-            kind=kind, f=_compiled_rhs(asts["rhs.f"]), envelopes=envelopes, vectorized=True
-        )
+    fns = {key: _compiled_rhs(asts[f"rhs.{key}"]) for key in parts}
+    rhs = RhsSpec(kind=kind, envelopes=envelopes, vectorized=True, **fns)
 
     try:
         problem = ProblemSpec(

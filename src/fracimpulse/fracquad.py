@@ -73,6 +73,7 @@ __all__ = [
     "power_integral",
     "OrderStudy",
     "convergence_order",
+    "fit_order",
 ]
 
 SCHEMES = ("rectangle", "trapezoid")
@@ -408,10 +409,21 @@ def convergence_order(
         v, h_used = value_at(h, scheme)
         errors.append(abs(v - reference))
         actual.append(h_used)
+    order = fit_order(actual, errors, reference)
+    return OrderStudy(tuple(actual), tuple(errors), order, order is None)
 
-    scale = max(1.0, abs(reference))
+
+def fit_order(steps, errors, reference) -> float | None:
+    """Least-squares slope of log(error) against log(step), or None when
+    the errors are exact.
+
+    With scale = max(1, |reference|), |reference| the largest magnitude of
+    a scalar or vector reference, the errors are exact when each is at
+    most 1e-12 * scale; otherwise errors below 1e-16 * scale count as
+    that floor, so a single exact error does not break the logarithm.
+    """
+    scale = max(1.0, float(np.max(np.abs(reference))))
     if all(e <= 1e-12 * scale for e in errors):
-        return OrderStudy(tuple(actual), tuple(errors), None, True)
+        return None
     floored = [max(e, 1e-16 * scale) for e in errors]
-    slope = float(np.polyfit(np.log(actual), np.log(floored), 1)[0])
-    return OrderStudy(tuple(actual), tuple(errors), slope, False)
+    return float(np.polyfit(np.log(steps), np.log(floored), 1)[0])

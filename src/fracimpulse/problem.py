@@ -118,17 +118,18 @@ class ImpulseSchedule:
         """Increment I_k evaluated at state x."""
         return _as_state(self.jumps[k](x), x.shape[0], f"jump {k} value")
 
-    def spot_check(self, radius: float, dim: int, rng=None, samples: int = 100):
+    def spot_check(self, radius: float, dim: int, samples: int = 100):
         """Sample each jump map at random states |x| <= radius and verify the
         declared jump_bound / jump_lip hold there.
 
-        Raises ProblemError naming the offending impulse.  This guards
-        against gross misdeclaration only; it proves nothing globally.
+        The states come from a generator with a fixed seed, so a check
+        passes or fails the same way on every run.  Raises ProblemError
+        naming the offending impulse.  This guards against gross
+        misdeclaration only; it proves nothing globally.
         """
         if self.jump_bound is None and self.jump_lip is None:
             return
-        if rng is None:
-            rng = np.random.default_rng(20240801)
+        rng = np.random.default_rng(20240801)
         radius = float(radius)
         for k in range(len(self.times)):
             direc = rng.standard_normal((samples, dim))
@@ -331,12 +332,14 @@ class Mesh:
         return int(self.nodes.size)
 
     def node_index(self, t: float) -> int | None:
-        """Index of the node bitwise equal to t, or None."""
-        i = int(np.searchsorted(self.nodes, t))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < self.nodes.size and self.nodes[j] == t:
-                return j
-        return None
+        """Index of the node within 1e-12 * max(1, |t|) of t, or None.
+
+        The slack lets computed times such as 0.1 + 0.2 or t - r find
+        the node they miss by an ulp or so.
+        """
+        slack = 1e-12 * max(1.0, abs(t))
+        i = int(np.searchsorted(self.nodes, t - slack))
+        return i if i < self.nodes.size and self.nodes[i] <= t + slack else None
 
 
 def _count_is_integral(ratio: float) -> int | None:
@@ -480,6 +483,7 @@ class Trajectory:
     def evaluate(self, t: float, side: str = "left") -> np.ndarray:
         """Value at time t; side picks the limit at impulse nodes.
 
+        A t that Mesh.node_index places on a node counts as that node.
         Off impulse nodes both sides agree; inside a cell the value is
         the linear interpolant of the adjacent node values (using the
         right limit at a cell's left endpoint when that endpoint is an
@@ -513,8 +517,8 @@ def history_sup_norm(traj: Trajectory, delay: DelaySpec, t: float) -> float:
     window, and both window endpoints.  Impulse nodes strictly inside
     the window contribute their left limit; an impulse node at the
     window's left endpoint contributes its right limit.  A node counts
-    as on the window (and at an endpoint) to 1e-12 relative, so
-    t - r matches its node on non-dyadic steps too.
+    as on the window (and at an endpoint) to Mesh.node_index's 1e-12
+    relative, so t - r matches its node on non-dyadic steps too.
     """
     mesh = traj.mesh
     if mesh.delay_steps is None:
@@ -527,12 +531,6 @@ def history_sup_norm(traj: Trajectory, delay: DelaySpec, t: float) -> float:
     lo = t - r
     h = r / mesh.delay_steps
 
-    def near_node(s: float) -> int | None:
-        """Index of the node within the window bounds' tolerance of s."""
-        slack = 1e-12 * max(1.0, abs(s))
-        i = int(np.searchsorted(nodes, s - slack))
-        return i if i < nodes.size and nodes[i] <= s + slack else None
-
     sup = 0.0
     # trajectory part: nodes in [max(lo, 0), t], left limits inside window
     i0 = int(np.searchsorted(nodes, max(lo, 0.0) - 1e-12 * max(1.0, abs(lo))))
@@ -540,14 +538,14 @@ def history_sup_norm(traj: Trajectory, delay: DelaySpec, t: float) -> float:
     if i1 >= i0:
         sup = float(np.max(np.linalg.norm(traj.values[i0 : i1 + 1], axis=1)))
     # right-limit rule at the window's left endpoint
-    left_idx = near_node(lo)
+    left_idx = mesh.node_index(lo)
     if left_idx is not None and left_idx in mesh.impulse_idx:
         k = mesh.impulse_idx.index(left_idx)
         sup = max(sup, float(np.linalg.norm(traj.right_values[k])))
     # endpoints not on nodes
     if lo >= 0.0 and left_idx is None:
         sup = max(sup, float(np.linalg.norm(traj.evaluate(lo, "left"))))
-    if near_node(t) is None:
+    if mesh.node_index(t) is None:
         sup = max(sup, float(np.linalg.norm(traj.evaluate(t, "left"))))
 
     # history part: delay-aligned grid offsets below zero, plus declared knots

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracquad import WeightTable, build_weights, frac_integral
+from .fracquad import build_weights, frac_integral
 from .problem import Mesh, ProblemError, ProblemSpec, Trajectory
 
 __all__ = [
@@ -51,6 +51,11 @@ __all__ = [
     "jump_residual",
     "split_component_integral",
 ]
+
+# The trapezoid marching corrector stops once its update is at most
+# CORRECTOR_TOL relative to the node value, or after MAX_CORRECTIONS steps.
+CORRECTOR_TOL = 1e-13
+MAX_CORRECTIONS = 60
 
 
 class SolverError(RuntimeError):
@@ -398,27 +403,19 @@ def solve_picard(
     )
 
 
-def solve_marching(
-    spec: ProblemSpec,
-    mesh: Mesh,
-    scheme: str = "trapezoid",
-    corrector_tol: float = 1e-13,
-    max_corrections: int = 60,
-) -> SolveReport:
+def solve_marching(spec: ProblemSpec, mesh: Mesh, scheme: str = "trapezoid") -> SolveReport:
     """One-pass time stepping, left to right.
 
     rectangle is explicit.  trapezoid predicts each node with the
     rectangle row and then fixed-point iterates the diagonal corrector
-    until the update is below corrector_tol (relative).
+    until the update is below CORRECTOR_TOL (relative).
 
     The report gives the largest corrector iteration count over the
     nodes as iterations and the largest final corrector update as
     final_residual; unconverged_nodes counts the nodes that used up
-    max_corrections without meeting corrector_tol, and converged is
+    MAX_CORRECTIONS without meeting CORRECTOR_TOL, and converged is
     False when there is one.
     """
-    if max_corrections < 1:
-        raise ValueError(f"max_corrections must be at least 1, got {max_corrections!r}")
     table = build_weights(mesh, spec.alpha, scheme)
     rect = (
         table
@@ -457,11 +454,11 @@ def solve_marching(
         if scheme == "trapezoid":
             known = base + table.row(i)[:i] @ g[:i]
             wjj = wdiag[i]
-            for count in range(1, max_corrections + 1):
+            for count in range(1, MAX_CORRECTIONS + 1):
                 nxt = known + wjj * f_at(i, xi)
                 gap = float(np.abs(nxt - xi).max())
                 xi = nxt
-                if gap <= corrector_tol * (1.0 + float(np.abs(xi).max())):
+                if gap <= CORRECTOR_TOL * (1.0 + float(np.abs(xi).max())):
                     break
             else:
                 failed += 1
@@ -502,12 +499,12 @@ def split_component_integral(
     traj: Trajectory,
     scheme: str = "trapezoid",
     component: int = 2,
-    table: WeightTable | None = None,
 ) -> np.ndarray:
     """Fractional integral of one part of a split RHS along a trajectory.
 
     Returns the (N+1, d) array of (I^alpha f_component)(t_j) using the
-    trajectory's left-limit node values.  Needed to observe the
+    trajectory's left-limit node values and a weight table of the given
+    scheme built on the trajectory's mesh.  Needed to observe the
     equicontinuity modulus of the compact part in isolation.
     """
     if spec.rhs.kind != "split":
@@ -515,7 +512,5 @@ def split_component_integral(
     if component not in (1, 2):
         raise ValueError("component must be 1 or 2")
     f = spec.rhs.f1 if component == 1 else spec.rhs.f2
-    if table is None:
-        table = build_weights(traj.mesh, spec.alpha, scheme)
     g = _Sampler(spec, traj.mesh, parts=(f,))(0, traj.values)
-    return frac_integral(table, g)
+    return frac_integral(build_weights(traj.mesh, spec.alpha, scheme), g)

@@ -336,31 +336,50 @@ class TestOrderStudy:
 
     @pytest.mark.parametrize("f", ["(2*3)*x", "-2*x"])
     def test_constant_product_factor_uses_closed_form(self, tmp_path, capsys, f):
+        # marching converges at every step for both factors; Picard's
+        # sweeps diverge for lam = 6 on [0, 1]
         data = {
             "problem": {"alpha": 0.5, "T": 1.0, "x0": 1.0, "rhs": {"kind": "plain", "f": f}},
         }
         cfg_path = write_config(tmp_path, data)
         code = main(
-            ["order", "--config", str(cfg_path), "--h-list", "0.125,0.0625,0.03125"]
+            [
+                "order",
+                "--config",
+                str(cfg_path),
+                "--h-list",
+                "0.015625,0.0078125,0.00390625",
+                "--method",
+                "marching",
+            ]
         )
         out = capsys.readouterr().out
         assert code == 0
         assert "closed-form reference (Mittag-Leffler)" in out
 
     def test_cancellation_prone_oracle_falls_back(self, tmp_path, capsys):
-        # linear with lam = -4 at alpha = 0.3: the series oracle refuses
-        # (double-precision cancellation), so the study uses a fine grid
+        # linear with lam = -3 at alpha = 0.3: the series oracle refuses
+        # (double-precision cancellation), so the study uses a fine grid;
+        # marching converges at every step and on the fine grid
         data = {
             "problem": {
                 "alpha": 0.3,
-                "T": 1.0,
+                "T": 0.5,
                 "x0": 1.0,
-                "rhs": {"kind": "plain", "f": "-x*4"},
+                "rhs": {"kind": "plain", "f": "-x*3"},
             },
         }
         cfg_path = write_config(tmp_path, data)
         code = main(
-            ["order", "--config", str(cfg_path), "--h-list", "0.125,0.0625,0.03125"]
+            [
+                "order",
+                "--config",
+                str(cfg_path),
+                "--h-list",
+                "0.0078125,0.00390625,0.001953125",
+                "--method",
+                "marching",
+            ]
         )
         out = capsys.readouterr().out
         assert code == 0
@@ -374,8 +393,9 @@ class TestOrderStudy:
             "problem": {"alpha": 0.6, "T": 1.0, "x0": 1.0, "rhs": {"kind": "plain", "f": "6*x"}},
         }
         cfg_path = write_config(tmp_path, data)
-        main(["order", "--config", str(cfg_path), "--h-list", "0.05,0.025,0.0125"])
+        code = main(["order", "--config", str(cfg_path), "--h-list", "0.05,0.025,0.0125"])
         captured = capsys.readouterr()
+        assert code == 2
         assert "estimated order = 3.297" in captured.out
         assert captured.err == "warning: no convergence within 200 sweeps (tol 1e-10)\n"
 
@@ -387,10 +407,32 @@ class TestOrderStudy:
             "numerics": {"max_iter": 3},
         }
         cfg_path = write_config(tmp_path, data)
-        main(["order", "--config", str(cfg_path), "--h-list", "0.125,0.0625,0.03125"])
+        code = main(["order", "--config", str(cfg_path), "--h-list", "0.125,0.0625,0.03125"])
         captured = capsys.readouterr()
+        assert code == 2
         assert "fine-grid reference" in captured.out
         assert captured.err == "warning: no convergence within 3 sweeps (tol 1e-10)\n" * 4
+
+    def test_logistic_study_output_is_frozen(self, tmp_path, capsys):
+        # the full stdout, frozen; the text must match exactly and the
+        # numbers to 1e-9 relative, as their last bits depend on the FFT
+        # and LAPACK builds
+        expected = (
+            "order study: method=picard scheme=trapezoid\n"
+            "reference: fine-grid reference (target_h = 0.001953125)\n"
+            "h = 0.0625   error at T = 0.0017570201889606785\n"
+            "h = 0.03125   error at T = 0.0008289277497031677\n"
+            "h = 0.015625   error at T = 0.00037231273013732524\n"
+            "estimated order = 1.1192719589049276\n"
+        )
+        cfg_path = write_config(tmp_path, builtin_example("logistic"))
+        code = main(["order", "--config", str(cfg_path), "--h-list", "0.0625,0.03125,0.015625"])
+        out = capsys.readouterr().out
+        assert code == 0
+        number = re.compile(r"\d+\.\d+(?:e[+-]?\d+)?")
+        assert number.sub("#", out) == number.sub("#", expected)
+        got = [float(v) for v in number.findall(out)]
+        assert got == pytest.approx([float(v) for v in number.findall(expected)], rel=1e-9)
 
     def test_quiescent_problem_reports_exact(self, tmp_path, capsys):
         data = {

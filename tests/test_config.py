@@ -133,6 +133,25 @@ class TestFieldPathErrors:
         del data["problem"]["rhs"]["f"]
         assert "'f'" in self._err(data)
 
+    @pytest.mark.parametrize(
+        "rhs, message",
+        [
+            ({"kind": "split", "f2": "x"}, "problem.rhs: split kind requires 'f1'"),
+            ({"kind": "split", "f1": "x"}, "problem.rhs: split kind requires 'f2'"),
+            (
+                {"kind": "split", "f": "x", "f1": "x", "f2": "x"},
+                "problem.rhs.f: split kind uses f1/f2, not f",
+            ),
+            ({"kind": "plain"}, "problem.rhs: kind 'plain' requires 'f'"),
+            ({"kind": "plain", "f": "x", "f1": "x"}, "problem.rhs.f1: only valid for the split kind"),
+            ({"kind": "plain", "f": "x", "f2": "x"}, "problem.rhs.f2: only valid for the split kind"),
+        ],
+    )
+    def test_rhs_part_messages_are_pinned(self, rhs, message):
+        data = plain_config()
+        data["problem"]["rhs"] = rhs
+        assert self._err(data) == message
+
     def test_delay_block_needs_delay_kind(self):
         data = plain_config()
         data["problem"]["delay"] = {"r": 0.5, "history": "0"}

@@ -267,6 +267,19 @@ class TestTrajectory:
         t_mid = 0.5 * (mesh.nodes[0] + mesh.nodes[1])
         assert traj.evaluate(t_mid) == pytest.approx([0.5])
 
+    def test_limits_at_impulse_time_off_by_an_ulp(self):
+        # 0.1 + 0.2 and 0.7 - 0.4 miss the node 0.3 by an ulp on either
+        # side; both still pick the requested one-sided limit
+        spec = _plain_spec(times=(0.3,), jumps=(lambda x: np.array([5.0]),), x0=0.0)
+        mesh = build_mesh(spec, 0.05)
+        k = mesh.impulse_idx[0]
+        values = np.where(np.arange(mesh.n_nodes) > k, 5.0, 0.0)[:, None]
+        traj = Trajectory(mesh=mesh, values=values, right_values=np.array([[5.0]]))
+        assert 0.1 + 0.2 != 0.3 and 0.7 - 0.4 != 0.3
+        assert mesh.node_index(0.1 + 0.2) == mesh.node_index(0.7 - 0.4) == k
+        assert traj.evaluate(0.1 + 0.2, "left")[0] == 0.0
+        assert traj.evaluate(0.7 - 0.4, "right")[0] == 5.0
+
     def test_domain_and_side_checks(self):
         _, traj = self._traj()
         with pytest.raises(ValueError):
