@@ -57,23 +57,29 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _rows(a: np.ndarray) -> list[str]:
+    """The CSV cells of each row of a 2-d float array, comma joined.
+
+    The whole array is formatted in one pass over its flat list of
+    Python floats, whose repr is _fmt's; rows of one value need no join."""
+    cells = list(map(repr, a.ravel().tolist()))
+    d = a.shape[1]
+    if d == 1:
+        return cells
+    return [",".join(cells[k : k + d]) for k in range(0, len(cells), d)]
+
+
 def trajectory_csv(traj: Trajectory) -> str:
     """CSV text: header t,side,x1..xd; impulse nodes get a left and a
     right row, every other node a single row with side=both."""
     header = "t,side," + ",".join(f"x{i + 1}" for i in range(traj.dim))
-    lines = [header]
-    rights = {
-        idx: ",".join(map(repr, row))
-        for idx, row in zip(traj.mesh.impulse_idx, traj.right_values.tolist())
-    }
-    for i, (t, row) in enumerate(zip(traj.mesh.nodes.tolist(), traj.values.tolist())):
-        left = ",".join(map(repr, row))
-        if i in rights:
-            lines.append(f"{t!r},left,{left}")
-            lines.append(f"{t!r},right,{rights[i]}")
-        else:
-            lines.append(f"{t!r},both,{left}")
-    return "\n".join(lines) + "\n"
+    times = _rows(traj.mesh.nodes[:, None])
+    lefts = _rows(traj.values)
+    lines = [f"{t},both,{x}" for t, x in zip(times, lefts)]
+    impulses = zip(traj.mesh.impulse_idx, _rows(traj.right_values))
+    for i, right in reversed(list(impulses)):  # later rows first: indices stay valid
+        lines[i : i + 1] = [f"{times[i]},left,{lefts[i]}", f"{times[i]},right,{right}"]
+    return "\n".join([header, *lines]) + "\n"
 
 
 def _opt(value: float | None) -> str:
@@ -228,15 +234,16 @@ def cmd_order(args) -> int:
 
     print(f"order study: method={method} scheme={scheme}")
     print(f"reference: {ref_label}")
-    errors = []
+    errors, steps = [], []
     for h in h_list:
         rep = _solve(cfg, method, scheme, h)
         unconverged |= _warn_if_not_converged(cfg, rep)
         err = float(np.max(np.abs(rep.trajectory.values[-1] - ref)))
         errors.append(err)
+        steps.append(max(rep.trajectory.mesh.seg_steps))  # the step the mesh took
         print(f"h = {_fmt(h)}   error at T = {_fmt(err)}")
 
-    slope = fit_order(h_list, errors, ref)
+    slope = fit_order(steps, errors, ref)
     if slope is None:
         print("estimated order = exact (all errors at roundoff level)")
     else:

@@ -197,6 +197,25 @@ def _compiled_rhs(trees: tuple[Expr, ...]) -> Callable:
     return f
 
 
+def _compiled_history(trees: tuple[Expr, ...]) -> Callable:
+    """history(s) from compiled trees: an array of times (...) gives an
+    (..., d) array; a float s takes the tree walk, which costs less
+    than numpy's per-call overhead on one point."""
+    fns = [exprlang.compile_expr(tree) for tree in trees]
+    walk = _vector_fn(trees, lambda s: {"t": float(s)})
+
+    def history(s):
+        if np.ndim(s) == 0:
+            return walk(s)
+        t = np.asarray(s, dtype=float)
+        out = np.empty(t.shape + (len(fns),))
+        for k, fn in enumerate(fns):
+            out[..., k] = fn({"t": t})
+        return out
+
+    return history
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration.
@@ -408,8 +427,7 @@ def parse_config(data: Any) -> RunConfig:
         )
         asts["delay.history"] = hist_trees
 
-        history = _vector_fn(hist_trees, lambda s: {"t": float(s)})
-        delay_spec = DelaySpec(r=r, history=history)
+        delay_spec = DelaySpec(r=r, history=_compiled_history(hist_trees), vectorized=True)
 
     fns = {key: _compiled_rhs(asts[f"rhs.{key}"]) for key in parts}
     rhs = RhsSpec(kind=kind, envelopes=envelopes, vectorized=True, **fns)

@@ -39,18 +39,23 @@ of earlier runs (cross-blocks) are generated densely from the nodes, so
 they cost memory only on meshes whose segments have different steps.
 A single-step mesh therefore needs O(N) weights.
 
-WeightTable.apply multiplies each Toeplitz block by causal dyadic
+WeightTable.apply writes row r = 1 .. m-1 of a run of m nodes as
+a[0] g[r] plus row r-1 of the lower-triangular Toeplitz product with
+generator a[1:] over the columns 0 .. m-2, so its index space holds the
+m-1 rows and is padded to pad = BLOCK * 2^K >= m-1 (a run of 2^k + 1
+nodes fits pad 2^k).  It multiplies that product by causal dyadic
 blocking (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6,
-1985): dense BLOCK x BLOCK lower triangles on the diagonal, and for each
-level b = BLOCK * 2^l the square blocks rows [(2q+1)b, (2q+2)b) x
-columns [2qb, (2q+1)b).  These share their entries a[1 .. 2b-1] for
-every q, so one cached spectrum per level applies all of them as FFT
-convolutions.  The layout depends only on the node index within the run,
-the spectra come from the generator evaluated past N rather than from
-zero padding, and every product has a shape that does not depend on N.
-Node j therefore reads only g[0..j], through the same arithmetic
-whatever N is.  WeightTable.dense() builds the full table row by row
-from the nodes; it is the reference the tests compare against.
+1985): dense BLOCK x BLOCK lower triangles on the diagonal, only as
+many as hold a row, and for each level b = BLOCK * 2^l < pad the square
+blocks rows [(2q+1)b, (2q+2)b) x columns [2qb, (2q+1)b).  These share
+their entries a[2 .. 2b] for every q, so one cached spectrum per level
+applies all of them as FFT convolutions.  A run stores a[0 .. pad].
+The layout depends only on the node index within the run, the spectra
+come from the generator evaluated past N rather than from zero padding,
+and every product has a shape that does not depend on N.  Node j
+therefore reads only g[0..j], through the same arithmetic whatever N
+is.  WeightTable.dense() builds the full table row by row from the
+nodes; it is the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -130,35 +135,37 @@ class _Run:
 
     start: int
     stop: int
-    gen: np.ndarray  # a[k] for k < pad, pad = BLOCK * 2^K >= stop - start + 1
-    tri: np.ndarray  # (BLOCK, BLOCK) lower-triangular Toeplitz matrix of gen
-    spectra: tuple[np.ndarray, ...]  # rfft(gen[:2b]) for b = BLOCK, 2 BLOCK, ... < pad
-    col: np.ndarray | None  # w[start+k, start] - gen[k] from the run's own cells
+    gen: np.ndarray  # a[k] for k <= pad, pad = BLOCK * 2^K >= stop - start
+    tri: np.ndarray  # (BLOCK, BLOCK) lower-triangular Toeplitz matrix of gen[1:]
+    spectra: tuple[np.ndarray, ...]  # rfft(gen[1 : 2b+1]) for b = BLOCK, 2 BLOCK, ... < pad
+    col: np.ndarray | None  # w[start+k, start] - gen[k] for k <= pad
     cross: np.ndarray | None  # (chunks, CROSS_ROWS, start+1): rows on earlier cells
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         """Rows start+1 .. stop of W @ g, for g of shape (N+1, d)."""
-        s, m, pad = self.start, self.stop - self.start + 1, self.gen.size
+        s, rows, pad = self.start, self.stop - self.start, self.gen.size - 1
         d = g.shape[1]
+        blocks = -(-rows // BLOCK)
         gp = np.zeros((pad, d))
-        gp[:m] = g[s : self.stop + 1]
-        near = (self.tri @ gp.reshape(-1, BLOCK, d)).reshape(pad, d)
+        gp[:rows] = g[s : self.stop]  # the columns start .. stop-1
+        near = (self.tri @ gp[: blocks * BLOCK].reshape(blocks, BLOCK, d)).reshape(-1, d)
         gt = np.ascontiguousarray(gp.T)
         far = np.zeros((d, pad))
         b = BLOCK
         for spectrum in self.spectra:
-            count = (m - 1 - b) // (2 * b) + 1  # blocks whose first row is a node
+            count = (rows - 1 - b) // (2 * b) + 1  # blocks whose first row is a row
             if count <= 0:
                 break
             src = gt.reshape(d, -1, 2 * b)[:, :count, :b]
             conv = np.fft.irfft(np.fft.rfft(src, n=2 * b) * spectrum, n=2 * b)
             far.reshape(d, -1, 2 * b)[:, :count, b:] += conv[..., b:]
             b *= 2
-        y = near[1:m] + far.T[1:m]
+        y = near[:rows] + far.T[:rows]
+        y += self.gen[0] * g[s + 1 : self.stop + 1]
         if self.col is not None:
-            y += self.col[1:m, None] * g[s]
+            y += self.col[1 : rows + 1, None] * g[s]
         if self.cross is not None:
-            y += (self.cross @ g[: s + 1]).reshape(-1, d)[: m - 1]
+            y += (self.cross @ g[: s + 1]).reshape(-1, d)[:rows]
         return y
 
     def row(self, j: int) -> np.ndarray:
@@ -245,17 +252,17 @@ def _runs(mesh: Mesh) -> list[tuple[int, int, float]]:
 
 def _run_shape(start: int, stop: int, scheme: str):
     """pad, spectrum levels, column length and cross-block shape of a run."""
-    m = stop - start + 1
+    rows = stop - start
     pad = BLOCK
-    while pad < m:
+    while pad < rows:
         pad *= 2
     levels = []
     b = BLOCK
     while b < pad:
         levels.append(b)
         b *= 2
-    col = m if scheme == "trapezoid" else 0
-    chunks = -(-(stop - start) // CROSS_ROWS)
+    col = pad + 1 if scheme == "trapezoid" else 0
+    chunks = -(-rows // CROSS_ROWS)
     cross = (chunks, CROSS_ROWS, start + 1) if start > 0 else None
     return pad, levels, col, cross
 
@@ -291,7 +298,7 @@ def build_weights(mesh: Mesh, alpha: float, scheme: str) -> WeightTable:
     runs = _runs(mesh)
     shapes = [_run_shape(start, stop, scheme) for start, stop, _ in runs]
     floats = sum(
-        sum(2 * (b + 1) for b in levels) + pad + BLOCK * BLOCK + col + (math.prod(cross) if cross else 0)
+        sum(2 * (b + 1) for b in levels) + pad + 1 + BLOCK * BLOCK + col + (math.prod(cross) if cross else 0)
         for pad, levels, col, cross in shapes
     )
     _check_budget(8 * floats, "weight operator")
@@ -309,8 +316,8 @@ def build_weights(mesh: Mesh, alpha: float, scheme: str) -> WeightTable:
     lag = np.subtract.outer(np.arange(BLOCK), np.arange(BLOCK))
     built = []
     for (start, stop, h), (pad, levels, col_len, cross_shape), specs in zip(runs, shapes, spectra):
-        gen = take(pad)
-        k = np.arange(1.0, pad + 1.0)
+        gen = take(pad + 1)
+        k = np.arange(1.0, pad + 2.0)
         left, right = _cell_weights(k * h, (k - 1.0) * h, h, alpha, scheme)  # cell k
         gen[0] = 0.0
         gen[1:] = left[:-1]
@@ -318,11 +325,11 @@ def build_weights(mesh: Mesh, alpha: float, scheme: str) -> WeightTable:
         if right is not None:
             gen += right  # a[k] = left(cell k) + right(cell k+1)
             col = take(col_len)
-            col[:] = -right[:col_len]
+            col[:] = -right
         tri = take(BLOCK * BLOCK).reshape(BLOCK, BLOCK)
-        tri[:] = np.where(lag >= 0, gen[np.maximum(lag, 0)], 0.0)
+        tri[:] = np.where(lag >= 0, gen[1 + np.maximum(lag, 0)], 0.0)
         for b, spectrum in zip(levels, specs):
-            spectrum[:] = np.fft.rfft(gen[: 2 * b])
+            spectrum[:] = np.fft.rfft(gen[1 : 2 * b + 1])
         cross = None
         if cross_shape is not None:
             cross = take(math.prod(cross_shape)).reshape(cross_shape)

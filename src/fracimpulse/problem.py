@@ -227,11 +227,19 @@ class DelaySpec:
     history maps s in [-r, 0] to the state; sample_times optionally
     lists the knots of a sampled history so the sup-norm window can
     include them.
+
+    vectorized has the meaning of RhsSpec.vectorized: with True the
+    solvers sample the history grid in one call, with an (n,) array of
+    times, and history returns an (n, d) array, or (n,) when d = 1,
+    row i from time i alone.  Problem validation and history_sup_norm
+    still call history with one float s, so it must accept that too.
+    Histories built from a config file do both and set it.
     """
 
     r: float
     history: Callable
     sample_times: tuple[float, ...] = ()
+    vectorized: bool = False
 
     def __post_init__(self):
         r = float(self.r)

@@ -141,15 +141,74 @@ def _assemble(outs: list, dim: int, what: str, where) -> np.ndarray:
     return g
 
 
-def _history_values(delay, times: list, dim: int) -> np.ndarray:
+def _looped(f, args: tuple, dim: int, what: str, where) -> np.ndarray:
+    """f called once per point i on row i of args, as an (n, dim) array.
+
+    The outputs are collected in a list and assembled at once
+    (_assemble).  When f raises, the outputs of the earlier points are
+    validated first; a ValueError or ArithmeticError then becomes the
+    error of point i, any other exception propagates.
+    """
+    outs: list = []
+    try:  # on a raise, outs holds the outputs of the earlier points
+        outs.extend(map(f, *(a.tolist() if a.ndim == 1 else a for a in args)))
+    except Exception as e:
+        failure = e
+    else:
+        failure = None
+    g = _assemble(outs, dim, what, where)  # an earlier bad point comes first
+    if failure is None:
+        return g
+    if not isinstance(failure, (ArithmeticError, ValueError)):
+        raise failure
+    _check_finite(g, what, where)
+    raise _point_error(what, where(len(outs)), failure) from failure
+
+
+def _batched(f, args: tuple, dim: int, what: str, where) -> np.ndarray:
+    """f called once on all n rows of args, as an (n, dim) array; an
+    (n,) output is accepted when dim = 1.  When f raises a ValueError or
+    ArithmeticError, the points are re-run one at a time, on the error
+    path only, to name the first that fails or is not finite."""
+    n = args[0].shape[0]
+    span = f"{where(0)} .. {where(n - 1)}"
+    try:
+        g = np.asarray(f(*args), dtype=float)
+    except (ArithmeticError, ValueError) as e:
+        for i in range(n):
+            try:
+                one = np.asarray(f(*(a[i : i + 1] for a in args)), dtype=float)
+            except (ArithmeticError, ValueError) as point_error:
+                raise _point_error(what, where(i), point_error) from point_error
+            _check_finite(one.reshape(1, -1), what, lambda _: where(i))
+        raise SolverError(f"{what} evaluation failed on {span}: {e}") from e
+    if dim == 1 and g.shape == (n,):
+        g = g.reshape(n, 1)
+    if g.shape != (n, dim):
+        raise SolverError(f"{what} on {span} returned shape {g.shape}, expected ({n}, {dim})")
+    return g
+
+
+def _sample(f, vectorized: bool, args: tuple, dim: int, what: str, where) -> np.ndarray:
+    """f on the n rows of args, as an (n, dim) array of finite values:
+    one call when vectorized, else one per point.  Errors name the
+    first offending point as where(i)."""
+    g = (_batched if vectorized else _looped)(f, args, dim, what, where)
+    _check_finite(g, what, where)
+    return g
+
+
+def _history_values(delay, times: np.ndarray, dim: int) -> np.ndarray:
     """history(s) for each s in times, as one (len(times), dim) array."""
-    return _assemble(
-        [delay.history(s) for s in times], dim, "history", lambda i: f"t={times[i]!r}"
+    return _sample(
+        delay.history, delay.vectorized, (times,), dim, "history",
+        lambda i: f"t={float(times[i])!r}",
     )
 
 
 class _DelayData:
-    """Precomputed history values on the delay-aligned negative grid."""
+    """Precomputed history values on the delay-aligned negative grid,
+    sampled like the RHS: in one call when DelaySpec.vectorized."""
 
     def __init__(self, spec: ProblemSpec, mesh: Mesh):
         delay = spec.delay
@@ -159,18 +218,17 @@ class _DelayData:
         self.q = q
         h = delay.r / q
 
-        grid = [-j * h for j in range(q + 1)]
+        grid = -np.arange(q + 1) * h
         self.phi_vals = _history_values(delay, grid, spec.dim)  # row j: phi(-jh)
         phi_norms = np.linalg.norm(self.phi_vals, axis=1)
         knots = np.array(sorted(s for s in delay.sample_times if s < 0.0))
-        knot_vals = _history_values(delay, knots.tolist(), spec.dim)
-        knot_norms = np.array([np.linalg.norm(v) for v in knot_vals])
         # the history part of window_sup at the nodes i < q, whose windows
         # reach below t = 0: a prefix max over the grid values and a
         # suffix max over the knots at or right of the window's left end
         j_hi = np.arange(q, q - min(q, mesh.n_nodes), -1)
         hist = np.maximum.accumulate(phi_norms[1:])[j_hi - 1]
         if knots.size:
+            knot_norms = np.linalg.norm(_history_values(delay, knots, spec.dim), axis=1)
             first = np.searchsorted(knots, -j_hi * h - 1e-12)
             suffix = np.maximum.accumulate(knot_norms[::-1])[::-1]
             hist = np.maximum(hist, np.append(suffix, -np.inf)[first])
@@ -223,7 +281,8 @@ class _DelayData:
 class _Sampler:
     """f at a run of consecutive nodes, as an (n, d) array.
 
-    A vectorized RHS is called once per run.  A per-node callable is
+    Sampling goes through _sample, the rule the history grid shares.  A
+    vectorized RHS is called once per run.  A per-node callable is
     called once per node; its outputs are collected in a list and
     turned into the (n, d) array by one np.array call (_assemble), so a
     node costs the call plus a fraction of a microsecond.  Shape and
@@ -240,6 +299,10 @@ class _Sampler:
             parts = (rhs.f1, rhs.f2) if rhs.kind == "split" else (rhs.f,)
         self.parts = parts
         self.vectorized = rhs.vectorized
+        if self.vectorized:
+            self.f = self._call_parts
+        else:
+            self.f = parts[0] if len(parts) == 1 else self._split_sum
         self.dim = spec.dim
         self.times = mesh.nodes
         self.delay = _DelayData(spec, mesh) if spec.delay is not None else None
@@ -256,12 +319,10 @@ class _Sampler:
         """f at nodes start .. start + n - 1 from (n, d) x and x_lag, (n,) sups."""
         t = self.times[start : start + x.shape[0]]
         args = (t, x) if x_lag is None else (t, x, x_lag, sups)
-        g = self._batched(start, args) if self.vectorized else self._looped(start, args)
-        _check_finite(g, "rhs", self._nodes_from(start))
-        return g
+        return _sample(self.f, self.vectorized, args, self.dim, "rhs", self._nodes_from(start))
 
     def _nodes_from(self, start: int):
-        """where(i) for _assemble: the label of node start + i."""
+        """where(i) for _sample: the label of node start + i."""
         return lambda i: f"node {start + i} (t={float(self.times[start + i])!r})"
 
     def _split_sum(self, *row):
@@ -270,53 +331,13 @@ class _Sampler:
             np.asarray(f2(*row), dtype=float)
         )
 
-    def _looped(self, start: int, args: tuple) -> np.ndarray:
-        f = self.parts[0] if len(self.parts) == 1 else self._split_sum
-        where = self._nodes_from(start)
-        outs: list = []
-        try:  # on a raise, outs holds the outputs of the earlier nodes
-            outs.extend(map(f, *(a.tolist() if a.ndim == 1 else a for a in args)))
-        except Exception as e:
-            failure = e
-        else:
-            failure = None
-        g = _assemble(outs, self.dim, "rhs", where)  # an earlier bad node comes first
-        if failure is None:
-            return g
-        if not isinstance(failure, (ArithmeticError, ValueError)):
-            raise failure
-        _check_finite(g, "rhs", where)
-        raise _point_error("rhs", where(len(outs)), failure) from failure
-
-    def _call_parts(self, args: tuple) -> np.ndarray:
+    def _call_parts(self, *args) -> np.ndarray:
         g = None
         for f in self.parts:
             out = np.asarray(f(*args), dtype=float)
             if out.ndim == 1 and self.dim == 1:
                 out = out[:, None]
             g = out if g is None else g + out
-        return g
-
-    def _batched(self, start: int, args: tuple) -> np.ndarray:
-        n = args[0].size
-        try:
-            g = self._call_parts(args)
-        except (ArithmeticError, ValueError) as e:
-            for i in range(n):
-                where = self._nodes_from(start + i)
-                try:
-                    one = self._call_parts(tuple(a[i : i + 1] for a in args))
-                except (ArithmeticError, ValueError) as node_error:
-                    raise _point_error("rhs", where(0), node_error) from node_error
-                _check_finite(one, "rhs", where)
-            raise SolverError(
-                f"rhs evaluation failed on nodes {start}..{start + n - 1}: {e}"
-            ) from e
-        if g.shape != (n, self.dim):
-            raise SolverError(
-                f"rhs on nodes {start}..{start + n - 1} returned shape {g.shape}, "
-                f"expected ({n}, {self.dim})"
-            )
         return g
 
 

@@ -257,6 +257,30 @@ class TestTrajectoryCsv:
             "1.0,both,0.1,-0.0\n"
         )
 
+    def test_frozen_bytes_with_two_impulses(self):
+        # impulses on consecutive nodes 1 and 2; the values cover a
+        # negative zero, the smallest subnormal, an exponent-form integer
+        # and a sum whose repr needs 17 digits
+        mesh = Mesh(
+            nodes=np.array([0.0, 0.25, 0.5, 1.0]),
+            boundary_idx=(0, 1, 2, 3),
+            seg_steps=(0.25, 0.25, 0.5),
+        )
+        traj = Trajectory(
+            mesh=mesh,
+            values=np.array([[-0.0, 5e-324], [1e22, 0.1 + 0.2], [-1.5, 2.0], [0.1, -0.0]]),
+            right_values=np.array([[0.1 + 0.2, -0.0], [5e-324, -1e22]]),
+        )
+        assert trajectory_csv(traj).encode() == (
+            b"t,side,x1,x2\n"
+            b"0.0,both,-0.0,5e-324\n"
+            b"0.25,left,1e+22,0.30000000000000004\n"
+            b"0.25,right,0.30000000000000004,-0.0\n"
+            b"0.5,left,-1.5,2.0\n"
+            b"0.5,right,5e-324,-1e+22\n"
+            b"1.0,both,0.1,-0.0\n"
+        )
+
 
 class TestCheckReport:
     def test_report_file_matches_stdout(self, tmp_path, capsys):
@@ -423,7 +447,7 @@ class TestOrderStudy:
             "h = 0.0625   error at T = 0.0017570201889606785\n"
             "h = 0.03125   error at T = 0.0008289277497031677\n"
             "h = 0.015625   error at T = 0.00037231273013732524\n"
-            "estimated order = 1.1192719589049276\n"
+            "estimated order = 1.1401858608004778\n"
         )
         cfg_path = write_config(tmp_path, builtin_example("logistic"))
         code = main(["order", "--config", str(cfg_path), "--h-list", "0.0625,0.03125,0.015625"])

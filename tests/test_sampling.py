@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fracimpulse import exprlang
 from fracimpulse.config import parse_config
 from fracimpulse.problem import (
     DelaySpec,
@@ -391,6 +392,105 @@ class TestHistoryGrid:
         mesh = build_mesh(spec, 0.125)
         with pytest.raises(SolverError, match=r"history at t=-0\.25 returned shape \(3,\), expected \(2,\)"):
             solve_picard(spec, mesh)
+
+
+def _vector_history(s):
+    """A history that takes a float or an (n,) array of times."""
+    s = np.asarray(s, dtype=float)
+    return np.stack([1.0 + 0.5 * s, 2.0 - 3.0 * s * s], axis=-1)
+
+
+def _delay_spec(history, vectorized, sample_times=()):
+    return ProblemSpec(
+        alpha=0.5,
+        T=1.0,
+        rhs=RhsSpec(kind="delay", f=lambda t, x, xr, sup: -xr + 0.1 * sup * x),
+        delay=DelaySpec(r=0.5, history=history, sample_times=sample_times, vectorized=vectorized),
+    )
+
+
+class TestVectorizedHistory:
+    def test_batched_and_per_point_grids_agree_bitwise(self):
+        calls = []
+
+        def history(s):
+            calls.append(np.shape(s))
+            return _vector_history(s)
+
+        knots = (-0.3, -0.1, -0.015625)
+        data = {}
+        for vectorized in (False, True):
+            spec = _delay_spec(history, vectorized, knots)
+            mesh = build_mesh(spec, 2.0**-5)
+            calls.clear()
+            data[vectorized] = _DelayData(spec, mesh)
+            if vectorized:  # the grid and the knots, one call each
+                assert calls == [(mesh.delay_steps + 1,), (len(knots),)]
+            else:
+                assert calls == [()] * (mesh.delay_steps + 1 + len(knots))
+        assert data[True].phi_vals.tobytes() == data[False].phi_vals.tobytes()
+        assert data[True].hist_sups.tobytes() == data[False].hist_sups.tobytes()
+
+    def test_batched_solve_matches_per_point_solve(self):
+        reports = [
+            solve_picard(spec, build_mesh(spec, 2.0**-6))
+            for spec in (_delay_spec(_vector_history, v) for v in (False, True))
+        ]
+        assert reports[0].trajectory.values.tobytes() == reports[1].trajectory.values.tobytes()
+
+    def test_non_finite_value_names_the_first_bad_time(self):
+        def history(s):
+            out = _vector_history(s)
+            if np.ndim(s):
+                out[np.asarray(s) <= -0.25] = np.nan
+            return out
+
+        spec = _delay_spec(history, vectorized=True)
+        with pytest.raises(SolverError, match=r"history at t=-0\.25 returned a non-finite value"):
+            _DelayData(spec, build_mesh(spec, 0.125))
+
+    def test_wrong_shape_names_the_first_time(self):
+        def history(s):
+            return _vector_history(s)[..., :1] if np.ndim(s) else _vector_history(s)
+
+        spec = _delay_spec(history, vectorized=True)
+        with pytest.raises(
+            SolverError,
+            match=r"history on t=0\.0 \.\. t=-0\.5 returned shape \(5, 1\), expected \(5, 2\)",
+        ):
+            _DelayData(spec, build_mesh(spec, 0.125))
+
+    def test_failing_point_is_named(self):
+        def history(s):
+            if np.any(np.asarray(s) == -0.375):
+                raise ValueError("no value there")
+            return _vector_history(s)
+
+        spec = _delay_spec(history, vectorized=True)
+        with pytest.raises(SolverError, match=r"history evaluation failed at t=-0\.375: no value there"):
+            _DelayData(spec, build_mesh(spec, 0.125))
+
+    def test_config_history_scalar_call_is_the_tree_walk(self):
+        cfg = parse_config(
+            {
+                "problem": {
+                    "alpha": 0.5,
+                    "T": 1.0,
+                    "rhs": {"kind": "delay", "f": ["-xr1", "-xr2"]},
+                    "delay": {"r": 0.5, "history": ["exp(t)*cos(3*t)", "1 + t/3"]},
+                }
+            }
+        )
+        delay = cfg.problem.delay
+        assert delay.vectorized
+        trees = cfg.asts["delay.history"]
+        times = np.linspace(-0.5, 0.0, 37)
+        batch = delay.history(times)
+        assert batch.shape == (37, 2)
+        for i, s in enumerate(times.tolist()):
+            walk = [exprlang.evaluate(tree, {"t": s}) for tree in trees]
+            assert delay.history(s).tobytes() == np.array(walk).tobytes()
+            np.testing.assert_allclose(batch[i], walk, rtol=1e-15)
 
 
 class TestConfigClosures:

@@ -207,3 +207,64 @@ def test_dense_reference_refuses_over_budget():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _run_mesh(n, lead=0):
+    """n nodes of step 2^-11 after `lead` steps of another step: one run
+    of n nodes, after a cross-block when lead > 0."""
+    h, h0 = 2.0**-11, 1.3 * 2.0**-11
+    nodes = np.concatenate([h0 * np.arange(lead), lead * h0 + h * np.arange(n)])
+    if lead == 0:
+        return Mesh(nodes=nodes, boundary_idx=(0, n - 1), seg_steps=(h,))
+    return Mesh(nodes=nodes, boundary_idx=(0, lead, lead + n - 1), seg_steps=(h0, h))
+
+
+class TestRunLengthsAroundPowersOfTwo:
+    """Runs of 2^k, 2^k + 1 and 2^k + 2 nodes: the index space holds a
+    run's rows, so 2^k + 1 nodes still fit a 2^k pad."""
+
+    LENGTHS = [64, 65, 66, 2048, 2049, 2050]
+
+    @pytest.mark.parametrize("scheme", ["rectangle", "trapezoid"])
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_apply_matches_dense(self, n, scheme):
+        for lead in (0, 5) if n < 100 else (0,):
+            mesh = _run_mesh(n, lead)
+            table = build_weights(mesh, 0.4, scheme)
+            W = table.dense()
+            g = np.stack([np.cos(7.0 * mesh.nodes), 1.0 - mesh.nodes], axis=1)
+            assert np.all(np.abs(table.apply(g) - W @ g) <= REL * (np.abs(W) @ np.abs(g)))
+
+    @pytest.mark.parametrize("scheme", ["rectangle", "trapezoid"])
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_apply_is_causal_bitwise(self, n, scheme):
+        for lead in (0, 5):
+            mesh = _run_mesh(n, lead)
+            table = build_weights(mesh, 0.4, scheme)
+            rng = np.random.default_rng(n)
+            g = rng.standard_normal((mesh.n_nodes, 1))
+            full = table.apply(g)
+            for j in {1, 63, 64, mesh.n_nodes - 3, mesh.n_nodes - 2}:
+                changed = g.copy()
+                changed[j + 1 :] = rng.standard_normal(changed[j + 1 :].shape)
+                assert np.array_equal(table.apply(changed)[: j + 1], full[: j + 1])
+
+    @pytest.mark.parametrize("scheme", ["rectangle", "trapezoid"])
+    @pytest.mark.parametrize("n", [64, 65, 2048, 2049])
+    def test_prefix_bitwise_across_the_length_boundary(self, n, scheme):
+        for lead in (0, 5):
+            short, longer = _run_mesh(n, lead), _run_mesh(n + 1, lead)
+            short_table = build_weights(short, 0.4, scheme)
+            long_table = build_weights(longer, 0.4, scheme)
+            g = np.random.default_rng(n).standard_normal(longer.n_nodes)
+            assert np.array_equal(long_table.apply(g)[:-1], short_table.apply(g[:-1]))
+            for j in (0, 1, n - 2, n - 1):
+                assert np.array_equal(long_table.row(lead + j), short_table.row(lead + j))
+
+    @pytest.mark.parametrize("scheme", ["rectangle", "trapezoid"])
+    @pytest.mark.parametrize("k", [6, 11])
+    def test_one_node_past_a_power_of_two_stores_the_same_bytes(self, k, scheme):
+        tables = [build_weights(_run_mesh(2**k + extra), 0.4, scheme) for extra in (0, 1, 2)]
+        assert tables[0].runs[0].gen.size == tables[1].runs[0].gen.size == 2**k + 1
+        assert tables[0].weights.tobytes() == tables[1].weights.tobytes()
+        assert tables[2].weights.nbytes > tables[1].weights.nbytes  # the pad doubles
