@@ -153,7 +153,7 @@ class _Run:
         far = np.zeros((d, pad))
         b = BLOCK
         for spectrum in self.spectra:
-            count = (rows - 1 - b) // (2 * b) + 1  # blocks whose first row is a row
+            count = (rows - 1 - b) // (2 * b) + 1  # blocks whose first row is in the run
             if count <= 0:
                 break
             src = gt.reshape(d, -1, 2 * b)[:, :count, :b]

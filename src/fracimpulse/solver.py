@@ -171,7 +171,6 @@ def _batched(f, args: tuple, dim: int, what: str, where) -> np.ndarray:
     ArithmeticError, the points are re-run one at a time, on the error
     path only, to name the first that fails or is not finite."""
     n = args[0].shape[0]
-    span = f"{where(0)} .. {where(n - 1)}"
     try:
         g = np.asarray(f(*args), dtype=float)
     except (ArithmeticError, ValueError) as e:
@@ -181,11 +180,13 @@ def _batched(f, args: tuple, dim: int, what: str, where) -> np.ndarray:
             except (ArithmeticError, ValueError) as point_error:
                 raise _point_error(what, where(i), point_error) from point_error
             _check_finite(one.reshape(1, -1), what, lambda _: where(i))
-        raise SolverError(f"{what} evaluation failed on {span}: {e}") from e
+        raise SolverError(f"{what} evaluation failed on {where(0)} .. {where(n - 1)}: {e}") from e
     if dim == 1 and g.shape == (n,):
         g = g.reshape(n, 1)
     if g.shape != (n, dim):
-        raise SolverError(f"{what} on {span} returned shape {g.shape}, expected ({n}, {dim})")
+        raise SolverError(
+            f"{what} on {where(0)} .. {where(n - 1)} returned shape {g.shape}, expected ({n}, {dim})"
+        )
     return g
 
 

@@ -73,6 +73,19 @@ class TestExitCodes:
         # trajectory still written for inspection
         assert out.exists()
 
+    def test_history_domain_error_exits_2_naming_the_time(self, tmp_path, capsys):
+        # history(0) and history(-r) are fine; the grid point -0.25 divides by zero
+        data = coarse("delay-plain")
+        data["problem"]["delay"]["history"] = "1/(t+0.25)"
+        data["numerics"]["target_h"] = 0.125
+        cfg = write_config(tmp_path, data)
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "traj.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "solver error: history evaluation failed at t=-0.25: "
+            "division by zero in subexpression '1.0/(t + 0.25)'\n"
+        )
+
     def test_marching_corrector_failure_exits_2(self, tmp_path, capsys):
         # w_jj * 32 is about 3 at h = 2^-6: the trapezoid corrector stalls
         data = {
