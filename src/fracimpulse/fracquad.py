@@ -97,27 +97,39 @@ WEIGHT_BYTES_BUDGET = 2**30
 
 
 def _pow_diff(A: np.ndarray, B: np.ndarray, expo: float) -> np.ndarray:
-    """A**expo - B**expo for A >= B >= 0, stable when A is close to B."""
-    out = np.empty_like(A)
-    zero = B <= 0.0
-    out[zero] = A[zero] ** expo
-    nz = ~zero
-    if np.any(nz):
-        ratio = np.log1p((B[nz] - A[nz]) / A[nz])
-        out[nz] = -(A[nz] ** expo) * np.expm1(expo * ratio)
-    return out
+    """A**expo - B**expo for A > 0 and A >= B >= 0, stable when A is
+    close to B.  B = 0 needs no branch: log1p(-1) = -inf and
+    expm1(-inf) = -1, so the result is A**expo exactly."""
+    with np.errstate(divide="ignore"):
+        r = np.log1p((B - A) / A)
+    r *= expo
+    np.expm1(r, out=r)
+    r *= A**expo
+    return np.negative(r, out=r)
 
 
 def _cell_weights(A, B, h, alpha: float, scheme: str):
     """Weights that cell [t_i, t_{i+1}] gives row j at column i (left) and
     column i+1 (right), for A = t_j - t_i, B = t_j - t_{i+1} and
-    h = t_{i+1} - t_i.  right is None for the rectangle scheme."""
+    h = t_{i+1} - t_i.  right is None for the rectangle scheme.  The
+    arithmetic runs in place, so few temporaries of A's shape live."""
     d_a = _pow_diff(A, B, alpha)
     if scheme == "rectangle":
-        return d_a / gamma(alpha + 1.0), None
-    P = _pow_diff(A, B, alpha + 1.0) / (alpha + 1.0)
+        d_a /= gamma(alpha + 1.0)
+        return d_a, None
+    P = _pow_diff(A, B, alpha + 1.0)
+    P /= alpha + 1.0
     ga = gamma(alpha)
-    return (P - B * d_a / alpha) / h / ga, (A * d_a / alpha - P) / h / ga
+    left = B * d_a
+    left /= alpha
+    np.subtract(P, left, out=left)
+    right = A * d_a
+    right /= alpha
+    right -= P
+    for w in (left, right):
+        w /= h
+        w /= ga
+    return left, right
 
 
 def _check_budget(nbytes: int, what: str) -> None:
@@ -273,7 +285,9 @@ def _fill_cross(cross: np.ndarray, t: np.ndarray, start: int, stop: int, alpha: 
     padding rows stay zero."""
     cross[:] = 0.0
     h = t[1 : start + 1] - t[:start]
-    step = max(1, 2**14 // start)  # larger chunks raise peak memory, no faster
+    # about 2^12 weights a chunk: its temporaries stay near 0.3 MiB;
+    # smaller chunks build slower, larger ones raise the peak
+    step = max(1, 2**12 // start)
     for lo in range(start + 1, stop + 1, step):
         rows = t[lo : min(lo + step, stop + 1), None]
         left, right = _cell_weights(rows - t[:start], rows - t[1 : start + 1], h, alpha, scheme)

@@ -177,6 +177,20 @@ def test_single_step_storage_is_linear():
         assert table.weights.nbytes <= 64 * 8 * mesh.n_nodes
 
 
+def test_cross_block_build_keeps_temporaries_small():
+    # the builtin logistic mesh at 2^-10: steps 0.3/308 and 0.4/410 form
+    # two runs, and the second holds a 2 MiB cross-block
+    mesh = build_mesh(parse_config(builtin_example("logistic")).problem, 2.0**-10)
+    tracemalloc.start()
+    try:
+        table = build_weights(mesh, 0.5, "trapezoid")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.runs[1].cross is not None and table.weights.nbytes > 2**21
+    assert peak - table.weights.nbytes < 2**19
+
+
 def test_budget_refuses_cross_blocks_before_allocating():
     # runs of 16000 and 16001 steps: the second run's cross-block alone
     # would take 16001 * 16001 * 8 bytes, about 2 GB
