@@ -351,12 +351,12 @@ def test_per_node_and_vectorized_trajectories_are_bitwise_equal(d, kind, alpha, 
     assert per_node.residual_history == batched.residual_history
 
 
-def _delay_problem(history):
+def _delay_problem(history, vectorized=False, sample_times=()):
     return ProblemSpec(
         alpha=0.5,
         T=1.0,
         rhs=RhsSpec(kind="delay", f=lambda t, x, xr, sup: -xr + 0.1 * sup * x),
-        delay=DelaySpec(r=0.5, history=history),
+        delay=DelaySpec(r=0.5, history=history, sample_times=sample_times, vectorized=vectorized),
     )
 
 
@@ -400,15 +400,6 @@ def _vector_history(s):
     return np.stack([1.0 + 0.5 * s, 2.0 - 3.0 * s * s], axis=-1)
 
 
-def _delay_spec(history, vectorized, sample_times=()):
-    return ProblemSpec(
-        alpha=0.5,
-        T=1.0,
-        rhs=RhsSpec(kind="delay", f=lambda t, x, xr, sup: -xr + 0.1 * sup * x),
-        delay=DelaySpec(r=0.5, history=history, sample_times=sample_times, vectorized=vectorized),
-    )
-
-
 class TestVectorizedHistory:
     def test_batched_and_per_point_grids_agree_bitwise(self):
         calls = []
@@ -420,7 +411,7 @@ class TestVectorizedHistory:
         knots = (-0.3, -0.1, -0.015625)
         data = {}
         for vectorized in (False, True):
-            spec = _delay_spec(history, vectorized, knots)
+            spec = _delay_problem(history, vectorized, knots)
             mesh = build_mesh(spec, 2.0**-5)
             calls.clear()
             data[vectorized] = _DelayData(spec, mesh)
@@ -434,7 +425,7 @@ class TestVectorizedHistory:
     def test_batched_solve_matches_per_point_solve(self):
         reports = [
             solve_picard(spec, build_mesh(spec, 2.0**-6))
-            for spec in (_delay_spec(_vector_history, v) for v in (False, True))
+            for spec in (_delay_problem(_vector_history, v) for v in (False, True))
         ]
         assert reports[0].trajectory.values.tobytes() == reports[1].trajectory.values.tobytes()
 
@@ -445,7 +436,7 @@ class TestVectorizedHistory:
                 out[np.asarray(s) <= -0.25] = np.nan
             return out
 
-        spec = _delay_spec(history, vectorized=True)
+        spec = _delay_problem(history, vectorized=True)
         with pytest.raises(SolverError, match=r"history at t=-0\.25 returned a non-finite value"):
             _DelayData(spec, build_mesh(spec, 0.125))
 
@@ -453,7 +444,7 @@ class TestVectorizedHistory:
         def history(s):
             return _vector_history(s)[..., :1] if np.ndim(s) else _vector_history(s)
 
-        spec = _delay_spec(history, vectorized=True)
+        spec = _delay_problem(history, vectorized=True)
         with pytest.raises(
             SolverError,
             match=r"history on t=0\.0 \.\. t=-0\.5 returned shape \(5, 1\), expected \(5, 2\)",
@@ -466,7 +457,7 @@ class TestVectorizedHistory:
                 raise ValueError("no value there")
             return _vector_history(s)
 
-        spec = _delay_spec(history, vectorized=True)
+        spec = _delay_problem(history, vectorized=True)
         with pytest.raises(SolverError, match=r"history evaluation failed at t=-0\.375: no value there"):
             _DelayData(spec, build_mesh(spec, 0.125))
 
