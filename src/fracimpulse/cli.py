@@ -240,8 +240,8 @@ def cmd_order(args) -> int:
         unconverged |= _warn_if_not_converged(cfg, rep)
         err = float(np.max(np.abs(rep.trajectory.values[-1] - ref)))
         errors.append(err)
-        steps.append(max(rep.trajectory.mesh.seg_steps))  # the step the mesh took
-        print(f"h = {_fmt(h)}   error at T = {_fmt(err)}")
+        steps.append(max(rep.trajectory.mesh.seg_steps))  # the step the slope is fit to
+        print(f"h = {_fmt(h)}   mesh step = {_fmt(steps[-1])}   error at T = {_fmt(err)}")
 
     slope = fit_order(steps, errors, ref)
     if slope is None:

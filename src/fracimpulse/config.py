@@ -157,20 +157,19 @@ def _state_env(x: np.ndarray) -> dict[str, float]:
     return {f"x{i + 1}": float(v) for i, v in enumerate(x)}
 
 
-def _vector_fn(trees: tuple[Expr, ...], build_env: Callable[..., dict]) -> Callable:
-    """Tree-walk evaluator for jumps and histories (one state per call)."""
-
-    def call(*args):
-        env = build_env(*args)
-        return np.array([exprlang.evaluate(tree, env) for tree in trees])
-
-    return call
-
-
 def _components(prefix: str, x: np.ndarray) -> dict[str, np.ndarray]:
     if x.shape[-1] == 1:
         return {prefix: x[..., 0]}
     return {f"{prefix}{i + 1}": x[..., i] for i in range(x.shape[-1])}
+
+
+def _fill(fns: list[Callable], env: dict, shape: tuple[int, ...]) -> np.ndarray:
+    """The compiled trees fns on a batch binding env: component k of the
+    (..., d) result of the given shape is fns[k](env)."""
+    out = np.empty(shape)
+    for k, fn in enumerate(fns):
+        out[..., k] = fn(env)
+    return out
 
 
 def _compiled_rhs(trees: tuple[Expr, ...]) -> Callable:
@@ -189,31 +188,29 @@ def _compiled_rhs(trees: tuple[Expr, ...]) -> Callable:
             # per-call overhead on one-element arrays
             point = {name: np.asarray(value).item() for name, value in env.items()}
             return np.array([exprlang.evaluate(tree, point) for tree in trees]).reshape(x.shape)
-        out = np.empty(x.shape)
-        for k, fn in enumerate(fns):
-            out[..., k] = fn(env)
-        return out
+        return _fill(fns, env, x.shape)
 
     return f
 
 
-def _compiled_history(trees: tuple[Expr, ...]) -> Callable:
-    """history(s) from compiled trees: an array of times (...) gives an
-    (..., d) array; a float s takes the tree walk, which costs less
-    than numpy's per-call overhead on one point."""
+def _compiled_map(trees: tuple[Expr, ...], point_ndim: int, point_env, batch_env) -> Callable:
+    """A history (point_ndim 0, one time) or a jump map (point_ndim 1,
+    one (d,) state) from compiled trees.  One point takes the tree walk
+    on point_env(point), which costs less than numpy's per-call
+    overhead on one point and is what the solvers call; a batch of
+    points (leading axes ...) gives an (..., d) array from the compiled
+    trees on batch_env(batch)."""
     fns = [exprlang.compile_expr(tree) for tree in trees]
-    walk = _vector_fn(trees, lambda s: {"t": float(s)})
 
-    def history(s):
-        if np.ndim(s) == 0:
-            return walk(s)
-        t = np.asarray(s, dtype=float)
-        out = np.empty(t.shape + (len(fns),))
-        for k, fn in enumerate(fns):
-            out[..., k] = fn({"t": t})
-        return out
+    def call(arg):
+        if np.ndim(arg) == point_ndim:
+            env = point_env(arg)
+            return np.array([exprlang.evaluate(tree, env) for tree in trees])
+        arg = np.asarray(arg, dtype=float)
+        lead = arg.shape[: arg.ndim - point_ndim]
+        return _fill(fns, batch_env(arg), lead + (len(fns),))
 
-    return history
+    return call
 
 
 @dataclass(frozen=True)
@@ -351,7 +348,7 @@ def parse_config(data: Any) -> RunConfig:
         trees = _parse_expr_vector(item["jump"], f"{ipath}.jump", dim, state_vars)
         asts[f"impulses[{i}].jump"] = trees
         times.append(tk)
-        jump_fns.append(_vector_fn(trees, _state_env))
+        jump_fns.append(_compiled_map(trees, 1, _state_env, lambda x: _components("x", x)))
 
     cert_raw = _expect_mapping(
         data.get("certificate", {}),
@@ -410,6 +407,7 @@ def parse_config(data: Any) -> RunConfig:
             jump_bound=jump_bound,
             jump_lip=jump_lip,
             jump_bound_star=jump_bound_star,
+            vectorized=True,
         )
     except ValueError as e:
         raise ConfigError(f"problem.impulses: {e}") from None
@@ -427,7 +425,8 @@ def parse_config(data: Any) -> RunConfig:
         )
         asts["delay.history"] = hist_trees
 
-        delay_spec = DelaySpec(r=r, history=_compiled_history(hist_trees), vectorized=True)
+        history = _compiled_map(hist_trees, 0, lambda s: {"t": float(s)}, lambda t: {"t": t})
+        delay_spec = DelaySpec(r=r, history=history, vectorized=True)
 
     fns = {key: _compiled_rhs(asts[f"rhs.{key}"]) for key in parts}
     rhs = RhsSpec(kind=kind, envelopes=envelopes, vectorized=True, **fns)

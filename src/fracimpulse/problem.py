@@ -32,6 +32,7 @@ from .special import Envelope
 __all__ = [
     "ProblemError",
     "MeshError",
+    "SolverError",
     "ImpulseSchedule",
     "RhsSpec",
     "DelaySpec",
@@ -74,6 +75,120 @@ def _as_state(value, dim: int, what: str) -> np.ndarray:
     return arr
 
 
+class SolverError(RuntimeError):
+    """Right-hand side, history or jump evaluation failed, or solver misuse."""
+
+
+def _check_finite(g: np.ndarray, what: str, where) -> None:
+    """Raise for the first row of g that holds a non-finite value."""
+    finite = np.isfinite(g)
+    if np.count_nonzero(finite) < g.size:  # cheaper than .all() on a one-node run
+        i = int(np.argmin(finite.all(axis=1)))
+        raise SolverError(f"{what} at {where(i)} returned a non-finite value")
+
+
+def _point_error(what: str, at: str, error: Exception) -> SolverError:
+    return SolverError(f"{what} evaluation failed at {at}: {error}")
+
+
+def _assemble(outs: list, dim: int, what: str, where) -> np.ndarray:
+    """The outputs of a per-point callable as one (len(outs), dim) array.
+
+    Each output must have shape () or (1,) when dim = 1 and (dim,)
+    otherwise.  One np.array call builds the table; only when it fails
+    or gives another shape are the outputs walked in order, and the
+    first bad one is reported, after a non-finite value at an earlier
+    point.  what names the callable and where(i) point i in messages.
+    """
+    n = len(outs)
+    try:
+        g = np.array(outs, dtype=float)
+    except (ArithmeticError, TypeError, ValueError):
+        pass  # ragged or not numeric: the walk below finds the output
+    else:
+        if g.shape == (n, dim):
+            return g
+        if dim == 1 and g.shape == (n,):
+            return g.reshape(n, 1)
+    g = np.empty((n, dim))
+    accepted = ((), (1,)) if dim == 1 else ((dim,),)
+    for i, out in enumerate(outs):
+        try:
+            if np.shape(out) not in accepted:
+                _check_finite(g[:i], what, where)
+                shape = np.atleast_1d(np.asarray(out, dtype=float)).shape
+                raise SolverError(
+                    f"{what} at {where(i)} returned shape {shape}, expected ({dim},)"
+                )
+            g[i] = out
+        except (ArithmeticError, ValueError) as e:
+            _check_finite(g[:i], what, where)
+            raise _point_error(what, where(i), e) from e
+    return g
+
+
+def _looped(f, args: tuple, dim: int, what: str, where) -> np.ndarray:
+    """f called once per point i on row i of args, as an (n, dim) array.
+
+    The outputs are collected in a list and assembled at once
+    (_assemble).  When f raises, the outputs of the earlier points are
+    validated first; a ValueError or ArithmeticError then becomes the
+    error of point i, any other exception propagates.
+    """
+    outs: list = []
+    try:  # on a raise, outs holds the outputs of the earlier points
+        outs.extend(map(f, *(a.tolist() if a.ndim == 1 else a for a in args)))
+    except Exception as e:
+        failure = e
+    else:
+        failure = None
+    g = _assemble(outs, dim, what, where)  # an earlier bad point comes first
+    if failure is None:
+        return g
+    if not isinstance(failure, (ArithmeticError, ValueError)):
+        raise failure
+    _check_finite(g, what, where)
+    raise _point_error(what, where(len(outs)), failure) from failure
+
+
+def _batched(f, args: tuple, dim: int, what: str, where) -> np.ndarray:
+    """f called once on all n rows of args, as an (n, dim) array; an
+    (n,) output is accepted when dim = 1.  When f raises a ValueError or
+    ArithmeticError, the points are re-run one at a time, on the error
+    path only, to name the first that fails or is not finite."""
+    n = args[0].shape[0]
+    try:
+        g = np.asarray(f(*args), dtype=float)
+    except (ArithmeticError, ValueError) as e:
+        for i in range(n):
+            try:
+                one = np.asarray(f(*(a[i : i + 1] for a in args)), dtype=float)
+            except (ArithmeticError, ValueError) as point_error:
+                raise _point_error(what, where(i), point_error) from point_error
+            _check_finite(one.reshape(1, -1), what, lambda _: where(i))
+        raise SolverError(f"{what} evaluation failed on {where(0)} .. {where(n - 1)}: {e}") from e
+    if dim == 1 and g.shape == (n,):
+        g = g.reshape(n, 1)
+    if g.shape != (n, dim):
+        raise SolverError(
+            f"{what} on {where(0)} .. {where(n - 1)} returned shape {g.shape}, expected ({n}, {dim})"
+        )
+    return g
+
+
+def _sample(f, vectorized: bool, args: tuple, dim: int, what: str, where) -> np.ndarray:
+    """f on the n rows of args, as an (n, dim) array of finite values:
+    one call when vectorized, else one per point.  Errors are
+    SolverErrors that name the first offending point as where(i).
+
+    This is the one sampling rule of the package: the solvers sample
+    the right-hand side and the delay history with it, and
+    ImpulseSchedule the jump maps."""
+    g = (_batched if vectorized else _looped)(f, args, dim, what, where)
+    _check_finite(g, what, where)
+    return g
+
+
 @dataclass(frozen=True)
 class ImpulseSchedule:
     """Impulse times with their jump maps and declared bound certificates.
@@ -83,6 +198,15 @@ class ImpulseSchedule:
     and Lipschitz constants for all maps (they are certificates, not
     derived quantities).  jump_bound_star is the bound consumed by the
     a-priori existence route and falls back to jump_bound when unset.
+
+    vectorized has the meaning of RhsSpec.vectorized.  With False (the
+    default) each map is called with one (d,) state and returns a (d,)
+    array, or a scalar when d = 1.  With True, spot_check calls each
+    map once on an (n, d) batch of states, and the map returns an
+    (n, d) array, or (n,) when d = 1, row i from state i alone.  The
+    solvers still apply one (d,) state per impulse, so a vectorized map
+    must accept that too.  Jump maps built from a config file do both
+    and set it.
     """
 
     times: tuple[float, ...] = ()
@@ -90,6 +214,7 @@ class ImpulseSchedule:
     jump_bound: float | None = None
     jump_lip: float | None = None
     jump_bound_star: float | None = None
+    vectorized: bool = False
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
@@ -115,33 +240,51 @@ class ImpulseSchedule:
         return len(self.times)
 
     def apply(self, k: int, x: np.ndarray) -> np.ndarray:
-        """Increment I_k evaluated at state x."""
-        return _as_state(self.jumps[k](x), x.shape[0], f"jump {k} value")
+        """Increment I_k evaluated at the (d,) state x, in one call.
+
+        The map is sampled by the rule of the right-hand side (_sample):
+        a ValueError or ArithmeticError from it, a wrong shape or a
+        non-finite value raises SolverError naming impulse k and t_k.
+        """
+        where = lambda _: f"impulse {k} (t={self.times[k]!r})"
+        return _sample(self.jumps[k], False, (x[None, :],), x.shape[0], "jump", where)[0]
 
     def spot_check(self, radius: float, dim: int, samples: int = 100):
         """Sample each jump map at random states |x| <= radius and verify the
         declared jump_bound / jump_lip hold there.
 
         The states come from a generator with a fixed seed, so a check
-        passes or fails the same way on every run.  Raises ProblemError
-        naming the offending impulse.  This guards against gross
+        passes or fails the same way on every run.  A vectorized map is
+        called once on all the samples of its impulse, any other map
+        once per sample; both are sampled by the rule of the right-hand
+        side (_sample), so the verdict and the messages do not depend
+        on the flag.  Raises ProblemError naming the offending impulse,
+        and the sample when the map fails on it or returns a wrong shape
+        or a non-finite value.  This guards against gross
         misdeclaration only; it proves nothing globally.
         """
         if self.jump_bound is None and self.jump_lip is None:
             return
         rng = np.random.default_rng(20240801)
         radius = float(radius)
-        for k in range(len(self.times)):
+        for k, tk in enumerate(self.times):
             direc = rng.standard_normal((samples, dim))
             direc /= np.maximum(np.linalg.norm(direc, axis=1, keepdims=True), 1e-300)
             radii = radius * rng.random((samples, 1)) ** (1.0 / dim)
             xs = direc * radii
-            vals = np.stack([self.apply(k, x) for x in xs])
+            try:
+                vals = _sample(
+                    self.jumps[k], self.vectorized, (xs,), dim,
+                    f"impulse {k} at t={tk!r}: jump",
+                    lambda i: f"sample {i} (x={xs[i].tolist()!r})",
+                )
+            except SolverError as e:  # a misdeclared map is an input error here
+                raise ProblemError(str(e)) from e
             if self.jump_bound is not None:
                 worst = float(np.max(np.linalg.norm(vals, axis=1)))
                 if worst > self.jump_bound * (1.0 + 1e-9) + 1e-12:
                     raise ProblemError(
-                        f"impulse {k} at t={self.times[k]!r}: |I_k| reached "
+                        f"impulse {k} at t={tk!r}: |I_k| reached "
                         f"{worst:.6g} > declared jump_bound {self.jump_bound:.6g}"
                     )
             if self.jump_lip is not None:
@@ -153,7 +296,7 @@ class ImpulseSchedule:
                 if np.any(bad):
                     i = int(np.argmax(bad))
                     raise ProblemError(
-                        f"impulse {k} at t={self.times[k]!r}: jump map moved "
+                        f"impulse {k} at t={tk!r}: jump map moved "
                         f"{gaps[i]:.6g} over distance {dists[i]:.6g}, exceeding "
                         f"declared jump_lip {self.jump_lip:.6g}"
                     )

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fracquad import build_weights, frac_integral
-from .problem import Mesh, ProblemError, ProblemSpec, Trajectory
+from .problem import Mesh, ProblemError, ProblemSpec, SolverError, Trajectory, _sample
 
 __all__ = [
     "SolverError",
@@ -56,10 +56,6 @@ __all__ = [
 # CORRECTOR_TOL relative to the node value, or after MAX_CORRECTIONS steps.
 CORRECTOR_TOL = 1e-13
 MAX_CORRECTIONS = 60
-
-
-class SolverError(RuntimeError):
-    """Right-hand side evaluation failed or solver misuse."""
 
 
 @dataclass(frozen=True)
@@ -91,112 +87,6 @@ def _sliding_max(a: np.ndarray, width: int) -> np.ndarray:
     prefix = np.maximum.accumulate(cut, axis=1).ravel()
     suffix = np.maximum.accumulate(cut[:, ::-1], axis=1)[:, ::-1].ravel()
     return np.maximum(suffix[:n], prefix[width - 1 : width - 1 + n])
-
-
-def _check_finite(g: np.ndarray, what: str, where) -> None:
-    """Raise for the first row of g that holds a non-finite value."""
-    finite = np.isfinite(g)
-    if np.count_nonzero(finite) < g.size:  # cheaper than .all() on a one-node run
-        i = int(np.argmin(finite.all(axis=1)))
-        raise SolverError(f"{what} at {where(i)} returned a non-finite value")
-
-
-def _point_error(what: str, at: str, error: Exception) -> SolverError:
-    return SolverError(f"{what} evaluation failed at {at}: {error}")
-
-
-def _assemble(outs: list, dim: int, what: str, where) -> np.ndarray:
-    """The outputs of a per-point callable as one (len(outs), dim) array.
-
-    Each output must have shape () or (1,) when dim = 1 and (dim,)
-    otherwise.  One np.array call builds the table; only when it fails
-    or gives another shape are the outputs walked in order, and the
-    first bad one is reported, after a non-finite value at an earlier
-    point.  what names the callable and where(i) point i in messages.
-    """
-    n = len(outs)
-    try:
-        g = np.array(outs, dtype=float)
-    except (ArithmeticError, TypeError, ValueError):
-        pass  # ragged or not numeric: the walk below finds the output
-    else:
-        if g.shape == (n, dim):
-            return g
-        if dim == 1 and g.shape == (n,):
-            return g.reshape(n, 1)
-    g = np.empty((n, dim))
-    accepted = ((), (1,)) if dim == 1 else ((dim,),)
-    for i, out in enumerate(outs):
-        try:
-            if np.shape(out) not in accepted:
-                _check_finite(g[:i], what, where)
-                shape = np.atleast_1d(np.asarray(out, dtype=float)).shape
-                raise SolverError(
-                    f"{what} at {where(i)} returned shape {shape}, expected ({dim},)"
-                )
-            g[i] = out
-        except (ArithmeticError, ValueError) as e:
-            _check_finite(g[:i], what, where)
-            raise _point_error(what, where(i), e) from e
-    return g
-
-
-def _looped(f, args: tuple, dim: int, what: str, where) -> np.ndarray:
-    """f called once per point i on row i of args, as an (n, dim) array.
-
-    The outputs are collected in a list and assembled at once
-    (_assemble).  When f raises, the outputs of the earlier points are
-    validated first; a ValueError or ArithmeticError then becomes the
-    error of point i, any other exception propagates.
-    """
-    outs: list = []
-    try:  # on a raise, outs holds the outputs of the earlier points
-        outs.extend(map(f, *(a.tolist() if a.ndim == 1 else a for a in args)))
-    except Exception as e:
-        failure = e
-    else:
-        failure = None
-    g = _assemble(outs, dim, what, where)  # an earlier bad point comes first
-    if failure is None:
-        return g
-    if not isinstance(failure, (ArithmeticError, ValueError)):
-        raise failure
-    _check_finite(g, what, where)
-    raise _point_error(what, where(len(outs)), failure) from failure
-
-
-def _batched(f, args: tuple, dim: int, what: str, where) -> np.ndarray:
-    """f called once on all n rows of args, as an (n, dim) array; an
-    (n,) output is accepted when dim = 1.  When f raises a ValueError or
-    ArithmeticError, the points are re-run one at a time, on the error
-    path only, to name the first that fails or is not finite."""
-    n = args[0].shape[0]
-    try:
-        g = np.asarray(f(*args), dtype=float)
-    except (ArithmeticError, ValueError) as e:
-        for i in range(n):
-            try:
-                one = np.asarray(f(*(a[i : i + 1] for a in args)), dtype=float)
-            except (ArithmeticError, ValueError) as point_error:
-                raise _point_error(what, where(i), point_error) from point_error
-            _check_finite(one.reshape(1, -1), what, lambda _: where(i))
-        raise SolverError(f"{what} evaluation failed on {where(0)} .. {where(n - 1)}: {e}") from e
-    if dim == 1 and g.shape == (n,):
-        g = g.reshape(n, 1)
-    if g.shape != (n, dim):
-        raise SolverError(
-            f"{what} on {where(0)} .. {where(n - 1)} returned shape {g.shape}, expected ({n}, {dim})"
-        )
-    return g
-
-
-def _sample(f, vectorized: bool, args: tuple, dim: int, what: str, where) -> np.ndarray:
-    """f on the n rows of args, as an (n, dim) array of finite values:
-    one call when vectorized, else one per point.  Errors name the
-    first offending point as where(i)."""
-    g = (_batched if vectorized else _looped)(f, args, dim, what, where)
-    _check_finite(g, what, where)
-    return g
 
 
 def _history_values(delay, times: np.ndarray, dim: int) -> np.ndarray:
@@ -282,11 +172,12 @@ class _DelayData:
 class _Sampler:
     """f at a run of consecutive nodes, as an (n, d) array.
 
-    Sampling goes through _sample, the rule the history grid shares.  A
-    vectorized RHS is called once per run.  A per-node callable is
-    called once per node; its outputs are collected in a list and
-    turned into the (n, d) array by one np.array call (_assemble), so a
-    node costs the call plus a fraction of a microsecond.  Shape and
+    Sampling goes through _sample, the rule the history grid and the
+    jump maps share.  A vectorized RHS is called once per run.  A
+    per-node callable is called once per node; its outputs are
+    collected in a list and turned into the (n, d) array by one
+    np.array call (_assemble), so a node costs the call plus a
+    fraction of a microsecond.  Shape and
     finiteness are checked once per run.  Errors name the first
     offending node: for a per-node callable by walking the outputs
     already made, which calls f no second time; for a vectorized RHS by

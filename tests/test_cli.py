@@ -86,6 +86,34 @@ class TestExitCodes:
             "division by zero in subexpression '1.0/(t + 0.25)'\n"
         )
 
+    @pytest.mark.parametrize("method", ["picard", "marching"])
+    def test_jump_domain_error_exits_2_naming_the_impulse(self, tmp_path, capsys, method):
+        # the history -1 makes x(0.5-) negative, where x^0.5 is undefined
+        data = coarse("delay-plain")
+        data["problem"]["delay"]["history"] = "-1"
+        data["problem"]["impulses"][0]["jump"] = "x^0.5"
+        cfg = write_config(tmp_path, data)
+        code = main(["solve", "--config", str(cfg), "--out", "traj.csv", "--method", method])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "solver error: jump evaluation failed at impulse 0 (t=0.5): negative "
+            "base with non-integer exponent in subexpression 'x^0.5'\n"
+        )
+
+    def test_jump_domain_error_in_the_spot_check_exits_1(self, tmp_path, capsys):
+        # the spot check samples negative states, where x^0.5 is undefined
+        data = coarse("delay-exp")
+        data["problem"]["impulses"][0]["jump"] = "x^0.5"
+        code = main(["check", "--config", str(write_config(tmp_path, data))])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "problem error: impulse 0 at t=0.5: jump evaluation failed at sample 2 "
+            "(x=[-0.8543598446917474]): negative base with non-integer exponent "
+            "in subexpression 'x^0.5'\n"
+        )
+
     def test_marching_corrector_failure_exits_2(self, tmp_path, capsys):
         # w_jj * 32 is about 3 at h = 2^-6: the trapezoid corrector stalls
         data = {
@@ -457,9 +485,10 @@ class TestOrderStudy:
         expected = (
             "order study: method=picard scheme=trapezoid\n"
             "reference: fine-grid reference (target_h = 0.001953125)\n"
-            "h = 0.0625   error at T = 0.0017570201889606785\n"
-            "h = 0.03125   error at T = 0.0008289277497031677\n"
-            "h = 0.015625   error at T = 0.00037231273013732524\n"
+            "h = 0.0625   mesh step = 0.06   error at T = 0.0017570201889606785\n"
+            "h = 0.03125   mesh step = 0.03076923076923077   error at T = 0.0008289277497031677\n"
+            "h = 0.015625   mesh step = 0.015384615384615385   "
+            "error at T = 0.00037231273013732524\n"
             "estimated order = 1.1401858608004778\n"
         )
         cfg_path = write_config(tmp_path, builtin_example("logistic"))

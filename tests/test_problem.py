@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import fracimpulse
+from fracimpulse import solver
 from fracimpulse.problem import (
     DelaySpec,
     ImpulseSchedule,
@@ -11,6 +15,7 @@ from fracimpulse.problem import (
     ProblemError,
     ProblemSpec,
     RhsSpec,
+    SolverError,
     Trajectory,
     build_mesh,
     history_sup_norm,
@@ -41,6 +46,62 @@ def _delay_spec(r=0.5, T=1.0, times=(0.5,), history=None):
         impulses=ImpulseSchedule(times=times, jumps=jumps),
         delay=DelaySpec(r=r, history=history),
     )
+
+
+PINNED_VIOLATIONS = [
+    (
+        lambda x: 3.0 * x,
+        {"jump_bound": 0.5},
+        "impulse 1 at t=0.5: |I_k| reached 5.9802 > declared jump_bound 0.5",
+    ),
+    (
+        lambda x: np.sin(3.0 * x),
+        {"jump_lip": 0.5},
+        "impulse 1 at t=0.5: jump map moved 1.13301 over distance 2.11392, "
+        "exceeding declared jump_lip 0.5",
+    ),
+]
+
+SPOT_PROPERTY = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def jump_maps(draw):
+    """A state dimension, one to three linear, sin or constant jump maps
+    that take one (d,) state or an (n, d) batch, and honest constants
+    for the whole schedule: a bound on the ball of radius r as
+    bound_per_radius * r + bound, and a Lipschitz constant."""
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    jumps, slopes, bounds, lips = [], [], [], []
+    for kind in draw(st.lists(st.sampled_from(["linear", "sin", "constant"]), min_size=1, max_size=3)):
+        if kind == "linear":
+            a = rng.uniform(-2.0, 2.0, (dim, dim))
+            # column by column, so one state and a batch round alike
+            jumps.append(lambda x, a=a: sum(x[..., j : j + 1] * a[:, j] for j in range(dim)))
+            slopes.append(float(np.linalg.norm(a)))
+            lips.append(float(np.linalg.norm(a)))
+        elif kind == "sin":
+            w, c = rng.uniform(-3.0, 3.0, dim), rng.uniform(-1.0, 1.0, dim)
+            jumps.append(lambda x, w=w, c=c: np.sin(x * w + c))
+            bounds.append(float(np.sqrt(dim)))
+            lips.append(float(np.max(np.abs(w))))
+        else:
+            c = rng.uniform(-1.0, 1.0, dim)
+            jumps.append(lambda x, c=c: np.broadcast_to(c, np.shape(x)).copy())
+            bounds.append(float(np.linalg.norm(c)))
+            lips.append(0.0)
+    honest = {"bound_per_radius": max(slopes, default=0.0), "bound": max(bounds, default=0.0)}
+    return dim, tuple(jumps), {**honest, "jump_lip": max(lips, default=0.0)}
+
+
+def declarations():
+    """Factors on the honest constants: None leaves a constant
+    undeclared, >= 1 is honest, < 1 may be violated."""
+    factor = st.one_of(st.none(), st.sampled_from([0.0, 0.05, 0.3, 0.9, 1.0, 2.0]))
+    return st.fixed_dictionaries({"jump_bound": factor, "jump_lip": factor})
 
 
 class TestValidation:
@@ -154,22 +215,27 @@ class TestSpotCheck:
         sched.spot_check(radius=2.0, dim=2, samples=37)
         assert calls == [37, 37]
 
-    @pytest.mark.parametrize(
-        "second, declared, message",
-        [
-            (
-                lambda x: 3.0 * x,
-                {"jump_bound": 0.5},
-                "impulse 1 at t=0.5: |I_k| reached 5.9802 > declared jump_bound 0.5",
-            ),
-            (
-                lambda x: np.sin(3.0 * x),
-                {"jump_lip": 0.5},
-                "impulse 1 at t=0.5: jump map moved 1.13301 over distance 2.11392, "
-                "exceeding declared jump_lip 0.5",
-            ),
-        ],
-    )
+    def test_vectorized_map_called_once_per_impulse(self):
+        calls = [[], []]
+
+        def counted(k, scale):
+            def jump(x):
+                calls[k].append(np.shape(x))
+                return scale * x
+
+            return jump
+
+        sched = ImpulseSchedule(
+            times=(0.25, 0.5),
+            jumps=(counted(0, 0.1), counted(1, 0.2)),
+            jump_bound=0.5,
+            jump_lip=0.2,
+            vectorized=True,
+        )
+        sched.spot_check(radius=2.0, dim=2, samples=37)
+        assert calls == [[(37, 2)], [(37, 2)]]
+
+    @pytest.mark.parametrize("second, declared, message", PINNED_VIOLATIONS)
     def test_violation_messages_are_pinned(self, second, declared, message):
         sched = ImpulseSchedule(
             times=(0.25, 0.5), jumps=(lambda x: 0.1 * x, second), **declared
@@ -177,6 +243,91 @@ class TestSpotCheck:
         with pytest.raises(ProblemError) as err:
             sched.spot_check(radius=2.0, dim=2, samples=40)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("second, declared, message", PINNED_VIOLATIONS)
+    def test_violation_messages_are_pinned_vectorized(self, second, declared, message):
+        sched = ImpulseSchedule(
+            times=(0.25, 0.5),
+            jumps=(lambda x: 0.1 * x, second),
+            vectorized=True,
+            **declared,
+        )
+        with pytest.raises(ProblemError) as err:
+            sched.spot_check(radius=2.0, dim=2, samples=40)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_failing_map_names_the_sample(self, vectorized):
+        def jump(x):
+            if np.any(np.asarray(x)[..., 0] < 0.0):
+                raise ValueError("negative state")
+            return 0.1 * x
+
+        sched = ImpulseSchedule(
+            times=(0.5,), jumps=(jump,), jump_bound=1.0, vectorized=vectorized
+        )
+        with pytest.raises(ProblemError) as err:
+            sched.spot_check(radius=2.0, dim=1, samples=10)
+        assert isinstance(err.value.__cause__, SolverError)
+        assert str(err.value) == (
+            "impulse 0 at t=0.5: jump evaluation failed at sample 2 "
+            "(x=[-0.11719674362757981]): negative state"
+        )
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_non_finite_value_names_the_sample(self, vectorized):
+        def jump(x):
+            x = np.asarray(x)
+            return np.where(x < 0.0, np.inf, 0.1 * x)
+
+        sched = ImpulseSchedule(
+            times=(0.5,), jumps=(jump,), jump_lip=1.0, vectorized=vectorized
+        )
+        with pytest.raises(ProblemError) as err:
+            sched.spot_check(radius=2.0, dim=1, samples=10)
+        assert str(err.value) == (
+            "impulse 0 at t=0.5: jump at sample 2 (x=[-0.11719674362757981]) "
+            "returned a non-finite value"
+        )
+
+    def test_wrong_shape_is_a_problem_error(self):
+        sched = ImpulseSchedule(
+            times=(0.5,), jumps=(lambda x: np.zeros(3),), jump_bound=1.0
+        )
+        with pytest.raises(ProblemError, match=r"jump at sample 0 \(x=.*\) returned shape \(3,\), expected \(2,\)"):
+            sched.spot_check(radius=2.0, dim=2, samples=10)
+
+    @SPOT_PROPERTY
+    @given(maps=jump_maps(), declared=declarations(), radius=st.floats(0.1, 5.0))
+    def test_vectorized_and_per_point_agree(self, maps, declared, radius):
+        # maps work elementwise, so one state or a batch gives the same bits
+        dim, jumps, honest = maps
+        honest["jump_bound"] = honest.pop("bound_per_radius") * radius + honest.pop("bound")
+        outcome = []
+        for vectorized in (False, True):
+            kwargs = {
+                name: None if factor is None else factor * honest[name]
+                for name, factor in declared.items()
+            }
+            sched = ImpulseSchedule(
+                times=tuple(0.1 * (k + 1) for k in range(len(jumps))),
+                jumps=jumps,
+                vectorized=vectorized,
+                **kwargs,
+            )
+            try:
+                sched.spot_check(radius=radius, dim=dim, samples=50)
+            except ProblemError as e:
+                outcome.append(str(e))
+            else:
+                outcome.append(None)
+            if all(f is not None and f >= 1.0 for f in declared.values()):
+                assert outcome[-1] is None  # honest declarations always pass
+        assert outcome[0] == outcome[1]
+
+
+def test_solver_error_is_one_class():
+    assert fracimpulse.SolverError is solver.SolverError is SolverError
 
 
 class TestBuildMesh:

@@ -1,17 +1,22 @@
 """Batched RHS sampling: lags and window sups, the sampler's contract,
 and the agreement of Picard (whole-sweep batches) with marching (one
-node at a time) on random linear, logistic and delay problems."""
+node at a time) on random linear, logistic and delay problems; the
+same sampling rule on delay histories and jump maps."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fracimpulse import exprlang
-from fracimpulse.config import parse_config
+from fracimpulse import certify, exprlang
+from fracimpulse.config import builtin_example, parse_config
 from fracimpulse.problem import (
     DelaySpec,
+    ImpulseSchedule,
     Mesh,
+    ProblemError,
     ProblemSpec,
     RhsSpec,
     Trajectory,
@@ -523,3 +528,108 @@ class TestConfigClosures:
         for i in range(7):
             np.testing.assert_allclose(f(t[i], x[i], xr[i], sup[i]), batch[i], rtol=1e-14)
             np.testing.assert_allclose(f(t[i : i + 1], x[i : i + 1], xr[i : i + 1], sup[i : i + 1])[0], batch[i], rtol=1e-14)
+
+
+def _jump_config(name: str, jump: str, history: str | None = None):
+    data = builtin_example(name)
+    data["problem"]["impulses"][0]["jump"] = jump
+    if history is not None:
+        data["problem"]["delay"]["history"] = history
+    return parse_config(data)
+
+
+class TestJumpMaps:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            builtin_example("logistic"),
+            builtin_example("delay-exp"),
+            builtin_example("delay-plain"),
+            {
+                "problem": {
+                    "alpha": 0.5,
+                    "T": 1.0,
+                    "x0": [0.5, -0.5],
+                    "rhs": {"kind": "plain", "f": ["-x1", "-x2"]},
+                    "impulses": [
+                        {"time": 0.25, "jump": ["x1*x2", "sin(x2)"]},
+                        {"time": 0.5, "jump": ["0.1", "x1"]},
+                    ],
+                }
+            },
+        ],
+        ids=["logistic", "delay-exp", "delay-plain", "two-dimensional"],
+    )
+    def test_config_batch_is_the_tree_walk_bitwise(self, data):
+        # spot check every map with a declared bound, recording its draws
+        problem = parse_config(data).problem
+        schedule = problem.impulses
+        assert schedule.vectorized
+        draws = []
+
+        def recorded(jump):
+            def call(x):
+                draws.append((jump, x.copy()))
+                return jump(x)
+
+            return call
+
+        spy = dataclasses.replace(
+            schedule, jumps=tuple(map(recorded, schedule.jumps)), jump_bound=1e6
+        )
+        dim = problem.dim
+        spy.spot_check(radius=2.0, dim=dim)
+        assert [x.shape for _, x in draws] == [(100, dim)] * len(schedule)
+        for jump, xs in draws:
+            batch = jump(xs)
+            walk = np.array([jump(x) for x in xs])
+            assert batch.shape == walk.shape == (100, dim)
+            assert batch.tobytes() == walk.tobytes()
+
+    def test_failing_map_in_the_spot_check_is_a_problem_error(self):
+        cfg = _jump_config("delay-exp", "x^0.5")
+        with pytest.raises(ProblemError) as err:
+            certify(cfg.problem, p=cfg.certificate_p)
+        assert str(err.value) == (
+            "impulse 0 at t=0.5: jump evaluation failed at sample 2 "
+            "(x=[-0.8543598446917474]): negative base with non-integer "
+            "exponent in subexpression 'x^0.5'"
+        )
+
+    @pytest.mark.parametrize("solve", [solve_picard, solve_marching])
+    def test_failing_map_in_a_solve_names_the_impulse(self, solve):
+        cfg = _jump_config("delay-plain", "x^0.5", history="-1")
+        with pytest.raises(SolverError) as err:
+            solve(cfg.problem, build_mesh(cfg.problem, cfg.target_h))
+        assert str(err.value) == (
+            "jump evaluation failed at impulse 0 (t=0.5): negative base with "
+            "non-integer exponent in subexpression 'x^0.5'"
+        )
+
+    @pytest.mark.parametrize(
+        "jump, message",
+        [
+            (lambda x: np.array([np.nan]), r"^jump at impulse 0 \(t=0\.5\) returned a non-finite value$"),
+            (lambda x: np.zeros(2), r"^jump at impulse 0 \(t=0\.5\) returned shape \(2,\), expected \(1,\)$"),
+        ],
+    )
+    def test_bad_jump_value_names_the_impulse(self, jump, message):
+        spec = ProblemSpec(
+            alpha=0.5,
+            T=1.0,
+            rhs=RhsSpec(kind="plain", f=lambda t, x: -x),
+            x0=1.0,
+            impulses=ImpulseSchedule(times=(0.5,), jumps=(jump,)),
+        )
+        with pytest.raises(SolverError, match=message):
+            solve_picard(spec, build_mesh(spec, 0.125))
+
+    def test_other_exceptions_propagate(self):
+        def jump(x):
+            raise KeyError("not a value error")
+
+        schedule = ImpulseSchedule(times=(0.5,), jumps=(jump,), jump_bound=1.0, vectorized=True)
+        with pytest.raises(KeyError):
+            schedule.spot_check(radius=1.0, dim=1)
+        with pytest.raises(KeyError):
+            schedule.apply(0, np.zeros(1))
