@@ -21,7 +21,11 @@ Schaefer-route a-priori bound for delay problems with linear-growth
 envelopes, the equicontinuity modulus of the compact split part, and
 the classical-Gronwall growth bound for the impulsive logistic
 example.  certify() assembles everything for a ProblemSpec, optionally
-minimizing the stated gamma over a 64-point grid of exponents.
+minimizing the stated gamma over a 64-point grid of exponents
+(choose_p).  The search evaluates the whole grid in one numpy pass and
+re-evaluates the scalar gamma only at the few points the pass cannot
+tell apart from its minimum, so it picks bitwise the exponent of a
+scalar loop over the grid.
 """
 
 from __future__ import annotations
@@ -33,7 +37,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .problem import ProblemSpec
-from .special import Envelope, gamma, holder_constant, lp_seminorm
+from .special import (
+    Envelope,
+    SeminormError,
+    closed_form_seminorms,
+    gamma,
+    holder_constant,
+    lp_seminorm,
+)
 
 __all__ = [
     "ContractionPair",
@@ -215,25 +226,35 @@ class Certificate:
     p_auto: bool
 
 
-def _gamma_pair_for(spec: ProblemSpec, p: float) -> ContractionPair | None:
+# the Lipschitz envelopes whose seminorms add up in gamma, per rhs kind
+_LIP_ROLES = {
+    "plain": ("lip",),
+    "split": ("f1_lip",),
+    "delay": ("lip",),
+    "general_delay": ("state_lip", "history_lip"),
+}
+
+
+def _contraction_inputs(spec: ProblemSpec) -> tuple[int, float, tuple[Envelope, ...]] | None:
+    """(m, jump Lipschitz constant, Lipschitz envelopes) of gamma, or
+    None when spec does not declare all of them."""
     envs = spec.rhs.envelopes
     m = len(spec.impulses)
     l2 = spec.impulses.jump_lip
-    if m > 0 and l2 is None:
+    roles = _LIP_ROLES[spec.rhs.kind]
+    if (m > 0 and l2 is None) or any(role not in envs for role in roles):
         return None
-    l2 = 0.0 if l2 is None else l2
-    kind = spec.rhs.kind
-    if kind == "plain" and "lip" in envs:
-        return contraction_split(m, l2, envs["lip"], spec.alpha, p, spec.T)
-    if kind == "split" and "f1_lip" in envs:
-        return contraction_split(m, l2, envs["f1_lip"], spec.alpha, p, spec.T)
-    if kind == "delay" and "lip" in envs:
-        return contraction_delay(m, l2, envs["lip"], spec.alpha, p, spec.T)
-    if kind == "general_delay" and "state_lip" in envs and "history_lip" in envs:
-        return contraction_general(
-            m, l2, envs["state_lip"], envs["history_lip"], spec.alpha, p, spec.T
-        )
-    return None
+    return m, 0.0 if l2 is None else l2, tuple(envs[role] for role in roles)
+
+
+def _gamma_pair_for(spec: ProblemSpec, p: float) -> ContractionPair | None:
+    inputs = _contraction_inputs(spec)
+    if inputs is None:
+        return None
+    m, l2, lips = inputs
+    if len(lips) == 2:
+        return contraction_general(m, l2, *lips, spec.alpha, p, spec.T)
+    return contraction_split(m, l2, lips[0], spec.alpha, p, spec.T)
 
 
 def _schaefer_q_for(spec: ProblemSpec, p: float) -> float | None:
@@ -244,26 +265,95 @@ def _schaefer_q_for(spec: ProblemSpec, p: float) -> float | None:
     ) / gamma(spec.alpha)
 
 
+# The array pass of choose_p repeats the scalar operations, and only
+# numpy's pow, expm1, exp and log may round differently from the C
+# library's: by at most 1 ulp as measured (numpy 2.4, AVX-512), taken as
+# 4 ulp here.  At most four such calls compound in one value (the Hölder
+# constant, T^(alpha-p) and two inside a seminorm; the two seminorms of
+# the general kind add, which keeps the larger relative error), and each
+# adds its relative error, except that the log of the x <= -700 exp_decay
+# branch enters through exp(p * log(.)) with |p * log(.)| at most 745.
+# While every factor is a normal double far from both ends of the range
+# (_NORMAL), an array value is thus within 1e-12 relative of its scalar
+# twin.  A grid point whose scalar value ties or beats the scalar value at
+# the array minimum then has an array value within (1 + 1e-12)/(1 - 1e-12),
+# about 1 + 2e-12, of the array minimum; the band is 50 times that margin,
+# so the scalar loop over the band finds the minimum of the whole grid.
+_CONFIRM_BAND = 1e-10
+_NORMAL = (1e-290, 1e290)
+_GRID_INDEX = np.arange(1.0, P_GRID_POINTS + 1)
+
+
+def _is_normal(a: np.ndarray) -> bool:
+    """Whether every element of a lies in _NORMAL (a nan does not)."""
+    return bool(_NORMAL[0] <= a.min() and a.max() <= _NORMAL[1])
+
+
+def _grid_seminorm(env: Envelope, grid: np.ndarray, ps: list[float], T: float) -> np.ndarray:
+    """lp_seminorm of env at each grid exponent: in one array pass for a
+    closed form, else by one quadrature per exponent."""
+    if env.form != "samples":
+        return closed_form_seminorms(env, grid, T)
+    return np.array([lp_seminorm(env, p, T) for p in ps])
+
+
 def choose_p(spec: ProblemSpec) -> tuple[float, bool]:
     """Deterministic 64-point grid search over (0, alpha).
 
     Minimizes gamma_stated when a Lipschitz envelope is declared, else
-    the Schaefer growth factor q, else falls back to alpha/2.
+    the Schaefer growth factor q, else falls back to alpha/2; ties keep
+    the smallest exponent.  One array pass evaluates the objective at
+    every grid point, and the scalar gamma_stated or q is re-evaluated
+    only at the points within _CONFIRM_BAND of the array minimum, so the
+    chosen p is bitwise the one a scalar loop over the whole grid picks.
+    When the array pass fails or leaves the range where its error bound
+    holds (an overflow, a zero objective), the scalar loop runs over the
+    whole grid and raises what it raises, at the first exponent that
+    fails.
     """
-    alpha = spec.alpha
-    grid = [alpha * i / (P_GRID_POINTS + 1) for i in range(1, P_GRID_POINTS + 1)]
-    has_lip = _gamma_pair_for(spec, grid[0]) is not None
+    alpha, T = spec.alpha, spec.T
+    grid = alpha * _GRID_INDEX / (P_GRID_POINTS + 1)
+    ps = grid.tolist()
+    inputs = _contraction_inputs(spec)
+    if inputs is not None:
+        m, l2, envs = inputs
+        jumps, denom = m * l2, gamma(alpha + 1.0)
+
+        def scalar(p: float) -> float:
+            return _gamma_pair_for(spec, p).stated
+
+    elif spec.rhs.kind == "delay" and "growth" in spec.rhs.envelopes:
+        envs, jumps, denom = (spec.rhs.envelopes["growth"],), 0.0, gamma(alpha)
+
+        def scalar(p: float) -> float:
+            return _schaefer_q_for(spec, p)
+
+    else:
+        return alpha / 2.0, True
+
+    candidates = range(P_GRID_POINTS)
+    try:
+        norms = [_grid_seminorm(env, grid, ps, T) for env in envs]
+    except (ArithmeticError, ValueError):  # the scalar loop raises it again, in its order
+        norms = None
+    if norms is not None:
+        norm = norms[0] if len(norms) == 1 else norms[0] + norms[1]
+        with np.errstate(all="ignore"):
+            holder = ((1.0 - grid) / (alpha - grid)) ** (1.0 - grid)
+            vals = jumps + holder * norm * T ** (alpha - grid) / denom
+        # holder > 1, and T^(alpha - p) lies between T and 1
+        if (
+            _NORMAL[0] <= T <= _NORMAL[1]
+            and _is_normal(vals)
+            and all(_is_normal(n) or not n.any() for n in norms)
+        ):
+            candidates = np.flatnonzero(vals <= vals.min() * (1.0 + _CONFIRM_BAND)).tolist()
+
     best_p, best_val = None, math.inf
-    for p in grid:
-        if has_lip:
-            val = _gamma_pair_for(spec, p).stated
-        else:
-            q = _schaefer_q_for(spec, p)
-            if q is None:
-                return alpha / 2.0, True
-            val = q
+    for i in candidates:
+        val = scalar(ps[i])
         if val < best_val:
-            best_p, best_val = p, val
+            best_p, best_val = ps[i], val
     return best_p, True
 
 
@@ -273,7 +363,18 @@ def certify(spec: ProblemSpec, p: float | str = "auto") -> Certificate:
     Quantities whose envelopes or impulse constants are missing come
     back None with verdict not_applicable rather than raising; declared
     jump bounds are spot-checked on the working ball when radii exist.
+    An envelope whose seminorm has no finite value (at an exponent the
+    search or the constants need) raises CertificateError naming its
+    role and the exponent.
     """
+    try:
+        return _certificate(spec, p)
+    except SeminormError as err:
+        role = next(r for r, env in spec.rhs.envelopes.items() if env is err.envelope)
+        raise CertificateError(f"envelope {role!r}: {err}") from err
+
+
+def _certificate(spec: ProblemSpec, p: float | str) -> Certificate:
     if p == "auto":
         p_val, p_auto = choose_p(spec)
     else:

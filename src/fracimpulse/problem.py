@@ -189,6 +189,14 @@ def _sample(f, vectorized: bool, args: tuple, dim: int, what: str, where) -> np.
     return g
 
 
+def _history_values(delay: "DelaySpec", times: np.ndarray, dim: int) -> np.ndarray:
+    """history(s) for each s in times, as one (len(times), dim) array."""
+    return _sample(
+        delay.history, delay.vectorized, (times,), dim, "history",
+        lambda i: f"t={float(times[i])!r}",
+    )
+
+
 @dataclass(frozen=True)
 class ImpulseSchedule:
     """Impulse times with their jump maps and declared bound certificates.
@@ -374,9 +382,10 @@ class DelaySpec:
     vectorized has the meaning of RhsSpec.vectorized: with True the
     solvers sample the history grid in one call, with an (n,) array of
     times, and history returns an (n, d) array, or (n,) when d = 1,
-    row i from time i alone.  Problem validation and history_sup_norm
-    still call history with one float s, so it must accept that too.
-    Histories built from a config file do both and set it.
+    row i from time i alone; history_sup_norm samples its window the
+    same way.  Problem validation still calls history with one float s,
+    so it must accept that too.  Histories built from a config file do
+    both and set it.
     """
 
     r: float
@@ -662,7 +671,9 @@ class Trajectory:
 def history_sup_norm(traj: Trajectory, delay: DelaySpec, t: float) -> float:
     """Sup of |x(s)| (euclidean) for s in [t - r, t] on the discrete grid.
 
-    Reads phi for s < 0 and the trajectory for s >= 0.  Sample points
+    Reads phi for s < 0 and the trajectory for s >= 0.  phi is sampled
+    by the solvers' rule, so a history that fails or returns a
+    non-finite value raises SolverError naming the time.  Sample points
     are the mesh nodes inside the window, the delay-aligned grid points
     in the negative part, any declared history sample times in the
     window, and both window endpoints.  Impulse nodes strictly inside
@@ -708,7 +719,6 @@ def history_sup_norm(traj: Trajectory, delay: DelaySpec, t: float) -> float:
         for s in delay.sample_times:
             if lo - 1e-12 <= s < 0.0:
                 ss.append(s)
-        for s in ss:
-            v = np.atleast_1d(np.asarray(delay.history(min(s, 0.0)), dtype=float))
-            sup = max(sup, float(np.linalg.norm(v)))
+        vals = _history_values(delay, np.array(ss), traj.dim)
+        sup = max(sup, float(np.max(np.linalg.norm(vals, axis=1))))
     return sup

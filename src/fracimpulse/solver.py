@@ -41,7 +41,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fracquad import build_weights, frac_integral
-from .problem import Mesh, ProblemError, ProblemSpec, SolverError, Trajectory, _sample
+from .problem import (
+    Mesh,
+    ProblemError,
+    ProblemSpec,
+    SolverError,
+    Trajectory,
+    _history_values,
+    _sample,
+)
 
 __all__ = [
     "SolverError",
@@ -87,14 +95,6 @@ def _sliding_max(a: np.ndarray, width: int) -> np.ndarray:
     prefix = np.maximum.accumulate(cut, axis=1).ravel()
     suffix = np.maximum.accumulate(cut[:, ::-1], axis=1)[:, ::-1].ravel()
     return np.maximum(suffix[:n], prefix[width - 1 : width - 1 + n])
-
-
-def _history_values(delay, times: np.ndarray, dim: int) -> np.ndarray:
-    """history(s) for each s in times, as one (len(times), dim) array."""
-    return _sample(
-        delay.history, delay.vectorized, (times,), dim, "history",
-        lambda i: f"t={float(times[i])!r}",
-    )
 
 
 class _DelayData:

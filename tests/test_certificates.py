@@ -1,13 +1,20 @@
 """Certificate quantities against closed forms and the normalization identity."""
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from fracimpulse import certificates
 from fracimpulse.certificates import (
+    P_GRID_POINTS,
     CertificateError,
+    _gamma_pair_for,
+    _schaefer_q_for,
     a_priori_radii,
     certify,
     choose_p,
@@ -18,8 +25,14 @@ from fracimpulse.certificates import (
     logistic_growth_bound,
     schaefer_bound,
 )
-from fracimpulse.problem import DelaySpec, ImpulseSchedule, ProblemSpec, RhsSpec
-from fracimpulse.special import Envelope
+from fracimpulse.problem import (
+    ENVELOPE_ROLES,
+    DelaySpec,
+    ImpulseSchedule,
+    ProblemSpec,
+    RhsSpec,
+)
+from fracimpulse.special import Envelope, SeminormError, closed_form_seminorms, lp_seminorm
 
 ALPHA, P, T = 0.5, 0.25, 1.0
 C_HOLDER = 3.0**0.75  # ((1-p)/(alpha-p))^(1-p) at (0.5, 0.25)
@@ -299,3 +312,227 @@ def test_strong_envelope_certifies_without_overflow():
     holder = ((1.0 - cert.p) / (0.5 - cert.p)) ** (1.0 - cert.p)
     assert cert.gamma_stated == pytest.approx(holder * lam / math.gamma(1.5), rel=1e-9)
     assert cert.verdict == "contraction_fails"
+
+
+def test_seminorm_overflow_is_a_certificate_error_naming_role_and_p():
+    # 1.7e308 * T^p first exceeds a double at the grid point p = 11 * 0.5 / 65
+    spec = dataclasses.replace(
+        _delay_problem({"lip": Envelope.constant(1.7e308)}), T=2.0
+    )
+    message = (
+        "envelope 'lip': lp_seminorm of Envelope.constant(value=1.7e+308) over "
+        "[0, 2.0] at p=0.08461538461538462 overflows a double"
+    )
+    with pytest.raises(CertificateError) as err:
+        certify(spec)
+    assert str(err.value) == message
+    with pytest.raises(CertificateError, match=r"^envelope 'lip': .* at p=0\.25 overflows"):
+        certify(spec, p=0.25)
+
+
+def test_seminorm_overflow_names_the_history_role():
+    spec = ProblemSpec(
+        alpha=0.5,
+        T=2.0,
+        rhs=RhsSpec(
+            kind="general_delay",
+            f=lambda t, x, xr, sup: -x,
+            envelopes={
+                "state_lip": Envelope.constant(1.0),
+                "history_lip": Envelope.constant(1.7e308),
+            },
+        ),
+        delay=DelaySpec(r=0.5, history=lambda s: np.array([0.0])),
+    )
+    with pytest.raises(CertificateError, match=r"^envelope 'history_lip': .* at p=0\.0846"):
+        certify(spec)
+
+
+def reference_choose_p(spec):
+    """choose_p as one scalar loop over the whole grid: the reference
+    whose p (or error) the array pass must reproduce bitwise."""
+    alpha = spec.alpha
+    grid = [alpha * i / (P_GRID_POINTS + 1) for i in range(1, P_GRID_POINTS + 1)]
+    has_lip = _gamma_pair_for(spec, grid[0]) is not None
+    best_p, best_val = None, math.inf
+    for p in grid:
+        if has_lip:
+            val = _gamma_pair_for(spec, p).stated
+        else:
+            q = _schaefer_q_for(spec, p)
+            if q is None:
+                return alpha / 2.0, True
+            val = q
+        if val < best_val:
+            best_p, best_val = p, val
+    return best_p, True
+
+
+def _outcome(fn, spec):
+    try:
+        return fn(spec)
+    except Exception as err:  # compared by type and message
+        return type(err), str(err)
+
+
+@st.composite
+def envelopes(draw, T):
+    """constant (0, ordinary, near overflow), exp_decay (scale 0, rate 0,
+    both signs, |r T / p| past 700) and sampled envelopes on [0, T]."""
+    form = draw(st.sampled_from(["constant", "exp_decay", "samples"]))
+    if form == "constant":
+        value = draw(
+            st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(1e307, 1.7e308))
+        )
+        return Envelope.constant(value)
+    if form == "exp_decay":
+        scale = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
+        # a growing envelope stays below e^700 on [0, T]; x = r T / p passes
+        # -700 at small p and 700 for the large positive rates
+        rate = draw(
+            st.one_of(st.just(0.0), st.floats(-700.0 / T, 1e-3), st.floats(1e-3, 1e5))
+        )
+        return Envelope.exp_decay(scale, rate)
+    # knots on a dyadic partition of [0, T], so the quadrature converges fast
+    k = draw(st.sampled_from([2, 3, 5]))
+    values = draw(st.lists(st.floats(0.25, 4.0), min_size=k, max_size=k))
+    return Envelope.from_samples(np.linspace(0.0, T, k), values)
+
+
+@st.composite
+def certificate_problems(draw):
+    alpha = draw(st.floats(0.05, 0.95))
+    T = draw(st.floats(0.1, 5.0))
+    m = draw(st.integers(0, 2))
+    jump_lip = draw(st.one_of(st.just(0.0), st.floats(1e-3, 2.0)))
+    route = draw(st.sampled_from(["gamma", "gamma", "gamma", "schaefer", "fallback"]))
+    kind = "delay" if route == "schaefer" else draw(st.sampled_from(sorted(ENVELOPE_ROLES)))
+    lips = [r for r in ENVELOPE_ROLES[kind] if r.endswith("lip")]
+    others = [r for r in ENVELOPE_ROLES[kind] if not r.endswith("lip")]
+    if route == "gamma":
+        roles = lips + draw(st.lists(st.sampled_from(others), unique=True))
+    elif route == "schaefer":
+        roles = ["growth"] + draw(st.lists(st.just("bound"), max_size=1))
+    else:  # neither gamma nor the Schaefer q: alpha / 2
+        if kind == "delay":
+            others.remove("growth")
+        roles = draw(st.lists(st.sampled_from(others), unique=True))
+    envs = {role: draw(envelopes(T)) for role in roles}
+    times = tuple(T * (k + 1) / (m + 1) for k in range(m))
+    impulses = ImpulseSchedule(
+        times=times, jumps=tuple(lambda x: 0.0 * x for _ in times), jump_lip=jump_lip
+    )
+    delayed = kind in ("delay", "general_delay")
+    if kind == "split":
+        rhs = RhsSpec(kind=kind, f1=lambda t, x: x, f2=lambda t, x: x, envelopes=envs)
+    elif delayed:
+        rhs = RhsSpec(kind=kind, f=lambda t, x, xr, sup: x, envelopes=envs)
+    else:
+        rhs = RhsSpec(kind=kind, f=lambda t, x: x, envelopes=envs)
+    return ProblemSpec(
+        alpha=alpha,
+        T=T,
+        rhs=rhs,
+        x0=np.array([0.0]),
+        impulses=impulses,
+        delay=DelaySpec(r=T / 4.0, history=lambda s: np.array([0.0])) if delayed else None,
+    )
+
+
+PROPERTY = settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@PROPERTY
+@given(certificate_problems())
+def test_choose_p_is_bitwise_the_reference_loop(spec):
+    assert _outcome(choose_p, spec) == _outcome(reference_choose_p, spec)
+
+
+@pytest.mark.parametrize(
+    "envs, T, jump_lip, outcome",
+    [
+        # overflows from p = 11 alpha / 65
+        ({"lip": Envelope.constant(1.7e308)}, 2.0, 0.0, SeminormError),
+        # the x < -700 branch: max 1.75e308 at T, overflows from p = 56 alpha / 65
+        ({"lip": Envelope.exp_decay(1.75e308 * math.exp(-400.0), -0.4)}, 1000.0, 0.0, SeminormError),
+        # the Schaefer route overflows
+        ({"growth": Envelope.constant(1.7e308)}, 3.0, 0.0, SeminormError),
+        # a zero objective, outside the array's range: the scalar loop
+        ({"lip": Envelope.constant(0.0)}, 1.0, 0.0, 0.5 / 65),
+        # every array value is the jump term: all 64 points tie, the first wins
+        ({"lip": Envelope.constant(0.0)}, 1.0, 0.5, 0.5 / 65),
+    ],
+)
+def test_choose_p_outside_the_array_range_matches_the_reference(envs, T, jump_lip, outcome):
+    spec = dataclasses.replace(_delay_problem(envs, jump_lip=jump_lip), T=T)
+    got = _outcome(choose_p, spec)
+    assert got == _outcome(reference_choose_p, spec)
+    assert got[0] == outcome
+
+
+@pytest.mark.parametrize(
+    "alpha, T, rate, i",
+    [
+        (0.7635020466217661, 2.5198519743412344, 37.6948816491322, 62),
+        (0.4000609660616991, 0.6348267559541411, 19.30214696090557, 44),
+        (0.48593124379399905, 0.6131879847561129, 3.9525354259684455, 37),
+        (0.7635020466217661, 2.5198519743412344, 37.69488164913253, 61),
+        (0.4000609660616991, 0.6348267559541411, 19.302146960905695, 43),
+        (0.7909617263261186, 1.4810116608369455, 32.449440339476844, 61),
+    ],
+)
+def test_choose_p_breaks_a_last_ulp_tie_by_the_scalar_value(alpha, T, rate, i):
+    # gamma_stated at grid point i and a neighbour differs by at most one
+    # ulp, and point i wins the scalar loop.  numpy's SIMD pow (AVX-512
+    # builds) ties the two array values (first three cases) or puts the
+    # neighbour below point i (last three), so the array minimum alone, or
+    # a band of zero width, would pick the neighbour.
+    spec = ProblemSpec(
+        alpha=alpha,
+        T=T,
+        rhs=RhsSpec(
+            kind="plain",
+            f=lambda t, x: x,
+            envelopes={"lip": Envelope.exp_decay(1.0, rate)},
+        ),
+        x0=np.array([0.0]),
+    )
+    assert choose_p(spec) == reference_choose_p(spec) == (alpha * i / 65, True)
+
+
+def test_choose_p_confirms_few_grid_points(monkeypatch):
+    spec = _linear_problem(1.25, 0.0)
+    calls = []
+    real = certificates._gamma_pair_for
+    monkeypatch.setattr(
+        certificates, "_gamma_pair_for", lambda s, p: calls.append(p) or real(s, p)
+    )
+    assert choose_p(spec) == reference_choose_p(spec)
+    assert 1 <= len(calls) <= 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    env=st.one_of(
+        st.floats(0.0, 1e300).map(Envelope.constant),
+        st.builds(
+            Envelope.exp_decay,
+            st.one_of(st.just(0.0), st.floats(1e-300, 1e300)),
+            st.one_of(st.just(0.0), st.floats(-1e4, 1e6)),
+        ),
+    ),
+    alpha=st.floats(0.01, 0.99),
+    T=st.floats(1e-3, 1e3),
+)
+def test_array_seminorms_match_the_scalar_closed_forms(env, alpha, T):
+    grid = alpha * np.arange(1.0, P_GRID_POINTS + 1) / (P_GRID_POINTS + 1)
+    got = closed_form_seminorms(env, grid, T)
+    for p, value in zip(grid.tolist(), got.tolist()):
+        try:
+            want = lp_seminorm(env, p, T)
+        except ArithmeticError:
+            assert not math.isfinite(value)
+            continue
+        assert value == pytest.approx(want, rel=1e-13, abs=0.0)

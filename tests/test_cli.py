@@ -114,6 +114,21 @@ class TestExitCodes:
             "in subexpression 'x^0.5'\n"
         )
 
+    def test_check_seminorm_overflow_exits_1(self, tmp_path, capsys):
+        # 1.7e308 * T^p exceeds a double from the grid exponent 11 * 0.5 / 65
+        data = builtin_example("delay-exp")
+        data["problem"]["T"] = 2
+        data["certificate"]["envelopes"]["lip"] = {"form": "constant", "value": 1.7e308}
+        code = main(["check", "--config", str(write_config(tmp_path, data))])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "certificate error: envelope 'lip': lp_seminorm of "
+            "Envelope.constant(value=1.7e+308) over [0, 2.0] at "
+            "p=0.08461538461538462 overflows a double\n"
+        )
+
     def test_marching_corrector_failure_exits_2(self, tmp_path, capsys):
         # w_jj * 32 is about 3 at h = 2^-6: the trapezoid corrector stalls
         data = {

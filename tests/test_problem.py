@@ -502,6 +502,40 @@ class TestHistorySupNorm:
         dd = _DelayData(spec, mesh)
         assert dd.window_sup(i, np.zeros(mesh.n_nodes), {mesh.impulse_idx[0]: 7.0}) == 7.0
 
+    def test_non_finite_history_raises_like_the_solver(self):
+        # a NaN history value used to drop out of max(sup, nan); solve_picard
+        # reads the same history through the same sampling rule
+        def history(s):
+            return np.array([np.nan if -0.4 < s < -0.2 else 1.0])
+
+        spec = _delay_spec(r=0.5, times=(), history=history)
+        mesh = build_mesh(spec, 0.125)
+        traj = Trajectory(
+            mesh=mesh, values=np.ones((mesh.n_nodes, 1)), right_values=np.zeros((0, 1))
+        )
+        for t, s in ((0.0, "-0.375"), (0.1, "-0.275")):
+            with pytest.raises(SolverError, match=rf"^history at t={s} returned a non-finite value$"):
+                history_sup_norm(traj, spec.delay, t)
+        with pytest.raises(SolverError, match=r"^history at t=-0.25 returned a non-finite value$"):
+            solver.solve_picard(spec, mesh)
+
+    def test_vectorized_history_is_sampled_in_one_call(self):
+        calls = []
+
+        def history(s):
+            calls.append(np.shape(s))
+            return -np.asarray(s)
+
+        spec = _delay_spec(r=0.5, times=(), history=history)
+        delay = DelaySpec(r=0.5, history=history, vectorized=True)
+        mesh = build_mesh(spec, 2.0**-4)
+        traj = Trajectory(
+            mesh=mesh, values=np.zeros((mesh.n_nodes, 1)), right_values=np.zeros((0, 1))
+        )
+        calls.clear()
+        assert history_sup_norm(traj, delay, 0.0) == 0.5
+        assert calls == [(9,)]  # the grid -0.5, -0.4375, ..., -0.0625 and 0
+
     def test_needs_delay_mesh(self):
         plain = _plain_spec()
         mesh = build_mesh(plain, 0.25)
