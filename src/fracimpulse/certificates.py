@@ -309,7 +309,8 @@ def choose_p(spec: ProblemSpec) -> tuple[float, bool]:
     When the array pass fails or leaves the range where its error bound
     holds (an overflow, a zero objective), the scalar loop runs over the
     whole grid and raises what it raises, at the first exponent that
-    fails.
+    fails.  When no grid exponent gives a finite objective (it overflows
+    everywhere), CertificateError names the envelope roles that feed it.
     """
     alpha, T = spec.alpha, spec.T
     grid = alpha * _GRID_INDEX / (P_GRID_POINTS + 1)
@@ -318,12 +319,14 @@ def choose_p(spec: ProblemSpec) -> tuple[float, bool]:
     if inputs is not None:
         m, l2, envs = inputs
         jumps, denom = m * l2, gamma(alpha + 1.0)
+        objective, roles = "gamma_stated", _LIP_ROLES[spec.rhs.kind]
 
         def scalar(p: float) -> float:
             return _gamma_pair_for(spec, p).stated
 
     elif spec.rhs.kind == "delay" and "growth" in spec.rhs.envelopes:
         envs, jumps, denom = (spec.rhs.envelopes["growth"],), 0.0, gamma(alpha)
+        objective, roles = "the Schaefer q", ("growth",)
 
         def scalar(p: float) -> float:
             return _schaefer_q_for(spec, p)
@@ -337,8 +340,8 @@ def choose_p(spec: ProblemSpec) -> tuple[float, bool]:
     except (ArithmeticError, ValueError):  # the scalar loop raises it again, in its order
         norms = None
     if norms is not None:
-        norm = norms[0] if len(norms) == 1 else norms[0] + norms[1]
         with np.errstate(all="ignore"):
+            norm = norms[0] if len(norms) == 1 else norms[0] + norms[1]
             holder = ((1.0 - grid) / (alpha - grid)) ** (1.0 - grid)
             vals = jumps + holder * norm * T ** (alpha - grid) / denom
         # holder > 1, and T^(alpha - p) lies between T and 1
@@ -354,6 +357,12 @@ def choose_p(spec: ProblemSpec) -> tuple[float, bool]:
         val = scalar(ps[i])
         if val < best_val:
             best_p, best_val = ps[i], val
+    if best_p is None:
+        named = ", ".join(map(repr, roles))
+        raise CertificateError(
+            f"no exponent of the p-grid on (0, {alpha!r}) gives a finite {objective} "
+            f"from envelope{'s' if len(roles) > 1 else ''} {named}"
+        )
     return best_p, True
 
 

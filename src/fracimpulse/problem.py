@@ -91,28 +91,33 @@ def _point_error(what: str, at: str, error: Exception) -> SolverError:
     return SolverError(f"{what} evaluation failed at {at}: {error}")
 
 
-def _assemble(outs: list, dim: int, what: str, where) -> np.ndarray:
-    """The outputs of a per-point callable as one (len(outs), dim) array.
+# a per-point callable is called, and its outputs assembled, this many
+# points at a time: transient memory is one chunk of Python outputs
+_CHUNK = 1024
+
+
+def _assemble(outs: list, g: np.ndarray, start: int, what: str, where) -> None:
+    """Write the outputs of a per-point callable into rows start ..
+    start + len(outs) - 1 of the (n, dim) array g.
 
     Each output must have shape () or (1,) when dim = 1 and (dim,)
-    otherwise.  One np.array call builds the table; only when it fails
+    otherwise.  One np.array call builds the block; only when it fails
     or gives another shape are the outputs walked in order, and the
     first bad one is reported, after a non-finite value at an earlier
-    point.  what names the callable and where(i) point i in messages.
+    point (rows before start included).  what names the callable and
+    where(i) point i in messages.
     """
-    n = len(outs)
+    n, dim = len(outs), g.shape[1]
     try:
-        g = np.array(outs, dtype=float)
+        block = np.array(outs, dtype=float)
     except (ArithmeticError, TypeError, ValueError):
         pass  # ragged or not numeric: the walk below finds the output
     else:
-        if g.shape == (n, dim):
-            return g
-        if dim == 1 and g.shape == (n,):
-            return g.reshape(n, 1)
-    g = np.empty((n, dim))
+        if block.shape == (n, dim) or (dim == 1 and block.shape == (n,)):
+            g[start : start + n] = block.reshape(n, dim)
+            return
     accepted = ((), (1,)) if dim == 1 else ((dim,),)
-    for i, out in enumerate(outs):
+    for i, out in enumerate(outs, start):
         try:
             if np.shape(out) not in accepted:
                 _check_finite(g[:i], what, where)
@@ -124,31 +129,36 @@ def _assemble(outs: list, dim: int, what: str, where) -> np.ndarray:
         except (ArithmeticError, ValueError) as e:
             _check_finite(g[:i], what, where)
             raise _point_error(what, where(i), e) from e
-    return g
 
 
 def _looped(f, args: tuple, dim: int, what: str, where) -> np.ndarray:
     """f called once per point i on row i of args, as an (n, dim) array.
 
-    The outputs are collected in a list and assembled at once
+    The points go in order, _CHUNK at a time: the outputs of a chunk are
+    collected in a list and assembled into the result at once
     (_assemble).  When f raises, the outputs of the earlier points are
     validated first; a ValueError or ArithmeticError then becomes the
     error of point i, any other exception propagates.
     """
-    outs: list = []
-    try:  # on a raise, outs holds the outputs of the earlier points
-        outs.extend(map(f, *(a.tolist() if a.ndim == 1 else a for a in args)))
-    except Exception as e:
-        failure = e
-    else:
-        failure = None
-    g = _assemble(outs, dim, what, where)  # an earlier bad point comes first
-    if failure is None:
-        return g
-    if not isinstance(failure, (ArithmeticError, ValueError)):
-        raise failure
-    _check_finite(g, what, where)
-    raise _point_error(what, where(len(outs)), failure) from failure
+    n = args[0].shape[0]
+    g = np.empty((n, dim))
+    for start in range(0, n, _CHUNK):
+        chunk = [a[start : start + _CHUNK] for a in args]
+        outs: list = []
+        try:  # on a raise, outs holds the outputs of the earlier points
+            outs.extend(map(f, *(a.tolist() if a.ndim == 1 else a for a in chunk)))
+        except Exception as e:
+            failure = e
+        else:
+            failure = None
+        _assemble(outs, g, start, what, where)  # an earlier bad point comes first
+        if failure is not None:
+            stop = start + len(outs)
+            if not isinstance(failure, (ArithmeticError, ValueError)):
+                raise failure
+            _check_finite(g[:stop], what, where)
+            raise _point_error(what, where(stop), failure) from failure
+    return g
 
 
 def _batched(f, args: tuple, dim: int, what: str, where) -> np.ndarray:

@@ -27,7 +27,8 @@ node in one batch (one call of a vectorized RHS, see RhsSpec, with lags
 sliced from the iterate and window sups from an O(N) sliding max), and
 marching samples batches of one node.  A per-node callable costs its
 call plus a fraction of a microsecond per node: the outputs of a batch
-are collected and assembled into one array at once.
+are collected and assembled into one preallocated array 1024 nodes at
+a time, so a sweep holds one chunk of Python outputs, not one per node.
 
 Right limits of a returned trajectory are rebuilt from the final left
 limits, so right - left = I_k(left) holds to roundoff.
@@ -174,15 +175,17 @@ class _Sampler:
 
     Sampling goes through _sample, the rule the history grid and the
     jump maps share.  A vectorized RHS is called once per run.  A
-    per-node callable is called once per node; its outputs are
-    collected in a list and turned into the (n, d) array by one
-    np.array call (_assemble), so a node costs the call plus a
-    fraction of a microsecond.  Shape and
-    finiteness are checked once per run.  Errors name the first
-    offending node: for a per-node callable by walking the outputs
-    already made, which calls f no second time; for a vectorized RHS by
-    re-scanning the run node by node, on the error path only.  parts
-    are the callables whose sum is f (f1 and f2 for the split kind).
+    per-node callable is called once per node, in order; the outputs of
+    each chunk of 1024 nodes are collected in a list and written into
+    the preallocated (n, d) array by one np.array call (_assemble), so a
+    node costs the call plus a fraction of a microsecond and the
+    transient memory is one chunk of outputs.  Shapes are checked once
+    per chunk (per run when vectorized), finiteness once per run.
+    Errors name the first offending node: for a per-node callable by
+    walking the outputs already made, which calls f no second time; for
+    a vectorized RHS by re-scanning the run node by node, on the error
+    path only.  parts are the callables whose sum is f (f1 and f2 for
+    the split kind).
     """
 
     def __init__(self, spec: ProblemSpec, mesh: Mesh, parts: tuple | None = None):

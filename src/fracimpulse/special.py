@@ -21,12 +21,15 @@ scale*exp(-rate*t), and piecewise-linear sample tables.  lp_seminorm
 takes the closed form of the first two, and integrates sample tables
 and plain callables by a Gauss-Legendre quadrature of (g/M)^(1/p), M
 the largest sampled value, so no exponent p in (0, 1) underflows or
-overflows g^(1/p).  A seminorm that has no finite double value raises
-SeminormError, which names the envelope.
+overflows g^(1/p).  The Gauss-Legendre nodes are built on the first
+quadrature, so importing this module, or taking closed forms only,
+leaves numpy.polynomial unloaded.  A seminorm that has no finite double
+value raises SeminormError, which names the envelope.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -49,7 +52,18 @@ _ML_CANCEL_FLOOR = 3e-11
 _SEMINORM_REL_TOL = 1e-10
 _SEMINORM_MAX_NODES = 2**20
 _PANEL_ORDER = 16
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_ORDER)
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the _PANEL_ORDER-point Gauss-Legendre rule on
+    [-1, 1], built on the first quadrature: importing numpy.polynomial
+    costs over 1 MiB of resident memory that closed forms never need."""
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(_PANEL_ORDER)
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by every call
+    return nodes, weights
 
 
 class SeminormError(ArithmeticError):
@@ -150,18 +164,19 @@ def lp_seminorm(g: Callable[[float], float], p: float, T: float) -> float:
         return _closed_form_seminorm(g, p, T)
 
     inv_p = 1.0 / p
+    gl_nodes, gl_weights = _gauss_legendre()
 
     def level(panels: int, scale: float) -> tuple[float, float]:
         """Integral of (g/scale')^{1/p} and scale' = max(scale, sampled g)."""
         edges = np.linspace(0.0, T, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])
-        nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+        nodes = (mid[:, None] + half[:, None] * gl_nodes[None, :]).ravel()
         vals = _eval_nonnegative(g, nodes)
         scale = max(scale, float(vals.max()))
         if scale == 0.0:
             return 0.0, 0.0
-        weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+        weights = (half[:, None] * gl_weights[None, :]).ravel()
         return float(weights @ (vals / scale) ** inv_p), scale
 
     panels = 1

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fracimpulse import certificates
@@ -446,8 +446,35 @@ PROPERTY = settings(
 
 @PROPERTY
 @given(certificate_problems())
+@example(  # the sum of two near-overflow seminorms overflows at every p
+    ProblemSpec(
+        alpha=0.5,
+        T=4.0,
+        rhs=RhsSpec(
+            kind="general_delay",
+            f=lambda t, x, xr, sup: x,
+            envelopes={
+                "state_lip": Envelope.constant(4.37645911022471e307),
+                "history_lip": Envelope.constant(4.708370680094852e307),
+            },
+        ),
+        x0=np.array([0.0]),
+        impulses=ImpulseSchedule(jump_lip=0.0),
+        delay=DelaySpec(r=1.0, history=lambda s: np.array([0.0])),
+    )
+)
 def test_choose_p_is_bitwise_the_reference_loop(spec):
-    assert _outcome(choose_p, spec) == _outcome(reference_choose_p, spec)
+    want = _outcome(reference_choose_p, spec)
+    got = _outcome(choose_p, spec)
+    if want != (None, True):
+        assert got == want
+        return
+    # no grid exponent gives a finite objective: the reference loop keeps
+    # p = None, choose_p raises and names the envelopes of the objective
+    roles = [r for r in spec.rhs.envelopes if r.endswith("lip")] or ["growth"]
+    assert got[0] is CertificateError
+    assert "gives a finite" in got[1]
+    assert all(repr(role) in got[1] for role in roles)
 
 
 @pytest.mark.parametrize(
@@ -500,6 +527,24 @@ def test_choose_p_breaks_a_last_ulp_tie_by_the_scalar_value(alpha, T, rate, i):
         x0=np.array([0.0]),
     )
     assert choose_p(spec) == reference_choose_p(spec) == (alpha * i / 65, True)
+
+
+@pytest.mark.parametrize(
+    "envs, message",
+    [
+        # every seminorm is 1.5e308: the Hölder constant times it overflows
+        ({"lip": Envelope.constant(1.5e308)}, "gamma_stated from envelope 'lip'"),
+        ({"growth": Envelope.constant(1.5e308)}, "the Schaefer q from envelope 'growth'"),
+    ],
+)
+def test_no_finite_objective_is_a_certificate_error(envs, message):
+    spec = _delay_problem(envs)
+    assert reference_choose_p(spec) == (None, True)
+    with pytest.raises(CertificateError) as err:
+        certify(spec)
+    assert str(err.value) == (
+        f"no exponent of the p-grid on (0, 0.5) gives a finite {message}"
+    )
 
 
 def test_choose_p_confirms_few_grid_points(monkeypatch):

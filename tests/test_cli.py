@@ -129,6 +129,22 @@ class TestExitCodes:
             "p=0.08461538461538462 overflows a double\n"
         )
 
+    def test_check_without_a_finite_gamma_exits_1(self, tmp_path, capsys):
+        # each seminorm is 1.5e308; the Hölder constant times it overflows
+        data = step_profile_config()
+        data["certificate"] = {
+            "jump_lipschitz": 0.0,
+            "envelopes": {"lip": {"form": "constant", "value": 1.5e308}},
+        }
+        code = main(["check", "--config", str(write_config(tmp_path, data))])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "certificate error: no exponent of the p-grid on (0, 0.5) gives a "
+            "finite gamma_stated from envelope 'lip'\n"
+        )
+
     def test_marching_corrector_failure_exits_2(self, tmp_path, capsys):
         # w_jj * 32 is about 3 at h = 2^-6: the trapezoid corrector stalls
         data = {

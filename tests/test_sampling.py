@@ -4,6 +4,7 @@ node at a time) on random linear, logistic and delay problems; the
 same sampling rule on delay histories and jump maps."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from fracimpulse.problem import (
     ProblemSpec,
     RhsSpec,
     Trajectory,
+    _CHUNK,
+    _sample,
     build_mesh,
     history_sup_norm,
 )
@@ -310,6 +313,74 @@ class TestPerNodeContract:
         rep = solve_picard(spec, mesh)
         assert rep.converged
         assert calls == mesh.nodes.tolist() * rep.iterations
+
+
+class TestPerNodeChunks:
+    """A per-node f is called, and its outputs assembled, _CHUNK nodes at
+    a time; neither the values nor the messages show where a chunk ends.
+    On a mesh of step 1/(2 _CHUNK) over [0, 1], t = 0.5 is the first node
+    of the second chunk and t = 0.75 lies in it."""
+
+    @pytest.mark.parametrize("n", [2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("lagged", [False, True])
+    def test_outputs_equal_one_whole_assembly(self, n, d, lagged):
+        rng = np.random.default_rng(n * d)
+        t = np.sort(rng.uniform(0.0, 1.0, n))
+        x, x_lag = rng.normal(size=(2, n, d))
+        sups = rng.uniform(0.0, 2.0, n)
+        if lagged:
+            args, f = (t, x, x_lag, sups), lambda t, x, xl, sup: np.sin(t) * x - sup * xl
+        else:
+            args, f = (t, x), lambda t, x: np.sin(t) * x - t
+        # the outputs of every node in one list and one np.array call
+        rows = [a.tolist() if a.ndim == 1 else a for a in args]
+        whole = np.array(list(map(f, *rows)), dtype=float)
+        got = _sample(f, False, args, d, "rhs", str)
+        assert got.shape == (n, d)
+        assert got.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("later", ["raise", "shape"])
+    def test_non_finite_in_the_first_chunk_comes_first(self, later):
+        def f(t, x):
+            if t == 0.25:
+                return np.array([np.nan])
+            if t == 0.75:
+                if later == "raise":
+                    raise ValueError("boom")
+                return np.zeros(2)
+            return -x
+
+        mesh = build_mesh(_plain(f), 0.5 / _CHUNK)
+        with pytest.raises(
+            SolverError, match=rf"^rhs at node {_CHUNK // 2} \(t=0\.25\) returned a non-finite value$"
+        ):
+            solve_picard(_plain(f), mesh)
+
+    def test_sweep_holds_one_chunk_of_outputs(self):
+        # one Python output per node until a single np.array call peaked
+        # at 1348 KiB here; a chunk at a time it is the (n, 1) result, one
+        # chunk of outputs and its block
+        n = 8193
+        args = (np.linspace(0.0, 1.0, n), np.ones((n, 1)))
+        f = lambda t, x: -1.25 * x
+        _sample(f, False, args, 1, "rhs", str)  # first-call set-up stays untraced
+        tracemalloc.start()
+        try:
+            _sample(f, False, args, 1, "rhs", str)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+
+    def test_bad_shape_at_the_first_node_of_a_chunk_names_it(self):
+        spec = _plain(lambda t, x: np.zeros((1, 1)) if t == 0.5 else -x)
+        mesh = build_mesh(spec, 0.5 / _CHUNK)
+        with pytest.raises(
+            SolverError,
+            match=rf"^rhs at node {_CHUNK} \(t=0\.5\) returned shape \(1, 1\), expected \(1,\)$",
+        ):
+            solve_picard(spec, mesh)
 
 
 def _linear_closure(A, b, c):

@@ -1,6 +1,9 @@
 """Special functions: gamma wrapper, Mittag-Leffler series, seminorms, envelopes."""
 
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -238,3 +241,30 @@ def test_closed_forms_match_quadrature(alpha, frac, T, scale, rate, constant):
     closed = lp_seminorm(env, p, T)
     quadrature = lp_seminorm(lambda t: env(np.asarray(t)), p, T)
     assert closed == pytest.approx(quadrature, rel=1e-9)
+
+
+def test_closed_forms_leave_the_quadrature_rule_unbuilt():
+    """The Gauss-Legendre rule (numpy.polynomial, over 1 MiB resident) is
+    built on the first quadrature: importing the package and certifying
+    with constant and exp_decay envelopes never loads it."""
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        import fracimpulse
+        from fracimpulse import Envelope, ProblemSpec, RhsSpec, certify
+
+        for lip in (Envelope.constant(0.5), Envelope.exp_decay(2.0, 1.5)):
+            spec = ProblemSpec(
+                alpha=0.5, T=1.0, x0=np.array([1.0]),
+                rhs=RhsSpec(kind="plain", f=lambda t, x: -x, envelopes={"lip": lip}),
+            )
+            certify(spec)
+        print("numpy.polynomial" in sys.modules)
+        fracimpulse.lp_seminorm(Envelope.from_samples([0.0, 1.0], [1.0, 2.0]), 0.25, 1.0)
+        print("numpy.polynomial" in sys.modules)
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
