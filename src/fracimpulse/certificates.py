@@ -22,10 +22,12 @@ envelopes, the equicontinuity modulus of the compact split part, and
 the classical-Gronwall growth bound for the impulsive logistic
 example.  certify() assembles everything for a ProblemSpec, optionally
 minimizing the stated gamma over a 64-point grid of exponents
-(choose_p).  The search evaluates the whole grid in one numpy pass and
-re-evaluates the scalar gamma only at the few points the pass cannot
-tell apart from its minimum, so it picks bitwise the exponent of a
-scalar loop over the grid.
+(choose_p).  The search evaluates the whole grid in one numpy pass, with
+special.closed_form_seminorms for every envelope form (constant,
+exp_decay and samples alike), and re-evaluates the scalar gamma only at
+the few points the pass cannot tell apart from its minimum, so it picks
+bitwise the exponent of a scalar loop over the grid.  No seminorm of a
+certificate goes through a quadrature.
 """
 
 from __future__ import annotations
@@ -273,6 +275,14 @@ def _schaefer_q_for(spec: ProblemSpec, p: float) -> float | None:
 # the general kind add, which keeps the larger relative error), and each
 # adds its relative error, except that the log of the x <= -700 exp_decay
 # branch enters through exp(p * log(.)) with |p * log(.)| at most 745.
+# A samples seminorm runs the same numpy calls in both passes, on the
+# same operands and with each exponent's pieces summed along one row, so
+# only a vector loop that rounded by the array's length could part them.
+# Were it to, the same 4-ulp bound covers log1p, expm1 and pow in each
+# piece (expm1 of r <= 0 has condition at most 1; the quotient and the
+# sum of positive pieces keep the largest relative error) and the final
+# pow, whose exponent p < 1 shrinks the error it is given: six calls
+# with the Hölder constant and T^(alpha-p), far below the 1e-12 below.
 # While every factor is a normal double far from both ends of the range
 # (_NORMAL), an array value is thus within 1e-12 relative of its scalar
 # twin.  A grid point whose scalar value ties or beats the scalar value at
@@ -289,14 +299,6 @@ def _is_normal(a: np.ndarray) -> bool:
     return bool(_NORMAL[0] <= a.min() and a.max() <= _NORMAL[1])
 
 
-def _grid_seminorm(env: Envelope, grid: np.ndarray, ps: list[float], T: float) -> np.ndarray:
-    """lp_seminorm of env at each grid exponent: in one array pass for a
-    closed form, else by one quadrature per exponent."""
-    if env.form != "samples":
-        return closed_form_seminorms(env, grid, T)
-    return np.array([lp_seminorm(env, p, T) for p in ps])
-
-
 def choose_p(spec: ProblemSpec) -> tuple[float, bool]:
     """Deterministic 64-point grid search over (0, alpha).
 
@@ -306,11 +308,15 @@ def choose_p(spec: ProblemSpec) -> tuple[float, bool]:
     every grid point, and the scalar gamma_stated or q is re-evaluated
     only at the points within _CONFIRM_BAND of the array minimum, so the
     chosen p is bitwise the one a scalar loop over the whole grid picks.
-    When the array pass fails or leaves the range where its error bound
-    holds (an overflow, a zero objective), the scalar loop runs over the
-    whole grid and raises what it raises, at the first exponent that
-    fails.  When no grid exponent gives a finite objective (it overflows
-    everywhere), CertificateError names the envelope roles that feed it.
+    The array pass is one path for every envelope form: it takes
+    closed_form_seminorms of each envelope, which marks an overflow as
+    inf instead of raising.  When the pass leaves the range where its
+    error bound holds (an overflow, a zero objective), the scalar loop
+    runs over the whole grid and raises what it raises, at the first
+    exponent that fails.  A samples envelope whose knots do not cover
+    [0, T] raises its ValueError from the array pass.  When no grid
+    exponent gives a finite objective (it overflows everywhere),
+    CertificateError names the envelope roles that feed it.
     """
     alpha, T = spec.alpha, spec.T
     grid = alpha * _GRID_INDEX / (P_GRID_POINTS + 1)
@@ -334,23 +340,19 @@ def choose_p(spec: ProblemSpec) -> tuple[float, bool]:
     else:
         return alpha / 2.0, True
 
+    norms = [closed_form_seminorms(env, grid, T) for env in envs]
+    with np.errstate(all="ignore"):
+        norm = norms[0] if len(norms) == 1 else norms[0] + norms[1]
+        holder = ((1.0 - grid) / (alpha - grid)) ** (1.0 - grid)
+        vals = jumps + holder * norm * T ** (alpha - grid) / denom
+    # holder > 1, and T^(alpha - p) lies between T and 1
     candidates = range(P_GRID_POINTS)
-    try:
-        norms = [_grid_seminorm(env, grid, ps, T) for env in envs]
-    except (ArithmeticError, ValueError):  # the scalar loop raises it again, in its order
-        norms = None
-    if norms is not None:
-        with np.errstate(all="ignore"):
-            norm = norms[0] if len(norms) == 1 else norms[0] + norms[1]
-            holder = ((1.0 - grid) / (alpha - grid)) ** (1.0 - grid)
-            vals = jumps + holder * norm * T ** (alpha - grid) / denom
-        # holder > 1, and T^(alpha - p) lies between T and 1
-        if (
-            _NORMAL[0] <= T <= _NORMAL[1]
-            and _is_normal(vals)
-            and all(_is_normal(n) or not n.any() for n in norms)
-        ):
-            candidates = np.flatnonzero(vals <= vals.min() * (1.0 + _CONFIRM_BAND)).tolist()
+    if (
+        _NORMAL[0] <= T <= _NORMAL[1]
+        and _is_normal(vals)
+        and all(_is_normal(n) or not n.any() for n in norms)
+    ):
+        candidates = np.flatnonzero(vals <= vals.min() * (1.0 + _CONFIRM_BAND)).tolist()
 
     best_p, best_val = None, math.inf
     for i in candidates:

@@ -67,7 +67,7 @@ import numpy as np
 
 from .exprlang import Expr, compile_expr, monomial
 from .problem import Mesh, MeshError
-from .special import gamma
+from .special import _pow_diff, gamma
 
 __all__ = [
     "SCHEMES",
@@ -94,18 +94,6 @@ CROSS_ROWS = 16
 STEP_ULPS = 4
 # Largest weight storage build_weights or WeightTable.dense() allocates.
 WEIGHT_BYTES_BUDGET = 2**30
-
-
-def _pow_diff(A: np.ndarray, B: np.ndarray, expo: float) -> np.ndarray:
-    """A**expo - B**expo for A > 0 and A >= B >= 0, stable when A is
-    close to B.  B = 0 needs no branch: log1p(-1) = -inf and
-    expm1(-inf) = -1, so the result is A**expo exactly."""
-    with np.errstate(divide="ignore"):
-        r = np.log1p((B - A) / A)
-    r *= expo
-    np.expm1(r, out=r)
-    r *= A**expo
-    return np.negative(r, out=r)
 
 
 def _cell_weights(A, B, h, alpha: float, scheme: str):

@@ -5,8 +5,8 @@ Building blocks shared by the quadrature and certificate layers:
     gamma(x)                 Euler gamma on x > 0
     mittag_leffler(a, z)     E_a(z) = sum_k z^k / gamma(a*k + 1)
     lp_seminorm(g, p, T)     (int_0^T g(s)^(1/p) ds)^p   for 0 < p < 1
-    closed_form_seminorms    lp_seminorm of a constant or exp_decay
-                             envelope at an array of exponents
+    closed_form_seminorms    lp_seminorm of an envelope at an array of
+                             exponents
     holder_constant(a, p)    ((1 - p)/(a - p))^(1 - p)   for 0 < p < a < 1
 
 The seminorm and the Holder constant are the two ingredients of every
@@ -17,14 +17,16 @@ c * ||g||_{1/p} * t^(a-p) with c = holder_constant(a, p).
 Envelope instances are the nonnegative comparison functions (bounds and
 Lipschitz envelopes) fed to lp_seminorm; they come in three concrete
 forms so config files can declare them: constants, decaying exponentials
-scale*exp(-rate*t), and piecewise-linear sample tables.  lp_seminorm
-takes the closed form of the first two, and integrates sample tables
-and plain callables by a Gauss-Legendre quadrature of (g/M)^(1/p), M
-the largest sampled value, so no exponent p in (0, 1) underflows or
-overflows g^(1/p).  The Gauss-Legendre nodes are built on the first
-quadrature, so importing this module, or taking closed forms only,
-leaves numpy.polynomial unloaded.  A seminorm that has no finite double
-value raises SeminormError, which names the envelope.
+scale*exp(-rate*t), and piecewise-linear sample tables.  Every form has
+a closed-form seminorm; a sample table's is exact piece by piece on
+(g/M)^(1/p), M its largest value on [0, T], so no exponent p in (0, 1)
+underflows or overflows g^(1/p).  Only plain callables are integrated,
+by a Gauss-Legendre quadrature of the same scaled power.  Its nodes are
+built on the first quadrature, so importing this module, or taking
+seminorms of envelopes only, leaves numpy.polynomial unloaded.  A
+seminorm that has no finite double value raises SeminormError, which
+names the envelope.  _pow_diff, the cancellation-free A^e - B^e of the
+sampled seminorm, also serves the product-integration weights.
 """
 
 from __future__ import annotations
@@ -142,12 +144,14 @@ def mittag_leffler(alpha: float, z: float, tol: float = 1e-14) -> float:
 def lp_seminorm(g: Callable[[float], float], p: float, T: float) -> float:
     r"""Seminorm ||g||_{1/p} = (\int_0^T g(s)^{1/p} ds)^p for 0 < p < 1.
 
-    g must be nonnegative and evaluable on [0, T].  Constant and
-    exp_decay envelopes take their closed forms: v*T^p for the constant
-    v, and s*(p/r*(1 - exp(-r*T/p)))^p for s*exp(-r*t) (s*T^p at
-    r = 0); a result too large for a double raises SeminormError.
-    Any other g (sampled envelopes, plain callables) is integrated by
-    composite 16-point Gauss-Legendre quadrature with panel doubling
+    g must be nonnegative and evaluable on [0, T].  Envelopes take their
+    closed forms: v*T^p for the constant v, s*(p/r*(1 - exp(-r*T/p)))^p
+    for s*exp(-r*t) (s*T^p at r = 0), and for samples the exact integral
+    of each linear piece (see closed_form_seminorms, whose numpy code it
+    runs at [p]).  A sampled envelope whose knots do not cover [0, T]
+    raises the ValueError of Envelope.__call__, and a result too large
+    for a double raises SeminormError.  A plain callable is integrated
+    by composite 16-point Gauss-Legendre quadrature with panel doubling
     until the relative change drops below 1e-10, capped at 2^20 nodes.
     The quadrature integrates (g/M)^{1/p}, M the largest sampled value,
     and multiplies M back after the power, so g^{1/p} can neither
@@ -160,7 +164,7 @@ def lp_seminorm(g: Callable[[float], float], p: float, T: float) -> float:
         raise ValueError(f"lp_seminorm requires 0 < p < 1, got p={p!r}")
     if not T > 0.0:
         raise ValueError(f"lp_seminorm requires T > 0, got T={T!r}")
-    if isinstance(g, Envelope) and g.form != "samples":
+    if isinstance(g, Envelope):
         return _closed_form_seminorm(g, p, T)
 
     inv_p = 1.0 / p
@@ -202,6 +206,8 @@ def lp_seminorm(g: Callable[[float], float], p: float, T: float) -> float:
 def _closed_form_seminorm(env: "Envelope", p: float, T: float) -> float:
     if env.form == "constant":
         out = env.value * T**p
+    elif env.form == "samples":
+        out = float(_sampled_seminorms(env, np.array([p]), T)[0])
     else:
         # int_0^T e^{-rt/p} dt = T * (1 - e^{-x})/x with x = rT/p; the
         # ratio stays accurate when r (and x) is tiny or subnormal
@@ -226,16 +232,25 @@ def _closed_form_seminorm(env: "Envelope", p: float, T: float) -> float:
 
 
 def closed_form_seminorms(env: "Envelope", ps: np.ndarray, T: float) -> np.ndarray:
-    """lp_seminorm of a constant or exp_decay envelope at each exponent
-    of the float array ps, in one array pass.
+    """lp_seminorm of an envelope at each exponent of the float array
+    ps, in one array pass.
 
-    Each element takes the branch and the operations of the scalar
-    closed form, so it differs from lp_seminorm only where numpy's
-    pow, expm1, exp and log round differently from the C library (by
-    1 ulp on about 5% of inputs, measured with numpy 2.4 on an AVX-512
-    machine).  Where the scalar form raises SeminormError, the element
-    is inf or nan instead.
+    A constant or exp_decay element takes the branch and the operations
+    of the scalar closed form, so it differs from lp_seminorm only where
+    numpy's pow, expm1, exp and log round differently from the C library
+    (by 1 ulp on about 5% of inputs, measured with numpy 2.4 on an
+    AVX-512 machine).  A samples envelope runs the numpy code that
+    lp_seminorm runs at [p]: with q = 1/p, a linear piece of length dt
+    whose end values, scaled by the largest value M on [0, T], are
+    hi >= lo contributes dt*(hi^(q+1) - lo^(q+1))/((q+1)(hi - lo)), or
+    dt*hi^q when flat, and the seminorm is M*(sum of pieces)^p; the
+    power difference goes through _pow_diff, so near-equal ends do not
+    cancel.  Where the scalar form raises SeminormError, the element is
+    inf or nan instead; knots that do not cover [0, T] raise ValueError
+    here too.
     """
+    if env.form == "samples":
+        return _sampled_seminorms(env, ps, T)
     with np.errstate(all="ignore"):
         if env.form == "constant":
             return env.value * T**ps
@@ -253,6 +268,37 @@ def closed_form_seminorms(env: "Envelope", ps: np.ndarray, T: float) -> np.ndarr
         pl = ps[low]
         out[low] = scale * np.exp(pl * (-x[low] + np.log(pl / -rate)))
     return out
+
+
+def _pow_diff(A: np.ndarray, B: np.ndarray, expo: float | np.ndarray) -> np.ndarray:
+    """A**expo - B**expo for A > 0 and A >= B >= 0, stable when A is
+    close to B.  B = 0 needs no branch: log1p(-1) = -inf and
+    expm1(-inf) = -1, so the result is A**expo exactly."""
+    with np.errstate(divide="ignore"):
+        r = np.log1p((B - A) / A)
+    r *= expo
+    np.expm1(r, out=r)
+    r *= A**expo
+    return np.negative(r, out=r)
+
+
+def _sampled_seminorms(env: "Envelope", ps: np.ndarray, T: float) -> np.ndarray:
+    """lp_seminorm of a samples envelope at each exponent of ps, exact on
+    each linear piece (see closed_form_seminorms)."""
+    times = env.times
+    knots = np.concatenate(([0.0], times[(times > 0.0) & (times < T)], [T]))
+    u = env(knots)  # raises when the samples do not cover [0, T]
+    top = u.max()
+    if top == 0.0:
+        return np.zeros_like(ps)
+    q = 1.0 / ps[:, None]  # one row per exponent, so each row sums alike
+    with np.errstate(all="ignore"):  # np.where drops the flat pieces' 0/0
+        u /= top
+        hi, lo = np.maximum(u[1:], u[:-1]), np.minimum(u[1:], u[:-1])
+        sloped = _pow_diff(np.broadcast_to(hi, (ps.size, hi.size)), lo, q + 1.0)
+        sloped /= (q + 1.0) * (hi - lo)
+        pieces = np.where(hi > lo, sloped, hi**q) * np.diff(knots)
+        return top * pieces.sum(axis=1) ** ps
 
 
 def _eval_nonnegative(g: Callable[[float], float], nodes: np.ndarray) -> np.ndarray:
@@ -281,6 +327,13 @@ def holder_constant(alpha: float, p: float) -> float:
     return ((1.0 - p) / (alpha - p)) ** (1.0 - p)
 
 
+def _finite(name: str, x):
+    """x, after checking that it holds no nan or inf."""
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"envelope {name} must be finite, got {x!r}")
+    return x
+
+
 class Envelope:
     """Nonnegative comparison function t -> g(t) in one of three closed forms.
 
@@ -302,7 +355,7 @@ class Envelope:
 
     @staticmethod
     def constant(value: float) -> "Envelope":
-        value = float(value)
+        value = _finite("value", float(value))
         if value < 0.0:
             raise ValueError(f"constant envelope must be nonnegative, got {value!r}")
         return Envelope("constant", value=value)
@@ -310,8 +363,8 @@ class Envelope:
     @staticmethod
     def exp_decay(scale: float, rate: float) -> "Envelope":
         """scale * exp(-rate * t); scale must be nonnegative."""
-        scale = float(scale)
-        rate = float(rate)
+        scale = _finite("scale", float(scale))
+        rate = _finite("rate", float(rate))
         if scale < 0.0:
             raise ValueError(f"exp_decay scale must be nonnegative, got {scale!r}")
         return Envelope("exp_decay", scale=scale, rate=rate)
@@ -323,6 +376,8 @@ class Envelope:
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape or times.size < 2:
             raise ValueError("samples need matching 1-D arrays with at least 2 points")
+        _finite("times", times)
+        _finite("values", values)
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("sample times must be strictly increasing")
         if np.any(values < 0.0):
@@ -343,7 +398,8 @@ class Envelope:
                 raise ValueError(
                     f"sampled envelope defined on [{lo!r}, {hi!r}], asked outside"
                 )
-            out = np.interp(ts, self.times, self.values)
+            # np.interp can round a point between a zero and a positive sample below 0
+            out = np.maximum(np.interp(ts, self.times, self.values), 0.0)
         return float(out) if scalar else out
 
     def to_dict(self) -> dict:

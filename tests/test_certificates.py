@@ -348,6 +348,24 @@ def test_seminorm_overflow_names_the_history_role():
         certify(spec)
 
 
+def test_kinked_samples_certify_at_every_grid_exponent():
+    """lip samples with kinks off the dyadic panel edges, on which the
+    panel-doubling quadrature did not converge at p = alpha/65 within 2^20
+    nodes, so certify raised; the closed form certifies."""
+    lip = Envelope.from_samples([0.0, 2 / 3, 4 / 3, 2.0], [0.1, 10.0, 0.1, 5.0])
+    spec = ProblemSpec(
+        alpha=0.5,
+        T=2.0,
+        x0=np.array([1.0]),
+        rhs=RhsSpec(kind="plain", f=lambda t, x: -x, envelopes={"lip": lip}),
+    )
+    cert = certify(spec)
+    assert (cert.p, cert.p_auto, cert.verdict) == (0.5 * 35 / 65, True, "contraction_fails")
+    # 40-digit values of the same gamma: 22.1652040894208354..., 22.2081018956726818...
+    assert cert.gamma_stated == pytest.approx(22.165204089420835, rel=1e-14)
+    assert certify(spec, p=0.25).gamma_stated == pytest.approx(22.20810189567268, rel=1e-14)
+
+
 def reference_choose_p(spec):
     """choose_p as one scalar loop over the whole grid: the reference
     whose p (or error) the array pass must reproduce bitwise."""
@@ -378,7 +396,8 @@ def _outcome(fn, spec):
 @st.composite
 def envelopes(draw, T):
     """constant (0, ordinary, near overflow), exp_decay (scale 0, rate 0,
-    both signs, |r T / p| past 700) and sampled envelopes on [0, T]."""
+    both signs, |r T / p| past 700) and sampled envelopes whose knots
+    cover [0, T]."""
     form = draw(st.sampled_from(["constant", "exp_decay", "samples"]))
     if form == "constant":
         value = draw(
@@ -393,10 +412,12 @@ def envelopes(draw, T):
             st.one_of(st.just(0.0), st.floats(-700.0 / T, 1e-3), st.floats(1e-3, 1e5))
         )
         return Envelope.exp_decay(scale, rate)
-    # knots on a dyadic partition of [0, T], so the quadrature converges fast
-    k = draw(st.sampled_from([2, 3, 5]))
-    values = draw(st.lists(st.floats(0.25, 4.0), min_size=k, max_size=k))
-    return Envelope.from_samples(np.linspace(0.0, T, k), values)
+    # knots anywhere, the first at or before 0 and the last at or after T
+    lo = draw(st.one_of(st.just(0.0), st.floats(-1.0, 0.0)))
+    hi = draw(st.one_of(st.just(T), st.floats(T, T + 1.0)))
+    times = sorted({lo, hi, *draw(st.lists(st.floats(0.0, T), max_size=4))})
+    values = draw(st.lists(st.floats(0.25, 4.0), min_size=len(times), max_size=len(times)))
+    return Envelope.from_samples(times, values)
 
 
 @st.composite

@@ -129,6 +129,27 @@ class TestExitCodes:
             "p=0.08461538461538462 overflows a double\n"
         )
 
+    def test_check_kinked_samples_certify(self, tmp_path, capsys):
+        # kinks off the dyadic panel edges: a quadrature of the seminorm did
+        # not converge at p = alpha/65; the closed form gives a verdict
+        data = step_profile_config()
+        data["problem"]["T"] = 2.0
+        data["certificate"] = {
+            "jump_lipschitz": 0.0,
+            "envelopes": {
+                "lip": {
+                    "form": "samples",
+                    "times": [0.0, 2 / 3, 4 / 3, 2.0],
+                    "values": [0.1, 10.0, 0.1, 5.0],
+                }
+            },
+        }
+        code = main(["check", "--config", str(write_config(tmp_path, data))])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == ""
+        assert "verdict: contraction_fails" in captured.out
+
     def test_check_without_a_finite_gamma_exits_1(self, tmp_path, capsys):
         # each seminorm is 1.5e308; the Hölder constant times it overflows
         data = step_profile_config()

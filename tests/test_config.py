@@ -15,6 +15,7 @@ from fracimpulse import (
     load_config,
     parse_config,
 )
+from fracimpulse.cli import main
 
 
 def plain_config() -> dict:
@@ -258,6 +259,28 @@ class TestFieldPathErrors:
         data["certificate"] = {"envelopes": {"bound": {"form": "constant"}}}
         msg = self._err(data)
         assert "certificate.envelopes.bound" in msg
+
+    @pytest.mark.parametrize(
+        "desc",
+        [
+            {"form": "constant", "value": float("nan")},
+            {"form": "exp_decay", "scale": 1.0, "rate": float("inf")},
+            {"form": "samples", "times": [0.0, 1.0], "values": [1.0, float("nan")]},
+        ],
+    )
+    def test_envelope_non_finite_parameter(self, desc, tmp_path, capsys):
+        data = plain_config()
+        data["certificate"] = {"envelopes": {"lip": desc}}
+        msg = self._err(data)
+        assert msg.startswith("certificate.envelopes.lip: bad envelope: envelope ")
+        assert "must be finite" in msg
+        # JSON's NaN and Infinity reach the same error through the CLI
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {msg}\n"
 
     def test_envelope_unknown_form(self):
         data = plain_config()
