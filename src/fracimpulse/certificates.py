@@ -65,8 +65,6 @@ __all__ = [
 
 P_GRID_POINTS = 64
 
-VERDICTS = ("contraction_holds", "contraction_fails", "not_applicable")
-
 
 class CertificateError(ValueError):
     """Certificate computation cannot proceed (e.g. Schaefer q >= 1)."""

@@ -33,9 +33,9 @@ from .config import (
     parse_config,
 )
 from .exprlang import monomial
-from .fracquad import fit_order
+from .fracquad import SCHEMES, fit_order
 from .problem import MeshError, ProblemError, Trajectory, build_mesh
-from .solver import SolverError, solve_marching, solve_picard
+from .solver import METHODS, SolverError, solve_marching, solve_picard
 from .special import mittag_leffler
 
 __all__ = ["main", "trajectory_csv", "certificate_report"]
@@ -280,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve and write the trajectory CSV")
     p_solve.add_argument("--config", required=True, help="JSON config file")
     p_solve.add_argument("--out", help="CSV destination (overrides output.csv)")
-    p_solve.add_argument("--method", choices=("picard", "marching"))
-    p_solve.add_argument("--scheme", choices=("rectangle", "trapezoid"))
+    p_solve.add_argument("--method", choices=METHODS)
+    p_solve.add_argument("--scheme", choices=SCHEMES)
     p_solve.set_defaults(func=cmd_solve)
 
     p_check = sub.add_parser("check", help="compute the certificate")
@@ -296,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma separated target steps, decreasing (e.g. 0.02,0.01,0.005)",
     )
-    p_order.add_argument("--method", choices=("picard", "marching"))
-    p_order.add_argument("--scheme", choices=("rectangle", "trapezoid"))
+    p_order.add_argument("--method", choices=METHODS)
+    p_order.add_argument("--scheme", choices=SCHEMES)
     p_order.set_defaults(func=cmd_order)
 
     p_example = sub.add_parser("example", help="write a builtin example config")

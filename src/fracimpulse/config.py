@@ -21,7 +21,9 @@ Layout (unknown keys are rejected everywhere, errors carry field paths):
 
 Right-hand sides, jumps, and histories are expressions (see exprlang);
 for state dimension d > 1 they become lists of d expressions over
-components x1..xd (and xr1..xrd), and x0 a list of d numbers.  The
+components x1..xd (and xr1..xrd), and x0 a list of d numbers.  All
+become callables by one rule (_compiled): one point takes the tree
+walk, a batch the compiled numpy closures.  The
 delay spec is present exactly when rhs.kind is delay/general_delay,
 and x0 may then be omitted (taken from history(0)).  numerics.tol and
 numerics.max_iter apply to the picard method only; marching uses the
@@ -31,6 +33,7 @@ corrector constants of the solver module instead.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,6 +43,7 @@ import numpy as np
 
 from . import exprlang
 from .exprlang import Expr
+from .fracquad import SCHEMES
 from .problem import (
     ENVELOPE_ROLES,
     RHS_KINDS,
@@ -48,12 +52,10 @@ from .problem import (
     ProblemSpec,
     RhsSpec,
 )
+from .solver import METHODS
 from .special import Envelope
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "builtin_example", "BUILTIN_EXAMPLES"]
-
-_SCHEMES = ("rectangle", "trapezoid")
-_METHODS = ("picard", "marching")
 
 _NUMERICS_DEFAULTS = {
     "target_h": 1.0 / 256.0,
@@ -143,74 +145,58 @@ def _parse_expr_vector(value, path: str, dim: int, allowed_vars: frozenset[str])
     _fail(path, f"expected an expression string or list, got {type(value).__name__}")
 
 
-def _state_vars(dim: int) -> frozenset[str]:
-    return frozenset(["x"] if dim == 1 else [f"x{i + 1}" for i in range(dim)])
-
-
-def _lag_vars(dim: int) -> frozenset[str]:
-    return frozenset(["xr"] if dim == 1 else [f"xr{i + 1}" for i in range(dim)])
-
-
-def _state_env(x: np.ndarray) -> dict[str, float]:
-    if x.size == 1:
-        return {"x": float(x[0])}
-    return {f"x{i + 1}": float(v) for i, v in enumerate(x)}
+@functools.cache
+def _names(prefix: str, d: int) -> tuple[str, ...]:
+    """The variables of a d-vector: prefix when d = 1, else prefix1 .. prefixd."""
+    return (prefix,) if d == 1 else tuple(f"{prefix}{i + 1}" for i in range(d))
 
 
 def _components(prefix: str, x: np.ndarray) -> dict[str, np.ndarray]:
-    if x.shape[-1] == 1:
-        return {prefix: x[..., 0]}
-    return {f"{prefix}{i + 1}": x[..., i] for i in range(x.shape[-1])}
+    names = _names(prefix, x.shape[-1])
+    if len(names) == 1:  # a literal is cheaper than the comprehension per call
+        return {names[0]: x[..., 0]}
+    return {name: x[..., i] for i, name in enumerate(names)}
 
 
-def _fill(fns: list[Callable], env: dict, shape: tuple[int, ...]) -> np.ndarray:
-    """The compiled trees fns on a batch binding env: component k of the
-    (..., d) result of the given shape is fns[k](env)."""
-    out = np.empty(shape)
-    for k, fn in enumerate(fns):
-        out[..., k] = fn(env)
-    return out
-
-
-def _compiled_rhs(trees: tuple[Expr, ...]) -> Callable:
-    """f(t, x[, x_lag, hist_sup]) from compiled trees, broadcasting over
-    leading axes: t (...), x and x_lag (..., d), hist_sup (...) give an
-    (..., d) array, so one call samples a whole mesh or a single node."""
+def _compiled(trees: tuple[Expr, ...], bind: Callable) -> Callable:
+    """A right-hand side part, jump map or history: bind(*args) gives the
+    binding (arrays) and the leading shape lead; the result is lead + (d,).
+    One point (no leading axes, or one row) takes the tree walk, cheaper
+    than numpy there; anything larger the compiled closures."""
     fns = [exprlang.compile_expr(tree) for tree in trees]
+    used = frozenset().union(*map(exprlang.variables, trees))
 
-    def f(t, x, x_lag=None, hist_sup=None):
-        x = np.asarray(x, dtype=float)
-        env = {"t": t, **_components("x", x)}
-        if x_lag is not None:
-            env.update(_components("xr", np.asarray(x_lag, dtype=float)), xtsup=hist_sup)
-        if x.size == x.shape[-1]:
-            # one node (marching): the tree walk costs less than numpy's
-            # per-call overhead on one-element arrays
-            point = {name: np.asarray(value).item() for name, value in env.items()}
-            return np.array([exprlang.evaluate(tree, point) for tree in trees]).reshape(x.shape)
-        return _fill(fns, env, x.shape)
-
-    return f
-
-
-def _compiled_map(trees: tuple[Expr, ...], point_ndim: int, point_env, batch_env) -> Callable:
-    """A history (point_ndim 0, one time) or a jump map (point_ndim 1,
-    one (d,) state) from compiled trees.  One point takes the tree walk
-    on point_env(point), which costs less than numpy's per-call
-    overhead on one point and is what the solvers call; a batch of
-    points (leading axes ...) gives an (..., d) array from the compiled
-    trees on batch_env(batch)."""
-    fns = [exprlang.compile_expr(tree) for tree in trees]
-
-    def call(arg):
-        if np.ndim(arg) == point_ndim:
-            env = point_env(arg)
-            return np.array([exprlang.evaluate(tree, env) for tree in trees])
-        arg = np.asarray(arg, dtype=float)
-        lead = arg.shape[: arg.ndim - point_ndim]
-        return _fill(fns, batch_env(arg), lead + (len(fns),))
+    def call(*args):
+        env, lead = bind(*args)
+        if lead in ((), (1,)):
+            point = {name: env[name].item() for name in used if name in env}
+            values = [exprlang.evaluate(tree, point) for tree in trees]
+            return np.array([values] if lead else values)
+        out = np.empty(lead + (len(fns),))
+        for k, fn in enumerate(fns):
+            out[..., k] = fn(env)
+        return out
 
     return call
+
+
+def _bind_rhs(t, x, x_lag=None, hist_sup=None):  # t (...), x and x_lag (..., d), hist_sup (...)
+    x = np.asarray(x, dtype=float)
+    env = _components("x", x)
+    env["t"] = np.asarray(t)
+    if x_lag is not None:
+        env.update(_components("xr", np.asarray(x_lag, dtype=float)), xtsup=np.asarray(hist_sup))
+    return env, x.shape[:-1]
+
+
+def _bind_jump(x):  # one (d,) state or a (..., d) batch
+    x = np.asarray(x, dtype=float)
+    return _components("x", x), x.shape[:-1]
+
+
+def _bind_history(t):  # one time or a (...) array of times
+    t = np.asarray(t)
+    return {"t": t}, t.shape
 
 
 @dataclass(frozen=True)
@@ -316,10 +302,10 @@ def parse_config(data: Any) -> RunConfig:
         hist = prob["delay"].get("history") if isinstance(prob["delay"], dict) else None
         dim = len(hist) if isinstance(hist, list) else 1
 
-    state_vars = _state_vars(dim)
-    rhs_vars = frozenset({"t"}) | state_vars
+    state_vars = frozenset(_names("x", dim))
+    rhs_vars = state_vars | {"t"}
     if delayed:
-        rhs_vars = rhs_vars | _lag_vars(dim) | {"xtsup"}
+        rhs_vars = rhs_vars | set(_names("xr", dim)) | {"xtsup"}
 
     split = kind == "split"
     parts = ("f1", "f2") if split else ("f",)
@@ -348,7 +334,7 @@ def parse_config(data: Any) -> RunConfig:
         trees = _parse_expr_vector(item["jump"], f"{ipath}.jump", dim, state_vars)
         asts[f"impulses[{i}].jump"] = trees
         times.append(tk)
-        jump_fns.append(_compiled_map(trees, 1, _state_env, lambda x: _components("x", x)))
+        jump_fns.append(_compiled(trees, _bind_jump))
 
     cert_raw = _expect_mapping(
         data.get("certificate", {}),
@@ -420,15 +406,11 @@ def parse_config(data: Any) -> RunConfig:
         r = _expect_number(draw["r"], "problem.delay.r")
         if r <= 0.0:
             _fail("problem.delay.r", f"must be positive, got {r!r}")
-        hist_trees = _parse_expr_vector(
-            draw["history"], "problem.delay.history", dim, frozenset({"t"})
-        )
-        asts["delay.history"] = hist_trees
+        trees = _parse_expr_vector(draw["history"], "problem.delay.history", dim, frozenset({"t"}))
+        asts["delay.history"] = trees
+        delay_spec = DelaySpec(r=r, history=_compiled(trees, _bind_history), vectorized=True)
 
-        history = _compiled_map(hist_trees, 0, lambda s: {"t": float(s)}, lambda t: {"t": t})
-        delay_spec = DelaySpec(r=r, history=history, vectorized=True)
-
-    fns = {key: _compiled_rhs(asts[f"rhs.{key}"]) for key in parts}
+    fns = {key: _compiled(asts[f"rhs.{key}"], _bind_rhs) for key in parts}
     rhs = RhsSpec(kind=kind, envelopes=envelopes, vectorized=True, **fns)
 
     try:
@@ -447,10 +429,10 @@ def parse_config(data: Any) -> RunConfig:
     if target_h <= 0.0:
         _fail("numerics.target_h", "must be positive")
     scheme = _expect_choice(
-        num_raw.get("scheme", _NUMERICS_DEFAULTS["scheme"]), "numerics.scheme", _SCHEMES
+        num_raw.get("scheme", _NUMERICS_DEFAULTS["scheme"]), "numerics.scheme", SCHEMES
     )
     method = _expect_choice(
-        num_raw.get("method", _NUMERICS_DEFAULTS["method"]), "numerics.method", _METHODS
+        num_raw.get("method", _NUMERICS_DEFAULTS["method"]), "numerics.method", METHODS
     )
     tol = _expect_number(num_raw.get("tol", _NUMERICS_DEFAULTS["tol"]), "numerics.tol")
     if tol <= 0.0:

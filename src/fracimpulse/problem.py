@@ -66,15 +66,6 @@ class MeshError(ValueError):
     """Mesh construction failure (refinement or commensurability)."""
 
 
-def _as_state(value, dim: int, what: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.shape != (dim,):
-        raise ProblemError(f"{what} must have shape ({dim},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ProblemError(f"{what} must be finite")
-    return arr
-
-
 class SolverError(RuntimeError):
     """Right-hand side, history or jump evaluation failed, or solver misuse."""
 
@@ -221,10 +212,10 @@ class ImpulseSchedule:
     default) each map is called with one (d,) state and returns a (d,)
     array, or a scalar when d = 1.  With True, spot_check calls each
     map once on an (n, d) batch of states, and the map returns an
-    (n, d) array, or (n,) when d = 1, row i from state i alone.  The
-    solvers still apply one (d,) state per impulse, so a vectorized map
-    must accept that too.  Jump maps built from a config file do both
-    and set it.
+    (n, d) array, or (n,) when d = 1, row i from state i alone, and
+    the solvers apply it to the (1, d) batch of one state, so a
+    vectorized map only ever sees batches.  Jump maps built from a
+    config file set it.
     """
 
     times: tuple[float, ...] = ()
@@ -258,14 +249,14 @@ class ImpulseSchedule:
         return len(self.times)
 
     def apply(self, k: int, x: np.ndarray) -> np.ndarray:
-        """Increment I_k evaluated at the (d,) state x, in one call.
+        """Increment I_k at the (d,) state x, in one call (on x[None] when vectorized).
 
         The map is sampled by the rule of the right-hand side (_sample):
         a ValueError or ArithmeticError from it, a wrong shape or a
         non-finite value raises SolverError naming impulse k and t_k.
         """
         where = lambda _: f"impulse {k} (t={self.times[k]!r})"
-        return _sample(self.jumps[k], False, (x[None, :],), x.shape[0], "jump", where)[0]
+        return _sample(self.jumps[k], self.vectorized, (x[None, :],), x.shape[0], "jump", where)[0]
 
     def spot_check(self, radius: float, dim: int, samples: int = 100):
         """Sample each jump map at random states |x| <= radius and verify the
@@ -393,9 +384,9 @@ class DelaySpec:
     solvers sample the history grid in one call, with an (n,) array of
     times, and history returns an (n, d) array, or (n,) when d = 1,
     row i from time i alone; history_sup_norm samples its window the
-    same way.  Problem validation still calls history with one float s,
-    so it must accept that too.  Histories built from a config file do
-    both and set it.
+    same way.  Problem validation samples history(0) and history(-r) by
+    the same rule but one float at a time, so a vectorized history must
+    accept a float too.  Histories built from a config file set it.
     """
 
     r: float
@@ -457,13 +448,17 @@ class ProblemSpec:
         object.__setattr__(self, "x0", x0)
 
         if self.delay is not None:
-            phi0 = _as_state(self.delay.history(0.0), x0.size, "history(0)")
+            # history must be evaluable across its domain; one float at a time
+            times = np.array([0.0, -self.delay.r])
+            where = lambda i: f"t={float(times[i])!r}"
+            try:
+                phi0 = _sample(self.delay.history, False, (times,), x0.size, "history", where)[0]
+            except SolverError as e:
+                raise ProblemError(str(e)) from e
             if not np.array_equal(phi0, x0):
                 raise ProblemError(
                     f"x0 must equal history(0): {x0!r} vs {phi0!r}"
                 )
-            # history must be evaluable across its domain
-            _as_state(self.delay.history(-self.delay.r), x0.size, "history(-r)")
 
         if any(t >= self.T for t in self.impulses.times):
             raise ProblemError("impulse times must lie strictly inside (0, T)")
@@ -642,14 +637,6 @@ class Trajectory:
     def right_limit(self, k: int) -> np.ndarray:
         return self.right_values[k]
 
-    def _start_values(self) -> np.ndarray:
-        """Node values with the right limit substituted at impulse nodes
-        (the value relevant on the cell to the right of each node)."""
-        out = self.values.copy()
-        for k, idx in enumerate(self.mesh.impulse_idx):
-            out[idx] = self.right_values[k]
-        return out
-
     def evaluate(self, t: float, side: str = "left") -> np.ndarray:
         """Value at time t; side picks the limit at impulse nodes.
 
@@ -665,17 +652,17 @@ class Trajectory:
         nodes = self.mesh.nodes
         if t < nodes[0] or t > nodes[-1]:
             raise ValueError(f"t={t!r} outside [{nodes[0]!r}, {nodes[-1]!r}]")
+        impulse = self.mesh.impulse_idx
         exact = self.mesh.node_index(t)
         if exact is not None:
-            impulse = self.mesh.impulse_idx
             if side == "right" and exact in impulse:
                 return self.right_values[impulse.index(exact)].copy()
             return self.values[exact].copy()
         i = int(np.searchsorted(nodes, t)) - 1
         t0, t1 = nodes[i], nodes[i + 1]
         w = (t - t0) / (t1 - t0)
-        start = self._start_values()
-        return (1.0 - w) * start[i] + w * self.values[i + 1]
+        start = self.right_values[impulse.index(i)] if i in impulse else self.values[i]
+        return (1.0 - w) * start + w * self.values[i + 1]
 
 
 def history_sup_norm(traj: Trajectory, delay: DelaySpec, t: float) -> float:

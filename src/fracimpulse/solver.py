@@ -61,6 +61,8 @@ __all__ = [
     "split_component_integral",
 ]
 
+METHODS = ("picard", "marching")  # solve_picard and solve_marching
+
 # The trapezoid marching corrector stops once its update is at most
 # CORRECTOR_TOL relative to the node value, or after MAX_CORRECTIONS steps.
 CORRECTOR_TOL = 1e-13

@@ -378,8 +378,12 @@ class Envelope:
             raise ValueError("samples need matching 1-D arrays with at least 2 points")
         _finite("times", times)
         _finite("values", values)
-        if np.any(np.diff(times) <= 0.0):
+        with np.errstate(over="ignore"):  # an infinite gap is rejected below
+            gaps = np.diff(times)
+        if np.any(gaps <= 0.0):
             raise ValueError("sample times must be strictly increasing")
+        if not np.all(np.isfinite(gaps)):  # __call__ divides by them
+            raise ValueError("neighbouring sample times must lie a finite distance apart")
         if np.any(values < 0.0):
             raise ValueError("sample values must be nonnegative")
         return Envelope("samples", times=times, values=values)
@@ -398,8 +402,12 @@ class Envelope:
                 raise ValueError(
                     f"sampled envelope defined on [{lo!r}, {hi!r}], asked outside"
                 )
-            # np.interp can round a point between a zero and a positive sample below 0
-            out = np.maximum(np.interp(ts, self.times, self.values), 0.0)
+            # each point from its two neighbouring knots, weights in [0, 1]:
+            # nothing cancels or overflows, and a knot gets its sample
+            ts = np.clip(ts, lo, hi)
+            i = np.clip(np.searchsorted(self.times, ts, side="right") - 1, 0, self.times.size - 2)
+            t0, t1 = self.times[i], self.times[i + 1]
+            out = (t1 - ts) / (t1 - t0) * self.values[i] + (ts - t0) / (t1 - t0) * self.values[i + 1]
         return float(out) if scalar else out
 
     def to_dict(self) -> dict:

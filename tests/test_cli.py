@@ -86,6 +86,18 @@ class TestExitCodes:
             "division by zero in subexpression '1.0/(t + 0.25)'\n"
         )
 
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_history_failing_at_minus_r_exits_1_naming_the_time(self, tmp_path, capsys, command):
+        # history(0) = 2 gives x0; history(-r) divides by zero, so the problem is invalid
+        data = coarse("delay-plain")
+        data["problem"]["delay"]["history"] = "1/(t+0.5)"
+        cfg = write_config(tmp_path, data)
+        assert main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: problem: history evaluation failed at t=-0.5: "
+            "division by zero in subexpression '1.0/(t + 0.5)'\n"
+        )
+
     @pytest.mark.parametrize("method", ["picard", "marching"])
     def test_jump_domain_error_exits_2_naming_the_impulse(self, tmp_path, capsys, method):
         # the history -1 makes x(0.5-) negative, where x^0.5 is undefined

@@ -657,6 +657,27 @@ class TestJumpMaps:
             assert batch.shape == walk.shape == (100, dim)
             assert batch.tobytes() == walk.tobytes()
 
+    @pytest.mark.parametrize("solve", [solve_picard, solve_marching])
+    def test_vectorized_map_gets_batches_only(self, solve):
+        def batches_only(x):
+            if x.ndim != 2:
+                raise ValueError(f"expected an (n, d) batch, got shape {x.shape}")
+            return 0.1 * np.sin(x)
+
+        def problem(jump, vectorized):
+            schedule = ImpulseSchedule(times=(0.5,), jumps=(jump,), jump_lip=0.1, vectorized=vectorized)
+            return ProblemSpec(
+                alpha=0.5, T=1.0, x0=1.0, rhs=RhsSpec(kind="plain", f=lambda t, x: -x), impulses=schedule
+            )
+
+        spec = problem(batches_only, True)
+        spec.impulses.spot_check(radius=2.0, dim=1)
+        mesh = build_mesh(spec, 0.125)
+        got = solve(spec, mesh).trajectory
+        want = solve(problem(lambda x: 0.1 * np.sin(x), False), mesh).trajectory
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.right_values.tobytes() == want.right_values.tobytes()
+
     def test_failing_map_in_the_spot_check_is_a_problem_error(self):
         cfg = _jump_config("delay-exp", "x^0.5")
         with pytest.raises(ProblemError) as err:

@@ -208,10 +208,38 @@ class TestEnvelope:
             Envelope.from_samples([0.0], [1.0])
 
     def test_samples_interpolation_never_negative(self):
-        # np.interp gives -2.2e-16 at t = 0, between the samples 1.875 and 0
+        # the interpolant at t = 0, between the samples 1.875 and 0, is 2.3e-323
+        # (mpmath), where a slope anchored at the left knot gives -2.2e-16
         env = Envelope.from_samples([-0.79296875, 1e-323, 0.5, 1.0], [1.875, 0.0, 0.0, 1.0])
-        assert env(0.0) == 0.0
+        assert 0.0 < env(0.0) < 1e-322
         assert lp_seminorm(env, 0.25, 1.0) == pytest.approx(0.5**0.25 * 0.2**0.25, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "times, values, t, exact",
+        [
+            # the interpolant next to a knot 4e-101 right of 0: 2.2547591457558745537e-100
+            ([-0.18328758234618103, 4.1326935259853466e-101, 1.0], [1.0, 0.0, 0.0], 0.0,
+             2.2547591457558745e-100),
+            # halfway across a subnormally short piece
+            ([-1e-320, 1e-320, 1.0], [1.0, 2.0, 1.0], 0.0, 1.5),
+            # between two knots at the top of the float range
+            ([0.0, 1.0], [1e308, 1e308], 0.3, 1e308),
+            ([0.0, 0.3, 1.0], [1.0, 2.0, 0.5], 0.3, 2.0),  # a knot gets its sample
+        ],
+    )
+    def test_samples_interpolation_matches_mpmath(self, times, values, t, exact):
+        assert Envelope.from_samples(times, values)(t) == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+    def test_samples_farther_apart_than_the_float_range_rejected(self):
+        # the gap 2e308 overflows, and the interpolation weights would read 0
+        with pytest.raises(ValueError, match="finite distance apart"):
+            Envelope.from_samples([-1e308, 1e308], [1.0, 1.0])
+
+    def test_sampled_seminorm_next_to_a_tiny_knot(self):
+        # (int_0^t1 u^(1/p))^p for the ramp u from 2.25e-100 down to 0 on
+        # [0, t1 = 4.1e-101]: 3.669700604022876269822e-101 (mpmath, 50 digits)
+        env = Envelope.from_samples([-0.18328758234618103, 4.1326935259853466e-101, 1.0], [1.0, 0.0, 0.0])
+        assert lp_seminorm(env, 0.5 / 65, 1.0) == pytest.approx(3.669700604022876e-101, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -321,8 +349,11 @@ def sampled_envelopes(draw):
     inner = draw(st.lists(st.floats(0.0, T, exclude_min=True, exclude_max=True), max_size=6))
     ends = [draw(st.one_of(st.just(0.0), st.floats(-1.0, 0.0))),
             draw(st.one_of(st.just(T), st.floats(T, T + 1.0)))]
+    # the quadrature oracle cannot resolve a piece of a few ulps or a
+    # subnormal length, so knots keep 1e-9 * T from each other and 0 and T
+    inner = [t for t in inner if min(t, T - t) > 1e-9 * T]
     times = []
-    for t in sorted(inner + ends):  # interpolating across a gap near 1e-313 overflows
+    for t in sorted(inner + ends):
         if not times or t - times[-1] > 1e-9 * T:
             times.append(t)
     values = [draw(st.one_of(st.just(0.0), st.floats(1e-3, 1e3))) for _ in times]
