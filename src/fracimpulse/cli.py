@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -199,8 +200,8 @@ def _parse_h_list(text: str) -> list[float]:
             h = float(piece)
         except ValueError:
             raise ConfigError(f"--h-list: not a number: {piece!r}") from None
-        if h <= 0:
-            raise ConfigError(f"--h-list: steps must be positive, got {piece!r}")
+        if not (h > 0.0 and math.isfinite(h)):
+            raise ConfigError(f"--h-list: steps must be positive and finite, got {piece!r}")
         out.append(h)
     if len(out) < 3:
         raise ConfigError("--h-list: need at least three step sizes")

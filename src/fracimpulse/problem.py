@@ -437,27 +437,31 @@ class ProblemSpec:
                 "delay spec present iff rhs kind is delay/general_delay"
             )
 
-        if self.x0 is None:
-            if self.delay is None:
-                raise ProblemError("x0 required for problems without history")
-            x0 = np.atleast_1d(np.asarray(self.delay.history(0.0), dtype=float))
-        else:
+        x0_given = self.x0 is not None
+        if x0_given:
             x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
+        elif self.delay is None:
+            raise ProblemError("x0 required for problems without history")
+        else:  # history(0), called once; its errors read like the sampled ones
+            try:
+                x0 = np.atleast_1d(np.asarray(self.delay.history(0.0), dtype=float))
+            except (ArithmeticError, ValueError) as e:
+                raise ProblemError(str(_point_error("history", "t=0.0", e))) from e
         if x0.ndim != 1 or x0.size < 1 or not np.all(np.isfinite(x0)):
             raise ProblemError("x0 must be a finite 1-D state")
         object.__setattr__(self, "x0", x0)
 
         if self.delay is not None:
             # history must be evaluable across its domain; one float at a time
-            times = np.array([0.0, -self.delay.r])
+            times = np.array([0.0, -self.delay.r] if x0_given else [-self.delay.r])
             where = lambda i: f"t={float(times[i])!r}"
             try:
-                phi0 = _sample(self.delay.history, False, (times,), x0.size, "history", where)[0]
+                phi = _sample(self.delay.history, False, (times,), x0.size, "history", where)
             except SolverError as e:
                 raise ProblemError(str(e)) from e
-            if not np.array_equal(phi0, x0):
+            if x0_given and not np.array_equal(phi[0], x0):
                 raise ProblemError(
-                    f"x0 must equal history(0): {x0!r} vs {phi0!r}"
+                    f"x0 must equal history(0): {x0!r} vs {phi[0]!r}"
                 )
 
         if any(t >= self.T for t in self.impulses.times):

@@ -23,12 +23,15 @@ report then says so (converged=False).
 
 Both solvers touch the weights only through WeightTable.apply, row and
 diag, and sample f through one sampler: a Picard sweep samples every
-node in one batch (one call of a vectorized RHS, see RhsSpec, with lags
-sliced from the iterate and window sups from an O(N) sliding max), and
+node in one batch (one call of a vectorized RHS, see RhsSpec), and
 marching samples batches of one node.  A per-node callable costs its
 call plus a fraction of a microsecond per node: the outputs of a batch
 are collected and assembled into one preallocated array 1024 nodes at
 a time, so a sweep holds one chunk of Python outputs, not one per node.
+
+Lags and window sups come from one delay grid (_DelayData): a sweep
+stores its iterate and reads all windows with an O(N) sliding max;
+marching reads node i's window before solving for it and folds |x| in.
 
 Right limits of a returned trajectory are rebuilt from the final left
 limits, so right - left = I_k(left) holds to roundoff.
@@ -84,16 +87,16 @@ class SolveReport:
 
 
 def _sliding_max(a: np.ndarray, width: int) -> np.ndarray:
-    """out[i] = max(a[max(i - width + 1, 0) : i + 1]) in O(len(a)).
+    """out[k] = max(a[k : k + width]) for each full window of a, in O(len(a)).
 
-    van Herk / Gil-Werman: pad width - 1 entries of -inf in front, cut
-    into blocks of width, and combine each block's suffix max at i with
-    the next block's prefix max at i + width - 1.
+    van Herk / Gil-Werman: pad the tail with -inf, cut into blocks of
+    width, and combine each block's suffix max at k with the next
+    block's prefix max at k + width - 1.
     """
-    n = a.size
-    blocks = -(-(n + width - 1) // width)
+    n = a.size - width + 1
+    blocks = -(-a.size // width)
     padded = np.full(blocks * width, -np.inf)
-    padded[width - 1 : width - 1 + n] = a
+    padded[: a.size] = a
     cut = padded.reshape(blocks, width)
     prefix = np.maximum.accumulate(cut, axis=1).ravel()
     suffix = np.maximum.accumulate(cut[:, ::-1], axis=1)[:, ::-1].ravel()
@@ -101,8 +104,9 @@ def _sliding_max(a: np.ndarray, width: int) -> np.ndarray:
 
 
 class _DelayData:
-    """Precomputed history values on the delay-aligned negative grid,
-    sampled like the RHS: in one call when DelaySpec.vectorized."""
+    """Delay grid: rows 0 .. q-1 hold the history at -q h .. -h (sampled like
+    the RHS), row q + j node j once stored; norms holds |row|, 0 until then.
+    Node j's lag x(t_j - r) is row j, and its window [t_j - r, t_j] rows j .. j + q."""
 
     def __init__(self, spec: ProblemSpec, mesh: Mesh):
         delay = spec.delay
@@ -112,68 +116,51 @@ class _DelayData:
         self.q = q
         h = delay.r / q
 
-        grid = -np.arange(q + 1) * h
-        self.phi_vals = _history_values(delay, grid, spec.dim)  # row j: phi(-jh)
-        phi_norms = np.linalg.norm(self.phi_vals, axis=1)
+        # sampled from t = 0 down, so an error names the failure nearest 0
+        phi = _history_values(delay, -np.arange(q + 1) * h, spec.dim)
+        self.rows = np.zeros((q + mesh.n_nodes, spec.dim))
+        self.norms = np.zeros(q + mesh.n_nodes)
+        self.rows[:q] = phi[q:0:-1]
+        self.norms[:q] = np.linalg.norm(self.rows[:q], axis=1)
+        # knots join the windows of nodes i < q, which reach below t = 0:
+        # a suffix max over the knots at or right of the window's left end
         knots = np.array(sorted(s for s in delay.sample_times if s < 0.0))
-        # the history part of window_sup at the nodes i < q, whose windows
-        # reach below t = 0: a prefix max over the grid values and a
-        # suffix max over the knots at or right of the window's left end
-        j_hi = np.arange(q, q - min(q, mesh.n_nodes), -1)
-        hist = np.maximum.accumulate(phi_norms[1:])[j_hi - 1]
+        self.knot_sups = None
         if knots.size:
             knot_norms = np.linalg.norm(_history_values(delay, knots, spec.dim), axis=1)
-            first = np.searchsorted(knots, -j_hi * h - 1e-12)
+            first = np.searchsorted(knots, (np.arange(min(q, mesh.n_nodes)) - q) * h - 1e-12)
             suffix = np.maximum.accumulate(knot_norms[::-1])[::-1]
-            hist = np.maximum(hist, np.append(suffix, -np.inf)[first])
-        self.hist_sups = hist
+            self.knot_sups = np.append(suffix, -np.inf)[first]
 
-    def lagged(self, i: int, values: np.ndarray) -> np.ndarray:
-        """x(t_i - r): node value for t_i >= r, history value below."""
-        if i >= self.q:
-            return values[i - self.q]
-        return self.phi_vals[self.q - i]
+    def store(self, start: int, x: np.ndarray) -> None:
+        """Write the (n, d) rows of nodes start .. start + n - 1 and their norms;
+        one node's norm is np.linalg.norm's, like the |x| marching folds in."""
+        at = slice(self.q + start, self.q + start + len(x))
+        self.rows[at] = x
+        self.norms[at] = np.linalg.norm(x, axis=None if len(x) == 1 else 1)
 
-    def lagged_all(self, values: np.ndarray) -> np.ndarray:
-        """lagged(i, values) for every node, as one (N, d) array."""
-        n = values.shape[0]
-        below = self.phi_vals[self.q : 0 : -1][:n]
-        return np.concatenate([below, values[: max(n - self.q, 0)]])
+    def window(self, start: int, stop: int, right_norms: np.ndarray):
+        """Lags (n, d) and window sups (n,) of nodes start .. stop - 1.
 
-    def window_sup(
-        self,
-        i: int,
-        norms: np.ndarray,
-        right_norms: dict[int, float],
-    ) -> float:
-        """Sup of |x| over the discrete window [t_i - r, t_i].
-
-        norms[j] = |values[j]| of the iterate being sampled; impulse nodes
-        inside the window enter with their left limit, the window's left
-        endpoint with its right limit when it is an impulse node.
+        Node j's sup is the max of norms[j : j + q + 1] (impulse nodes by
+        their left limits), of the declared knots when j < q, and of
+        right_norms[j - q], the (N,) right-limit norms, 0 off impulse nodes.
         """
-        lo_idx = i - self.q
-        sup = float(np.max(norms[max(lo_idx, 0) : i + 1]))
-        if lo_idx < 0:
-            return max(sup, float(self.hist_sups[i]))
-        if lo_idx in right_norms:
-            sup = max(sup, right_norms[lo_idx])
-        return sup
-
-    def window_sups(self, norms: np.ndarray, right_norms: dict[int, float]) -> np.ndarray:
-        """window_sup at every node at once, in O(N), bitwise equal."""
-        n, q = norms.size, self.q
-        sup = _sliding_max(norms, min(q + 1, n))
-        k = self.hist_sups.size
-        sup[:k] = np.maximum(sup[:k], self.hist_sups)
-        for idx, value in right_norms.items():  # right limit at the left endpoint
-            if idx + q < n:
-                sup[idx + q] = max(sup[idx + q], value)
-        return sup
+        q = self.q
+        span = self.norms[start : stop + q]
+        sups = span.max(keepdims=True) if stop - start == 1 else _sliding_max(span, q + 1)
+        if start < q and self.knot_sups is not None:
+            k = min(stop, q) - start
+            sups[:k] = np.maximum(sups[:k], self.knot_sups[start : start + k])
+        lo = max(start, q)
+        if lo < stop:
+            sups[lo - start :] = np.maximum(sups[lo - start :], right_norms[lo - q : stop - q])
+        return self.rows[start:stop], sups
 
 
 class _Sampler:
-    """f at a run of consecutive nodes, as an (n, d) array.
+    """f at a run of consecutive nodes, as an (n, d) array; a delay RHS
+    also takes the lags and window sups read from the grid in delay.
 
     Sampling goes through _sample, the rule the history grid and the
     jump maps share.  A vectorized RHS is called once per run.  A
@@ -204,13 +191,13 @@ class _Sampler:
         self.times = mesh.nodes
         self.delay = _DelayData(spec, mesh) if spec.delay is not None else None
 
-    def sweep(self, values: np.ndarray, right_norms: dict[int, float]) -> np.ndarray:
-        """f along a whole iterate, with batched lags and window sups."""
+    def sweep(self, values: np.ndarray, right_norms: np.ndarray) -> np.ndarray:
+        """f along a whole iterate, stored on the delay grid and read at once."""
         dd = self.delay
         if dd is None:
             return self(0, values)
-        norms = np.linalg.norm(values, axis=1)
-        return self(0, values, dd.lagged_all(values), dd.window_sups(norms, right_norms))
+        dd.store(0, values)
+        return self(0, values, *dd.window(0, values.shape[0], right_norms))
 
     def __call__(self, start: int, x, x_lag=None, sups=None) -> np.ndarray:
         """f at nodes start .. start + n - 1 from (n, d) x and x_lag, (n,) sups."""
@@ -286,14 +273,13 @@ def solve_picard(
     iterations = 0
     residual = math.inf
     impulse_idx = np.array(mesh.impulse_idx, dtype=int)
+    right_norms = np.zeros(mesh.n_nodes)
     for _ in range(max_iter):
         incs = _increments(spec, mesh, values)
         steps = np.zeros_like(values)  # the jump sum is their running total
         steps[impulse_idx + 1] = incs
-        rights = values[impulse_idx] + incs
-        right_norms = {
-            idx: float(np.linalg.norm(r)) for idx, r in zip(mesh.impulse_idx, rights)
-        }
+        # one norm per right limit, as marching takes them
+        right_norms[impulse_idx] = [np.linalg.norm(r) for r in values[impulse_idx] + incs]
         g = sampler.sweep(values, right_norms)
         new = spec.x0[None, :] + np.cumsum(steps, axis=0) + table.apply(g)
         try:
@@ -347,10 +333,9 @@ def solve_marching(spec: ProblemSpec, mesh: Mesh, scheme: str = "trapezoid") -> 
     n = mesh.n_nodes
     d = spec.dim
     values = np.tile(spec.x0, (n, 1))
-    norms = np.zeros(n)
     g = np.zeros((n, d))
     jsum = np.zeros(d)
-    right_norms: dict[int, float] = {}
+    right_norms = np.zeros(n)
     wdiag = table.diag()
     most_corrections = 0
     worst_gap = 0.0
@@ -359,14 +344,13 @@ def solve_marching(spec: ProblemSpec, mesh: Mesh, scheme: str = "trapezoid") -> 
     def f_at(i: int, x: np.ndarray) -> np.ndarray:
         if dd is None:
             return sampler(i, x[None, :])[0]
-        sup = max(rest, float(np.linalg.norm(x)))  # window_sup with |x| at node i
+        sup = max(rest, float(np.linalg.norm(x)))  # the window sup with |x| at node i
         return sampler(i, x[None, :], lag, np.array([sup]))[0]
 
     for i in range(n):
-        if dd is not None:
-            lag = dd.lagged(i, values)[None, :]
-            norms[i] = 0.0
-            rest = dd.window_sup(i, norms, right_norms)
+        if dd is not None:  # read while node i's row is empty
+            lag, sups = dd.window(i, i + 1, right_norms)
+            rest = float(sups[0])
         base = spec.x0 + jsum
         xi = base + rect.row(i)[:i] @ g[:i]  # the rectangle value predicts
         if scheme == "trapezoid":
@@ -383,14 +367,14 @@ def solve_marching(spec: ProblemSpec, mesh: Mesh, scheme: str = "trapezoid") -> 
             most_corrections = max(most_corrections, count)
             worst_gap = max(worst_gap, gap)
         values[i] = xi
-        if dd is not None:
-            norms[i] = np.linalg.norm(xi)
         g[i] = f_at(i, xi)
+        if dd is not None:
+            dd.store(i, values[i : i + 1])
         k = impulse_at.get(i)
         if k is not None:
             inc = spec.impulses.apply(k, values[i])
             jsum = jsum + inc
-            right_norms[i] = float(np.linalg.norm(values[i] + inc))
+            right_norms[i] = np.linalg.norm(values[i] + inc)
 
     return SolveReport(
         trajectory=_final_trajectory(spec, mesh, values),

@@ -98,6 +98,19 @@ class TestExitCodes:
             "division by zero in subexpression '1.0/(t + 0.5)'\n"
         )
 
+    @pytest.mark.parametrize("x0", [None, 1.0])
+    def test_history_failing_at_zero_exits_1_naming_the_time(self, tmp_path, capsys, x0):
+        # without x0 the history at 0 supplies it; with or without, the error names t = 0
+        data = coarse("delay-plain")
+        data["problem"]["delay"]["history"] = "1/t"
+        if x0 is not None:
+            data["problem"]["x0"] = x0
+        assert main(["check", "--config", str(write_config(tmp_path, data))]) == 1
+        assert capsys.readouterr().err == (
+            "config error: problem: history evaluation failed at t=0.0: "
+            "division by zero in subexpression '1.0/t'\n"
+        )
+
     @pytest.mark.parametrize("method", ["picard", "marching"])
     def test_jump_domain_error_exits_2_naming_the_impulse(self, tmp_path, capsys, method):
         # the history -1 makes x(0.5-) negative, where x^0.5 is undefined
@@ -267,6 +280,17 @@ class TestExitCodes:
         code = main(["order", "--config", str(cfg), "--h-list", "0.1,0.05"])
         assert code == 1
         assert "three step sizes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_h_list_rejects_non_finite_steps_before_any_solve(self, tmp_path, capsys, bad):
+        cfg = write_config(tmp_path, coarse("logistic"))
+        code = main(["order", "--config", str(cfg), "--h-list", f"0.1,{bad},0.05"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: --h-list: steps must be positive and finite, got {bad!r}\n"
+        )
 
     def test_h_list_must_decrease_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, coarse("logistic"))

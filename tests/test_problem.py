@@ -157,6 +157,16 @@ class TestValidation:
         spec = _delay_spec(history=lambda s: np.array([3.0]))
         assert spec.x0 == pytest.approx([3.0])
 
+    def test_omitted_x0_calls_the_history_once_at_zero(self):
+        calls = []
+
+        def history(s):
+            calls.append(s)
+            return np.array([3.0])
+
+        _delay_spec(history=history)
+        assert calls == [0.0, -0.5]  # t = 0 once, then t = -r
+
     def test_x0_history_mismatch(self):
         with pytest.raises(ProblemError, match="history"):
             ProblemSpec(
@@ -500,7 +510,10 @@ class TestHistorySupNorm:
         assert i is not None and 0.7 - 0.3 != mesh.nodes[i - mesh.delay_steps]
         assert history_sup_norm(traj, spec.delay, 0.7) == 7.0
         dd = _DelayData(spec, mesh)
-        assert dd.window_sup(i, np.zeros(mesh.n_nodes), {mesh.impulse_idx[0]: 7.0}) == 7.0
+        right_norms = np.zeros(mesh.n_nodes)
+        right_norms[mesh.impulse_idx[0]] = 7.0
+        assert dd.window(i, i + 1, right_norms)[1].tolist() == [7.0]
+        assert dd.window(0, mesh.n_nodes, right_norms)[1][i] == 7.0
 
     def test_non_finite_history_raises_like_the_solver(self):
         # a NaN history value used to drop out of max(sup, nan); solve_picard

@@ -79,23 +79,59 @@ def delay_windows(draw):
     return spec, mesh, values, rights
 
 
+def _right_norms(mesh, rights):
+    """The (N,) right-limit norms a window reads: 0 off impulse nodes."""
+    out = np.zeros(mesh.n_nodes)
+    out[list(mesh.impulse_idx)] = np.linalg.norm(rights, axis=1)
+    return out
+
+
 @PROPERTY
 @given(case=delay_windows())
 def test_batched_window_sups_match_per_node_and_oracle(case):
     spec, mesh, values, rights = case
+    n, q = mesh.n_nodes, mesh.delay_steps
+    right_norms = _right_norms(mesh, rights)
     dd = _DelayData(spec, mesh)
-    norms = np.linalg.norm(values, axis=1)
-    right_norms = {
-        idx: float(np.linalg.norm(v)) for idx, v in zip(mesh.impulse_idx, rights)
-    }
-    batched = dd.window_sups(norms, right_norms)
-    per_node = np.array([dd.window_sup(i, norms, right_norms) for i in range(mesh.n_nodes)])
-    assert batched.tobytes() == per_node.tobytes()  # max never rounds: bitwise
-    lags = np.stack([dd.lagged(i, values) for i in range(mesh.n_nodes)])
-    assert dd.lagged_all(values).tobytes() == lags.tobytes()
+    dd.store(0, values)
+    lags, sups = dd.window(0, n, right_norms)
+    per_node = [dd.window(i, i + 1, right_norms) for i in range(n)]
+    # max never rounds: bitwise
+    assert np.concatenate([s for _, s in per_node]).tobytes() == sups.tobytes()
+    assert np.concatenate([lag for lag, _ in per_node]).tobytes() == lags.tobytes()
+    h = spec.delay.r / q
+    below = [spec.delay.history((i - q) * h) for i in range(min(q, n))]
+    expected = np.concatenate([np.reshape(below, (-1, values.shape[1])), values[: max(n - q, 0)]])
+    assert lags.tobytes() == expected.tobytes()
     traj = Trajectory(mesh=mesh, values=values, right_values=rights)
     oracle = [history_sup_norm(traj, spec.delay, t) for t in mesh.nodes]
-    np.testing.assert_allclose(batched, oracle, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(sups, oracle, rtol=1e-12, atol=0.0)
+
+
+@PROPERTY
+@given(case=delay_windows(), data=st.data())
+def test_consecutive_windows_read_like_one_whole_mesh_read(case, data):
+    # windows of at most q nodes (the method of steps): every lag is
+    # stored before its window is read, and the window's own nodes
+    # fold into the sups as a running max
+    spec, mesh, values, rights = case
+    n, q = mesh.n_nodes, mesh.delay_steps
+    right_norms = _right_norms(mesh, rights)
+    dd = _DelayData(spec, mesh)
+    lags, sups = [], []
+    start = 0
+    while start < n:
+        stop = min(n, start + data.draw(st.integers(1, q), label="window size"))
+        assert not dd.norms[q + start : q + stop].any()  # its own rows are empty
+        lag, sup = dd.window(start, stop, right_norms)
+        lags.append(lag.copy())
+        dd.store(start, values[start:stop])
+        sups.append(np.maximum(sup, np.maximum.accumulate(dd.norms[q + start : q + stop])))
+        start = stop
+    whole_lags, whole_sups = dd.window(0, n, right_norms)
+    assert np.concatenate(lags).tobytes() == whole_lags.tobytes()
+    assert np.concatenate(sups).tobytes() == whole_sups.tobytes()
+    assert dd.rows[q:].tobytes() == values.tobytes()
 
 
 def _linear_config(lam, alpha, x0, impulses):
@@ -453,9 +489,10 @@ class TestHistoryGrid:
         spec = _delay_problem(history)
         mesh = build_mesh(spec, 2.0**-5)
         dd = _DelayData(spec, mesh)
-        h = spec.delay.r / mesh.delay_steps
-        grid = [history(-j * h) for j in range(mesh.delay_steps + 1)]
-        assert dd.phi_vals.tobytes() == np.array(grid).tobytes()
+        q = mesh.delay_steps
+        h = spec.delay.r / q
+        grid = [history((k - q) * h) for k in range(q)]  # rows -q h .. -h
+        assert dd.rows[:q].tobytes() == np.array(grid).tobytes()
         rep = solve_picard(spec, mesh)
         assert rep.converged and rep.trajectory.values.shape == (mesh.n_nodes, 2)
         assert rep.trajectory.values[0].tolist() == [1.0, 1.0]
@@ -495,8 +532,14 @@ class TestVectorizedHistory:
                 assert calls == [(mesh.delay_steps + 1,), (len(knots),)]
             else:
                 assert calls == [()] * (mesh.delay_steps + 1 + len(knots))
-        assert data[True].phi_vals.tobytes() == data[False].phi_vals.tobytes()
-        assert data[True].hist_sups.tobytes() == data[False].hist_sups.tobytes()
+        q = mesh.delay_steps
+        for name in ("rows", "norms", "knot_sups"):
+            assert getattr(data[True], name).tobytes() == getattr(data[False], name).tobytes()
+        right_norms = np.zeros(mesh.n_nodes)
+        reads = [dd.window(0, q, right_norms) for dd in data.values()]
+        assert reads[0][1].tobytes() == reads[1][1].tobytes()
+        knot = np.linalg.norm(_vector_history(np.array([-0.015625])), axis=1)
+        assert reads[0][1][q - 1] == knot[0]  # off the grid: the knot is the max
 
     def test_batched_solve_matches_per_point_solve(self):
         reports = [
