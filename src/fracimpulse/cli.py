@@ -218,14 +218,14 @@ def cmd_order(args) -> int:
 
     lam = _linear_coefficient(cfg)
     ref = None
-    if lam is not None and abs(lam) * cfg.problem.T ** cfg.problem.alpha <= 30.0:
+    if lam is not None:
         try:
             ref = cfg.problem.x0 * mittag_leffler(
                 cfg.problem.alpha, lam * cfg.problem.T ** cfg.problem.alpha
             )
             ref_label = "closed-form reference (Mittag-Leffler)"
-        except (ValueError, OverflowError, ArithmeticError):
-            ref = None  # oracle declined (cancellation); use a fine grid
+        except (ValueError, ArithmeticError):
+            ref = None  # growth past the series' range; use a fine grid
     unconverged = False
     if ref is None:
         fine = _solve(cfg, method, scheme, min(h_list) / 8.0)

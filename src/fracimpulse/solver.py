@@ -121,23 +121,22 @@ class _DelayData:
         self.rows = np.zeros((q + mesh.n_nodes, spec.dim))
         self.norms = np.zeros(q + mesh.n_nodes)
         self.rows[:q] = phi[q:0:-1]
-        self.norms[:q] = np.linalg.norm(self.rows[:q], axis=1)
+        self.norms[:q] = np.linalg.norm(self.rows[:q], axis=-1)
         # knots join the windows of nodes i < q, which reach below t = 0:
         # a suffix max over the knots at or right of the window's left end
         knots = np.array(sorted(s for s in delay.sample_times if s < 0.0))
         self.knot_sups = None
         if knots.size:
-            knot_norms = np.linalg.norm(_history_values(delay, knots, spec.dim), axis=1)
+            knot_norms = np.linalg.norm(_history_values(delay, knots, spec.dim), axis=-1)
             first = np.searchsorted(knots, (np.arange(min(q, mesh.n_nodes)) - q) * h - 1e-12)
             suffix = np.maximum.accumulate(knot_norms[::-1])[::-1]
             self.knot_sups = np.append(suffix, -np.inf)[first]
 
     def store(self, start: int, x: np.ndarray) -> None:
-        """Write the (n, d) rows of nodes start .. start + n - 1 and their norms;
-        one node's norm is np.linalg.norm's, like the |x| marching folds in."""
+        """Write the (n, d) rows of nodes start .. start + n - 1 and their norms."""
         at = slice(self.q + start, self.q + start + len(x))
         self.rows[at] = x
-        self.norms[at] = np.linalg.norm(x, axis=None if len(x) == 1 else 1)
+        self.norms[at] = np.linalg.norm(x, axis=-1)
 
     def window(self, start: int, stop: int, right_norms: np.ndarray):
         """Lags (n, d) and window sups (n,) of nodes start .. stop - 1.
@@ -278,13 +277,12 @@ def solve_picard(
         incs = _increments(spec, mesh, values)
         steps = np.zeros_like(values)  # the jump sum is their running total
         steps[impulse_idx + 1] = incs
-        # one norm per right limit, as marching takes them
-        right_norms[impulse_idx] = [np.linalg.norm(r) for r in values[impulse_idx] + incs]
+        right_norms[impulse_idx] = np.linalg.norm(values[impulse_idx] + incs, axis=-1)
         g = sampler.sweep(values, right_norms)
         new = spec.x0[None, :] + np.cumsum(steps, axis=0) + table.apply(g)
         try:
             with np.errstate(over="raise"):
-                residual = float(np.max(np.linalg.norm(new - values, axis=1)))
+                residual = float(np.max(np.linalg.norm(new - values, axis=-1)))
         except FloatingPointError as e:  # the squares pass ~1e308
             raise SolverError(
                 f"the iterate diverged at sweep {iterations + 1}: residual overflow ({e})"
@@ -344,7 +342,8 @@ def solve_marching(spec: ProblemSpec, mesh: Mesh, scheme: str = "trapezoid") -> 
     def f_at(i: int, x: np.ndarray) -> np.ndarray:
         if dd is None:
             return sampler(i, x[None, :])[0]
-        sup = max(rest, float(np.linalg.norm(x)))  # the window sup with |x| at node i
+        # the window sup with |x| at node i
+        sup = max(rest, float(np.linalg.norm(x, axis=-1)))
         return sampler(i, x[None, :], lag, np.array([sup]))[0]
 
     for i in range(n):
@@ -374,7 +373,7 @@ def solve_marching(spec: ProblemSpec, mesh: Mesh, scheme: str = "trapezoid") -> 
         if k is not None:
             inc = spec.impulses.apply(k, values[i])
             jsum = jsum + inc
-            right_norms[i] = np.linalg.norm(values[i] + inc)
+            right_norms[i] = np.linalg.norm(values[i] + inc, axis=-1)
 
     return SolveReport(
         trajectory=_final_trajectory(spec, mesh, values),

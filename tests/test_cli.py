@@ -510,16 +510,15 @@ class TestOrderStudy:
         assert code == 0
         assert "closed-form reference (Mittag-Leffler)" in out
 
-    def test_cancellation_prone_oracle_falls_back(self, tmp_path, capsys):
-        # linear with lam = -3 at alpha = 0.3: the series oracle refuses
-        # (double-precision cancellation), so the study uses a fine grid;
-        # marching converges at every step and on the fine grid
+    def test_nonlinear_rhs_falls_back_to_fine_grid(self, tmp_path, capsys):
+        # -3x plus a forcing term has no Mittag-Leffler closed form, so the
+        # study uses a fine grid; marching converges at every step and on it
         data = {
             "problem": {
                 "alpha": 0.3,
                 "T": 0.5,
                 "x0": 1.0,
-                "rhs": {"kind": "plain", "f": "-x*3"},
+                "rhs": {"kind": "plain", "f": "-3*x + 0.1*sin(t)"},
             },
         }
         cfg_path = write_config(tmp_path, data)
@@ -536,8 +535,35 @@ class TestOrderStudy:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "fine-grid reference" in out
+        assert "fine-grid reference (target_h = 0.000244140625)" in out
         assert "estimated order = " in out
+
+    def test_fast_decay_uses_closed_form(self, tmp_path, capsys):
+        # lam T^alpha = -32, a decay no alternating series resolves in
+        # doubles: the contour oracle is the reference, and marching
+        # shows order 1 + alpha
+        data = {
+            "problem": {"alpha": 0.8, "T": 1.0, "x0": 1.0, "rhs": {"kind": "plain", "f": "-32*x"}},
+        }
+        cfg_path = write_config(tmp_path, data)
+        code = main(
+            [
+                "order",
+                "--config",
+                str(cfg_path),
+                "--h-list",
+                "0.0078125,0.00390625,0.001953125",
+                "--method",
+                "marching",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "reference: closed-form reference (Mittag-Leffler)" in out
+        order_line = next(
+            line for line in out.splitlines() if line.startswith("estimated order = ")
+        )
+        assert abs(float(order_line.split("=")[1]) - 1.8) <= 0.15
 
     def test_unconverged_study_solve_is_reported(self, tmp_path, capsys):
         # at h = 0.05 Picard stops unconverged after 200 sweeps, and its
@@ -553,10 +579,15 @@ class TestOrderStudy:
         assert captured.err == "warning: no convergence within 200 sweeps (tol 1e-10)\n"
 
     def test_unconverged_fine_grid_reference_is_reported(self, tmp_path, capsys):
-        # the cancellation-prone oracle declines, and every solve,
-        # the fine-grid reference first, stops after max_iter = 3 sweeps
+        # no closed form for the forced decay, and every solve, the
+        # fine-grid reference first, stops after max_iter = 3 sweeps
         data = {
-            "problem": {"alpha": 0.3, "T": 1.0, "x0": 1.0, "rhs": {"kind": "plain", "f": "-x*4"}},
+            "problem": {
+                "alpha": 0.3,
+                "T": 1.0,
+                "x0": 1.0,
+                "rhs": {"kind": "plain", "f": "-4*x + 0.1*sin(t)"},
+            },
             "numerics": {"max_iter": 3},
         }
         cfg_path = write_config(tmp_path, data)

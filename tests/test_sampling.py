@@ -34,17 +34,17 @@ PROPERTY = settings(
 
 
 @st.composite
-def delay_windows(draw):
+def delay_windows(draw, max_dim=2):
     """A delay mesh with a dyadic step (node times and window ends are
     exact) or any other step (t - r then misses its node by rounding),
-    a history with knots, and a random iterate whose right limits often
-    dominate.  q may exceed the node count, so every node can sit below
-    q; when some window starts on a node, one impulse sits at a window's
-    left endpoint."""
+    a history with knots, and a random iterate of dimension 1 .. max_dim
+    whose right limits often dominate.  q may exceed the node count, so
+    every node can sit below q; when some window starts on a node, one
+    impulse sits at a window's left endpoint."""
     h = draw(st.one_of(st.integers(3, 6).map(lambda k: 2.0**-k), st.floats(0.01, 0.2)))
     steps = draw(st.integers(4, 120))
     q = draw(st.integers(1, steps + 10))
-    d = draw(st.integers(1, 2))
+    d = draw(st.integers(1, max_dim))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cuts = set(draw(st.sets(st.integers(1, steps - 1), max_size=3)))
     if steps - q >= 1:
@@ -109,11 +109,12 @@ def test_batched_window_sups_match_per_node_and_oracle(case):
 
 
 @PROPERTY
-@given(case=delay_windows(), data=st.data())
+@given(case=delay_windows(max_dim=3), data=st.data())
 def test_consecutive_windows_read_like_one_whole_mesh_read(case, data):
     # windows of at most q nodes (the method of steps): every lag is
     # stored before its window is read, and the window's own nodes
-    # fold into the sups as a running max
+    # fold into the sups as a running max.  A grid stored window by
+    # window holds the norms of one stored whole, bit for bit
     spec, mesh, values, rights = case
     n, q = mesh.n_nodes, mesh.delay_steps
     right_norms = _right_norms(mesh, rights)
@@ -128,7 +129,10 @@ def test_consecutive_windows_read_like_one_whole_mesh_read(case, data):
         dd.store(start, values[start:stop])
         sups.append(np.maximum(sup, np.maximum.accumulate(dd.norms[q + start : q + stop])))
         start = stop
-    whole_lags, whole_sups = dd.window(0, n, right_norms)
+    whole = _DelayData(spec, mesh)
+    whole.store(0, values)
+    assert dd.norms.tobytes() == whole.norms.tobytes()
+    whole_lags, whole_sups = whole.window(0, n, right_norms)
     assert np.concatenate(lags).tobytes() == whole_lags.tobytes()
     assert np.concatenate(sups).tobytes() == whole_sups.tobytes()
     assert dd.rows[q:].tobytes() == values.tobytes()

@@ -1,4 +1,4 @@
-"""Special functions: gamma wrapper, Mittag-Leffler series, seminorms, envelopes."""
+"""Special functions: gamma wrapper, Mittag-Leffler function, seminorms, envelopes."""
 
 import math
 import subprocess
@@ -18,6 +18,63 @@ from fracimpulse.special import (
     lp_seminorm,
     mittag_leffler,
 )
+
+
+# E_alpha(z) to 40 digits at the double z: mpmath's Talbot inversion of
+# s^(alpha-1) / (s^alpha - z) at 60 digits (exp(z) at alpha = 1)
+_ML_GRID = {
+    (0.1, -1e-08): 0.9999999894886300477946626723701721647906,
+    (0.1, -0.1): 0.9047657422574315107958985603605436349939,
+    (0.1, -1.0): 0.4855644643110821015914755431646791521195,
+    (0.1, -4.0): 0.1901336542612927933252236733365757686056,
+    (0.1, -16.0): 0.05530929518294869804110456792753535061535,
+    (0.1, -100.0): 0.009272657231311858298238162599141127960412,
+    (0.1, -1000.0): 0.000934920553605890735022202610291145787231,
+    (0.3, -1e-08): 0.9999999888575750264444756891522274554951,
+    (0.3, -0.1): 0.8988115365027225480996672322610424846484,
+    (0.3, -1.0): 0.4565944083296906706195130224040984139119,
+    (0.3, -4.0): 0.1665017443155166497053345710473997429482,
+    (0.3, -16.0): 0.04641594241768555900830930239853692717194,
+    (0.3, -100.0): 0.007658856222286641491001169094762141395502,
+    (0.3, -1000.0): 0.0007699324649525776927827519226334835892093,
+    (0.5, -1e-08): 0.999999988716208429044873272699824459566,
+    (0.5, -0.1): 0.8964569799691266366633882693077250311263,
+    (0.5, -1.0): 0.4275835761558070044107503444905151808202,
+    (0.5, -4.0): 0.1369994576250613898894451713998054823302,
+    (0.5, -16.0): 0.03519337782493083756637297489953351970143,
+    (0.5, -100.0): 0.005641613782989432903556457006951550718706,
+    (0.5, -1000.0): 0.0005641893014533876541997450280616957271664,
+    (0.8, -1e-08): 0.9999999892632873296400909257863326671188,
+    (0.8, -0.1): 0.8993047682144851386818210952611453934404,
+    (0.8, -1.0): 0.3869485786189768461748361271562294604682,
+    (0.8, -4.0): 0.07704867993034474878624344277513251376941,
+    (0.8, -16.0): 0.01476911427781525172444726337571628270163,
+    (0.8, -100.0): 0.00220567886850911074545314666282540559476,
+    (0.8, -1000.0): 0.0002180957552274838145988000717726166273832,
+    (0.95, -1e-08): 0.9999999897946755725914066252941709939477,
+    (0.95, -0.1): 0.9032240546280757405634345379834171162423,
+    (0.95, -1.0): 0.3715736200306788139769773418026133466446,
+    (0.95, -4.0): 0.03516665554269048431836501752611526178072,
+    (0.95, -16.0): 0.003660089681157742825089249325050620785113,
+    (0.95, -100.0): 0.0005233306439470409611787709575596276975073,
+    (0.95, -1000.0): 0.00005145569927857012697370203959927978775523,
+    (1.0, -1e-08): 0.9999999900000000499999996241077275409713,
+    (1.0, -0.1): 0.9048374180359595681413923842169355953091,
+    (1.0, -1.0): 0.3678794411714423215955237701614608674458,
+    (1.0, -4.0): 0.01831563888873418029371802127324124221191,
+    (1.0, -16.0): 0.0000001125351747192591145137751790601271916379,
+    (1.0, -100.0): 3.720075976020835962959695803863118337359e-44,
+    (1.0, -1000.0): 5.075958897549456765291809479574336919306e-435,
+}
+# small alpha or large |z|: the alternating series loses its digits to cancellation
+_ML_FAST_DECAYS = {
+    (0.2, -2.0): 0.3056786964187060098289746541635853680012,
+    (0.3, -3.0): 0.2118026331964357820337664696977758800093,
+    (0.5, -4.0): 0.1369994576250613898894451713998054823302,
+    (0.8, -8.0): 0.03227382844683579138862213519639283527429,
+    (0.5, -10.0): 0.05614099274382258585751738722046831156516,
+    (0.8, -10.0): 0.02490281976197653218560213447788746172035,
+}
 
 
 class TestGamma:
@@ -64,17 +121,32 @@ class TestMittagLeffler:
         expected = math.exp(9.0) * math.erfc(3.0)
         assert mittag_leffler(0.5, -3.0) == pytest.approx(expected, rel=1e-10)
 
-    def test_cancellation_refused_not_silent(self):
-        # small alpha, moderately negative z: the alternating series
-        # cannot reach the default tol in doubles, so the call must raise
-        with pytest.raises(ValueError, match="cancellation"):
-            mittag_leffler(0.3, -3.0)
-        with pytest.raises(ValueError, match="cancellation"):
-            mittag_leffler(0.5, -10.0)
+    @pytest.mark.parametrize("alpha,z", sorted(_ML_FAST_DECAYS))
+    def test_fast_decays_match_mpmath(self, alpha, z):
+        assert abs(mittag_leffler(alpha, z) - _ML_FAST_DECAYS[alpha, z]) <= 1e-14
 
-    def test_relaxed_tol_reopens_lossy_arguments(self):
-        val = mittag_leffler(0.8, -10.0, tol=1e-5)
-        assert 0.0 < val < 1.0
+    @pytest.mark.parametrize("alpha,z", sorted(_ML_GRID))
+    def test_negative_axis_matches_mpmath_grid(self, alpha, z):
+        assert abs(mittag_leffler(alpha, z) - _ML_GRID[alpha, z]) <= 1e-14
+
+    @pytest.mark.parametrize("z", [-3.0, -10.0])
+    def test_half_order_identity_far_on_negative_axis(self, z):
+        expected = math.exp(z * z) * math.erfc(-z)
+        assert mittag_leffler(0.5, z) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_positive_axis_series_values_frozen(self):
+        # the series code for 0 <= z <= 30 is unchanged, bit for bit
+        assert mittag_leffler(0.1, 1e-8) == 1.00000001051137
+        assert mittag_leffler(0.3, 3.0) == 2.7203610806250538e17
+        assert mittag_leffler(0.5, 1.0) == 5.008980080762268
+        assert mittag_leffler(0.8, 10.0) == 66050994.884095915
+        assert mittag_leffler(0.95, 30.0) == 4028974884869873.5
+        assert mittag_leffler(1.0, 2.0) == 7.389056098930644
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_rejected(self, z):
+        with pytest.raises(ValueError, match=f"z={z!r}"):
+            mittag_leffler(0.5, z)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -83,8 +155,6 @@ class TestMittagLeffler:
             mittag_leffler(1.5, 1.0)
         with pytest.raises(ValueError):
             mittag_leffler(0.5, 31.0)
-        with pytest.raises(ValueError):
-            mittag_leffler(0.5, 1.0, tol=0.0)
 
 
 class TestLpSeminorm:
