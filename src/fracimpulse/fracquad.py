@@ -56,6 +56,16 @@ and every product has a shape that does not depend on N.  Node j
 therefore reads only g[0..j], through the same arithmetic whatever N
 is.  WeightTable.dense() builds the full table row by row from the
 nodes; it is the reference the tests compare against.
+
+WeightTable.windows is the same product online, for a solver that
+finishes g left to right a row block of BLOCK nodes at a time.  It
+yields each block with its rows' products with the final columns to its
+left and its (BLOCK, BLOCK) lower-triangular Toeplitz block of gen.  A
+run's cross-block and first-column terms enter when the run starts; a
+far block of level b, rows [(2q+1)b, (2q+2)b) x columns [2qb, (2q+1)b),
+is added with its cached spectrum as soon as column (2q+1)b - 1 is
+final, which is before its first row is solved.  No weight is stored
+beyond apply's.
 """
 
 from __future__ import annotations
@@ -168,6 +178,36 @@ class _Run:
             y += (self.cross @ g[: s + 1]).reshape(-1, d)[:rows]
         return y
 
+    def windows(self, g: np.ndarray):
+        """apply's product for a caller that finishes g left to right: yields
+        (lo, base, near) for the nodes lo .. lo + n - 1 of each row block,
+        with base the rows' products with g[:lo] and near their (n, n)
+        weights on the window's own nodes.  The caller writes the window's
+        final samples into g before it asks for the next window."""
+        s, rows, pad = self.start, self.stop - self.start, self.gen.size - 1
+        d = g.shape[1]
+        far = np.zeros((pad, d))
+        if self.col is not None:
+            far[:rows] += self.col[1 : rows + 1, None] * g[s]
+        if self.cross is not None:
+            far[:rows] += (self.cross @ g[: s + 1]).reshape(-1, d)[:rows]
+        lag = np.subtract.outer(np.arange(BLOCK), np.arange(BLOCK))
+        near = np.where(lag >= 0, self.gen[np.maximum(lag, 0)], 0.0)
+        for lo in range(0, rows, BLOCK):
+            n = min(BLOCK, rows - lo)
+            # rows lo .. lo+n-1 on column lo, the node left of the window
+            yield s + 1 + lo, far[lo : lo + n] + self.gen[1 : n + 1, None] * g[s + lo], near[:n, :n]
+            # columns up to end - 1 are final: the far block of the level b
+            # with end = (2q+1) b is added to its rows [end, end + b)
+            end, b, level = lo + BLOCK, BLOCK, 0
+            if end >= rows:
+                break
+            while end % (2 * b) == 0:
+                b, level = 2 * b, level + 1
+            src = g[s + end - b : s + end].T
+            conv = np.fft.irfft(np.fft.rfft(src, n=2 * b) * self.spectra[level], n=2 * b)
+            far[end : end + b] += conv[:, b:].T
+
     def row(self, j: int) -> np.ndarray:
         k = j - self.start
         w = np.zeros(j + 1)
@@ -206,6 +246,16 @@ class WeightTable:
         for run in self.runs:
             out[run.start + 1 : run.stop + 1] = run.apply(g2)
         return out.reshape(g.shape)
+
+    def windows(self, g: np.ndarray):
+        """W @ g online, for g of shape (N+1, d) whose rows a solver
+        finishes left to right: yields (lo, base, near) for windows of at
+        most BLOCK nodes covering nodes 1 .. N in order, where rows lo ..
+        lo + n - 1 of W @ g are base + near @ g[lo : lo + n] once g[:lo]
+        is final.  Before asking for the next window the caller writes the
+        window's final samples into g (see _Run.windows)."""
+        for run in self.runs:
+            yield from run.windows(g)
 
     def row(self, j: int) -> np.ndarray:
         """Row j of W: the weights of g(t_0) .. g(t_j), shape (j+1,)."""

@@ -6,11 +6,17 @@ Both solvers discretize
 
 on a problem mesh with a product-integration weight table.
 
-solve_picard sweeps the whole mesh: each iteration evaluates the
-operator at the previous iterate (jumps included, frozen at the
-previous iterate's left limits) and stops when the sup-norm update
-falls below tol.  The observed residual ratios approximate the
-operator's contraction factor.
+solve_picard iterates the operator: each sweep evaluates it at the
+previous iterate (jumps included, frozen at the previous iterate's left
+limits) and a solve stops when the sup-norm update falls below tol.  It
+sweeps the whole mesh while the observed residual ratios, which
+approximate the operator's contraction factor, promise tol within
+STALL_SWEEPS more sweeps (_stalls).  Once they do not, it solves the
+rest left to right in windows of fracquad.BLOCK nodes, each swept to
+tol with the nodes to its left frozen: restricted to a window of length
+tau the Volterra operator contracts roughly like tau^alpha.  A window
+that stalls the same way is halved, down to one node, where a sweep is
+marching's corrector.
 
 solve_marching computes nodes left to right in one pass.  The
 rectangle scheme is fully explicit.  The trapezoid scheme predicts
@@ -21,17 +27,19 @@ solution coincides with the Picard fixed point up to tolerances.  When
 w_jj * Lip(f) is too large the corrector can fail to converge; the
 report then says so (converged=False).
 
-Both solvers touch the weights only through WeightTable.apply, row and
-diag, and sample f through one sampler: a Picard sweep samples every
-node in one batch (one call of a vectorized RHS, see RhsSpec), and
-marching samples batches of one node.  A per-node callable costs its
+Both solvers touch the weights only through WeightTable.apply,
+windows, row and diag, and sample f through one sampler: a Picard sweep
+samples every node of the mesh or of its window in one batch (one call
+of a vectorized RHS, see RhsSpec), and marching samples batches of one
+node.  A per-node callable costs its
 call plus a fraction of a microsecond per node: the outputs of a batch
 are collected and assembled into one preallocated array 1024 nodes at
 a time, so a sweep holds one chunk of Python outputs, not one per node.
 
 Lags and window sups come from one delay grid (_DelayData): a sweep
-stores its iterate and reads all windows with an O(N) sliding max;
-marching reads node i's window before solving for it and folds |x| in.
+stores its iterate (of the mesh or its window) and reads the delay
+windows of its nodes with an O(N) sliding max; marching reads node i's
+delay window before solving for it and folds |x| in.
 
 Right limits of a returned trajectory are rebuilt from the final left
 limits, so right - left = I_k(left) holds to roundoff.
@@ -70,6 +78,10 @@ METHODS = ("picard", "marching")  # solve_picard and solve_marching
 # CORRECTOR_TOL relative to the node value, or after MAX_CORRECTIONS steps.
 CORRECTOR_TOL = 1e-13
 MAX_CORRECTIONS = 60
+# Whole-mesh Picard sweeps give way to windows, and a window to its two
+# halves, once the observed residual ratio would need more than this many
+# further sweeps to reach tol.
+STALL_SWEEPS = 64
 
 
 @dataclass(frozen=True)
@@ -84,6 +96,35 @@ class SolveReport:
     method: str
     residual_history: tuple[float, ...] = ()
     unconverged_nodes: int = 0
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """|x| along the last axis: bitwise np.linalg.norm(x, axis=-1), without
+    its dispatch (one row costs about two thirds as much)."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
+def _residual(new: np.ndarray, old: np.ndarray, where) -> float:
+    """The sup-norm update from old to new; SolverError, naming the sweep
+    where() gives, when it overflows."""
+    try:
+        with np.errstate(over="raise"):
+            return float(np.max(_norms(new - old)))
+    except FloatingPointError as e:  # the squares pass ~1e308
+        raise SolverError(f"the iterate diverged at {where()}: residual overflow ({e})") from e
+
+
+def _stalls(history: list[float], tol: float) -> bool:
+    """From the third sweep on, whether the last residual ratio rho cannot
+    bring the last residual r (> tol) to tol within STALL_SWEEPS more
+    sweeps: rho >= 1 or rho^STALL_SWEEPS > tol / r.  At tol = 0 it holds
+    whatever the data, so the switch does not depend on any node."""
+    if len(history) < 3:
+        return False
+    prev, last = history[-2:]
+    if tol == 0.0:
+        return True
+    return STALL_SWEEPS * (math.log(last) - math.log(prev)) > math.log(tol) - math.log(last)
 
 
 def _sliding_max(a: np.ndarray, width: int) -> np.ndarray:
@@ -121,13 +162,13 @@ class _DelayData:
         self.rows = np.zeros((q + mesh.n_nodes, spec.dim))
         self.norms = np.zeros(q + mesh.n_nodes)
         self.rows[:q] = phi[q:0:-1]
-        self.norms[:q] = np.linalg.norm(self.rows[:q], axis=-1)
+        self.norms[:q] = _norms(self.rows[:q])
         # knots join the windows of nodes i < q, which reach below t = 0:
         # a suffix max over the knots at or right of the window's left end
         knots = np.array(sorted(s for s in delay.sample_times if s < 0.0))
         self.knot_sups = None
         if knots.size:
-            knot_norms = np.linalg.norm(_history_values(delay, knots, spec.dim), axis=-1)
+            knot_norms = _norms(_history_values(delay, knots, spec.dim))
             first = np.searchsorted(knots, (np.arange(min(q, mesh.n_nodes)) - q) * h - 1e-12)
             suffix = np.maximum.accumulate(knot_norms[::-1])[::-1]
             self.knot_sups = np.append(suffix, -np.inf)[first]
@@ -136,7 +177,7 @@ class _DelayData:
         """Write the (n, d) rows of nodes start .. start + n - 1 and their norms."""
         at = slice(self.q + start, self.q + start + len(x))
         self.rows[at] = x
-        self.norms[at] = np.linalg.norm(x, axis=-1)
+        self.norms[at] = _norms(x)
 
     def window(self, start: int, stop: int, right_norms: np.ndarray):
         """Lags (n, d) and window sups (n,) of nodes start .. stop - 1.
@@ -253,11 +294,16 @@ def solve_picard(
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> SolveReport:
-    """Whole-mesh fixed-point iteration of the integral operator.
+    """Fixed-point iteration of the integral operator: whole-mesh sweeps
+    until they stall (_stalls), then windows of nodes left to right.
 
-    Stops when the sup-norm distance between consecutive iterates is at
-    most tol; converged=False after max_iter sweeps otherwise.  Raises
-    SolverError when that distance overflows (a diverging iterate).
+    Stops when every node's update between consecutive iterates is at
+    most tol in the sup norm; converged=False once some node has had
+    max_iter sweeps otherwise.  iterations is the most sweeps any node
+    had, residual_history holds the largest update at each sweep index
+    (whole-mesh sweeps, then window sweeps) and final_residual the
+    largest last update.  Raises SolverError when an update overflows
+    (a diverging iterate).
     """
     if not (tol >= 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
@@ -268,41 +314,118 @@ def solve_picard(
 
     values = _initial_iterate(spec, mesh)
     history: list[float] = []
-    converged = False
-    iterations = 0
-    residual = math.inf
     impulse_idx = np.array(mesh.impulse_idx, dtype=int)
     right_norms = np.zeros(mesh.n_nodes)
-    for _ in range(max_iter):
+    while True:
         incs = _increments(spec, mesh, values)
         steps = np.zeros_like(values)  # the jump sum is their running total
         steps[impulse_idx + 1] = incs
-        right_norms[impulse_idx] = np.linalg.norm(values[impulse_idx] + incs, axis=-1)
+        right_norms[impulse_idx] = _norms(values[impulse_idx] + incs)
         g = sampler.sweep(values, right_norms)
         new = spec.x0[None, :] + np.cumsum(steps, axis=0) + table.apply(g)
-        try:
-            with np.errstate(over="raise"):
-                residual = float(np.max(np.linalg.norm(new - values, axis=-1)))
-        except FloatingPointError as e:  # the squares pass ~1e308
-            raise SolverError(
-                f"the iterate diverged at sweep {iterations + 1}: residual overflow ({e})"
-            ) from e
+        residual = _residual(new, values, lambda: f"sweep {len(history) + 1}")
         history.append(residual)
         values = new
-        iterations += 1
-        if residual <= tol:
-            converged = True
+        if residual <= tol or len(history) == max_iter:
+            break
+        if _stalls(history, tol):
+            windows = _Windows(spec, mesh, sampler, values, g, right_norms, tol)
+            residual = windows.solve(table, max_iter - len(history))
+            history += windows.history
             break
 
     return SolveReport(
         trajectory=_final_trajectory(spec, mesh, values),
-        iterations=iterations,
+        iterations=len(history),
         final_residual=residual,
-        converged=converged,
+        converged=residual <= tol,
         scheme=scheme,
         method="picard",
         residual_history=tuple(history),
     )
+
+
+class _Windows:
+    """The rest of a Picard solve, window by window from the left.
+
+    table.windows gives each window of at most BLOCK nodes with the
+    product of the frozen nodes to its left (base) and its own (n, n)
+    block of weights (near).  A sweep samples f at the window's current
+    values (stored on the delay grid first), applies the jumps of the
+    impulses inside the window at those values, as a whole-mesh sweep
+    does, and adds base + near @ g; impulses to the left enter at their
+    final values.  A window whose own sweeps stall is solved again as two
+    halves from its current values, down to one node, where a sweep is
+    marching's corrector.
+    """
+
+    def __init__(self, spec, mesh, sampler, values, g, right_norms, tol):
+        self.spec, self.mesh, self.sampler, self.tol = spec, mesh, sampler, tol
+        self.values, self.right_norms = values, right_norms
+        self.g = g.copy()  # node 0's sample stays; every other row is resampled
+        self.incs = np.zeros((len(mesh.impulse_idx), spec.dim))
+        self.history: list[float] = []  # the largest update at each window sweep
+        self.worst = 0.0  # the largest last update of a window
+
+    def solve(self, table, budget: int) -> float:
+        """Sweep every window to tol within budget sweeps a node; the largest last update."""
+        for lo, base, near in table.windows(self.g):
+            self._window(lo, base, near, budget, 0)
+        return self.worst
+
+    def _window(self, lo: int, base, near, budget: int, done: int) -> int:
+        """Sweep nodes lo .. lo + n - 1, which have had done window sweeps,
+        to tol in at most budget sweeps; the sweeps a node had here."""
+        hi = lo + base.shape[0]
+        values, g, dd = self.values, self.g, self.sampler.delay
+        hist: list[float] = []
+        while len(hist) < budget:
+            self._jumps(lo, hi)
+            x = values[lo:hi]
+            if dd is None:
+                g[lo:hi] = self.sampler(lo, x)
+            else:
+                dd.store(lo, x)
+                g[lo:hi] = self.sampler(lo, x, *dd.window(lo, hi, self.right_norms))
+            sweep = done + len(hist)
+            new = self._offsets(lo, hi) + base + near @ g[lo:hi]
+            residual = _residual(new, x, lambda: self._where(sweep, lo, hi))
+            hist.append(residual)
+            if sweep == len(self.history):
+                self.history.append(residual)
+            self.history[sweep] = max(self.history[sweep], residual)
+            values[lo:hi] = new
+            if residual <= self.tol:
+                break
+            if hi - lo > 1 and len(hist) < budget and _stalls(hist, self.tol):
+                h = (hi - lo) // 2
+                left = self._window(lo, base[:h], near[:h, :h], budget - len(hist), sweep + 1)
+                base = base[h:] + near[h:, :h] @ g[lo : lo + h]
+                right = self._window(lo + h, base, near[h:, h:], budget - len(hist), sweep + 1)
+                return len(hist) + max(left, right)
+        self._jumps(lo, hi)  # at the final values, for the windows to the right
+        self.worst = max(self.worst, residual)
+        return len(hist)
+
+    def _where(self, sweep: int, lo: int, hi: int) -> str:
+        t = self.mesh.nodes
+        return f"window sweep {sweep + 1} of nodes {lo}..{hi - 1} (t={float(t[lo])!r}..{float(t[hi - 1])!r})"
+
+    def _jumps(self, lo: int, hi: int) -> None:
+        """Increments and right-limit norms of the impulses at nodes lo .. hi-1."""
+        values = self.values
+        for k, idx in enumerate(self.mesh.impulse_idx):
+            if lo <= idx < hi:
+                self.incs[k] = self.spec.impulses.apply(k, values[idx])
+                self.right_norms[idx] = _norms(values[idx] + self.incs[k])
+
+    def _offsets(self, lo: int, hi: int) -> np.ndarray:
+        """x0 plus the jumps that reach nodes lo .. hi-1, as an (n, d) array."""
+        out = np.full((hi - lo, self.spec.dim), self.spec.x0)
+        for k, idx in enumerate(self.mesh.impulse_idx):
+            if idx + 1 < hi:
+                out[max(idx + 1 - lo, 0) :] += self.incs[k]
+        return out
 
 
 def solve_marching(spec: ProblemSpec, mesh: Mesh, scheme: str = "trapezoid") -> SolveReport:
@@ -343,7 +466,7 @@ def solve_marching(spec: ProblemSpec, mesh: Mesh, scheme: str = "trapezoid") -> 
         if dd is None:
             return sampler(i, x[None, :])[0]
         # the window sup with |x| at node i
-        sup = max(rest, float(np.linalg.norm(x, axis=-1)))
+        sup = max(rest, float(_norms(x)))
         return sampler(i, x[None, :], lag, np.array([sup]))[0]
 
     for i in range(n):
@@ -373,7 +496,7 @@ def solve_marching(spec: ProblemSpec, mesh: Mesh, scheme: str = "trapezoid") -> 
         if k is not None:
             inc = spec.impulses.apply(k, values[i])
             jsum = jsum + inc
-            right_norms[i] = np.linalg.norm(values[i] + inc, axis=-1)
+            right_norms[i] = _norms(values[i] + inc)
 
     return SolveReport(
         trajectory=_final_trajectory(spec, mesh, values),

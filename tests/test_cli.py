@@ -73,6 +73,22 @@ class TestExitCodes:
         # trajectory still written for inspection
         assert out.exists()
 
+    @pytest.mark.parametrize("max_iter, code", [(None, 0), (10, 2)])
+    def test_fast_decay_solve(self, tmp_path, capsys, max_iter, code):
+        # whole-mesh sweeps stall at sweep 3 and windows converge within
+        # the default 200 sweeps; given 10, a stalled window runs out
+        data = {"problem": {"alpha": 0.5, "T": 2.0, "x0": 1.0, "rhs": {"kind": "plain", "f": "-4*x"}}}
+        if max_iter is not None:
+            data["numerics"] = {"max_iter": max_iter}
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "traj.csv"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        iterations = int(captured.out.split("iterations=")[1].split()[0])
+        assert iterations <= (max_iter or 200)
+        assert ("converged=yes" in captured.out) is (code == 0)
+        assert captured.err == ("" if code == 0 else "warning: no convergence within 10 sweeps (tol 1e-10)\n")
+
     def test_history_domain_error_exits_2_naming_the_time(self, tmp_path, capsys):
         # history(0) and history(-r) are fine; the grid point -0.25 divides by zero
         data = coarse("delay-plain")
@@ -566,17 +582,18 @@ class TestOrderStudy:
         assert abs(float(order_line.split("=")[1]) - 1.8) <= 0.15
 
     def test_unconverged_study_solve_is_reported(self, tmp_path, capsys):
-        # at h = 0.05 Picard stops unconverged after 200 sweeps, and its
-        # error alone gives "estimated order = 3.297"
+        # every solve stops unconverged after max_iter = 20 sweeps, and
+        # their errors alone give "estimated order = 2.606"
         data = {
             "problem": {"alpha": 0.6, "T": 1.0, "x0": 1.0, "rhs": {"kind": "plain", "f": "6*x"}},
+            "numerics": {"max_iter": 20},
         }
         cfg_path = write_config(tmp_path, data)
         code = main(["order", "--config", str(cfg_path), "--h-list", "0.05,0.025,0.0125"])
         captured = capsys.readouterr()
         assert code == 2
-        assert "estimated order = 3.297" in captured.out
-        assert captured.err == "warning: no convergence within 200 sweeps (tol 1e-10)\n"
+        assert "estimated order = 2.606" in captured.out
+        assert captured.err == "warning: no convergence within 20 sweeps (tol 1e-10)\n" * 3
 
     def test_unconverged_fine_grid_reference_is_reported(self, tmp_path, capsys):
         # no closed form for the forced decay, and every solve, the

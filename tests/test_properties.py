@@ -89,14 +89,51 @@ def test_linear_problem_matches_mittag_leffler_closed_form(case):
     _check_report(mar, spec)
     assert mar.converged
     assert abs(mar.trajectory.values[-1, 0] - exact) <= bound
-    # whole-mesh Picard often stops unconverged on fast decays: it is
-    # held to the closed form only where it converges, and only to its
-    # absolute tolerance, which tiny data meet at once
-    pic = _picard(spec, mesh, max_iter=300)
-    if pic is not None:
-        _check_report(pic, spec)
-        if pic.converged:
-            assert abs(pic.trajectory.values[-1, 0] - exact) <= bound + 10.0 * TOL
+    # Picard gets its absolute tolerance on top, which tiny data meet at once
+    pic = solve_picard(spec, mesh, tol=TOL, max_iter=300)
+    _check_report(pic, spec)
+    assert pic.converged
+    assert abs(pic.trajectory.values[-1, 0] - exact) <= bound + 10.0 * TOL
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    alpha=st.floats(0.2, 0.9),
+    lam=st.floats(-8.0, -1.0),
+    data=st.data(),
+    max_iter=st.integers(4, 30),
+)
+def test_values_before_the_first_impulse_ignore_it(alpha, lam, data, max_iter):
+    # whole-mesh sweeps stall on these decays, and at tol = 0 a fixed
+    # number of sweeps makes the iterates comparable: the nodes up to the
+    # first impulse, windows and halves included, never read a later node.
+    # tol = 0 halves every window down to single nodes, which diverge
+    # unless marching's corrector contracts
+    h = 2.0**-7
+    assume(h**alpha * abs(lam) / gamma(alpha + 2.0) <= 0.5)
+    times = _impulse_times(data.draw, 2, 16)
+    assume(times)
+    cs = [data.draw(st.floats(-1.0, 1.0)) for _ in times]
+
+    def spec(times, cs):
+        return ProblemSpec(
+            alpha=alpha,
+            T=1.0,
+            rhs=RhsSpec(kind="plain", f=lambda t, x: lam * x, vectorized=True),
+            x0=np.array([1.0]),
+            impulses=ImpulseSchedule(
+                times=times, jumps=tuple(lambda x, c=c: np.array([c]) for c in cs)
+            ),
+        )
+
+    bare, jumped = spec((), []), spec(times, cs)
+    mesh_b, mesh_j = build_mesh(bare, h), build_mesh(jumped, h)
+    idx = mesh_j.impulse_idx[0]
+    assert mesh_b.nodes[: idx + 1].tobytes() == mesh_j.nodes[: idx + 1].tobytes()
+    a = solve_picard(bare, mesh_b, tol=0.0, max_iter=max_iter)
+    b = solve_picard(jumped, mesh_j, tol=0.0, max_iter=max_iter)
+    assert a.iterations == b.iterations == max_iter
+    assert a.trajectory.values[: idx + 1].tobytes() == b.trajectory.values[: idx + 1].tobytes()
 
 
 @st.composite

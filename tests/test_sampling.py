@@ -215,23 +215,45 @@ def _plain(f, vectorized=False, x0=(1.0,)):
     )
 
 
+def _window_batches(calls, mesh, rep):
+    """Check that the batches of a windowed Picard solve are whole-mesh
+    sweeps, then runs of consecutive nodes that start in node order and
+    cover nodes 1 .. N, and that the most batches any node was in is
+    rep.iterations.  Returns the number of whole-mesh sweeps."""
+    n = mesh.n_nodes
+    whole = next(i for i, t in enumerate(calls) if t.size < n)
+    assert whole >= 3
+    assert all(t.tobytes() == mesh.nodes.tobytes() for t in calls[:whole])
+    starts = [int(np.searchsorted(mesh.nodes, t[0])) for t in calls[whole:]]
+    assert starts == sorted(starts) and starts[0] == 1
+    sweeps = np.full(n, whole)
+    for lo, t in zip(starts, calls[whole:]):
+        assert t.tobytes() == mesh.nodes[lo : lo + t.size].tobytes()
+        sweeps[lo : lo + t.size] += 1
+    assert sweeps[1:].min() > whole and sweeps.max() == rep.iterations
+    return whole
+
+
 class TestVectorizedContract:
     def test_one_call_per_sweep_and_same_values(self):
         calls = []
 
         def batched(t, x):
-            calls.append(t.shape)
+            calls.append(t.copy())
             return -1.5 * x
 
         spec = _plain(batched, vectorized=True)
         mesh = build_mesh(spec, 2.0**-6)
         rep = solve_picard(spec, mesh)
-        assert calls == [(mesh.n_nodes,)] * rep.iterations
+        # the whole-mesh residual ratio stalls at sweep 3; the one window
+        # of 64 nodes stalls too and is solved as two halves
+        assert rep.converged and _window_batches(calls, mesh, rep) == 3
+        assert sorted({t.size for t in calls}) == [32, 64, mesh.n_nodes]
         ref = solve_picard(_plain(lambda t, x: -1.5 * x), mesh)
         assert np.array_equal(rep.trajectory.values, ref.trajectory.values)
         calls.clear()
         marched = solve_marching(spec, mesh)
-        assert set(calls) == {(1,)}
+        assert {t.shape for t in calls} == {(1,)}
         expect = solve_marching(_plain(lambda t, x: -1.5 * x), mesh)
         assert np.array_equal(marched.trajectory.values, expect.trajectory.values)
 
@@ -342,17 +364,24 @@ class TestPerNodeContract:
             solve_picard(_plain(f), mesh)
 
     def test_one_call_per_node_and_sweep(self):
-        calls = []
+        # one call per node of each batch a vectorized f would get, in order
+        calls, batches = [], []
 
         def f(t, x):
             calls.append(t)
             return -x
 
+        def batched(t, x):
+            batches.append(t.copy())
+            return -x
+
         spec = _plain(f)
-        mesh = build_mesh(spec, 2.0**-6)
+        mesh = build_mesh(spec, 2.0**-7)
         rep = solve_picard(spec, mesh)
-        assert rep.converged
-        assert calls == mesh.nodes.tolist() * rep.iterations
+        ref = solve_picard(_plain(batched, vectorized=True), mesh)
+        assert rep.converged and rep.residual_history == ref.residual_history
+        _window_batches(batches, mesh, ref)
+        assert calls == np.concatenate(batches).tolist()
 
 
 class TestPerNodeChunks:

@@ -14,6 +14,7 @@ from fracimpulse.problem import (
 )
 from fracimpulse.solver import (
     SolverError,
+    _norms,
     jump_residual,
     solve_marching,
     solve_picard,
@@ -278,9 +279,11 @@ class TestFailureModes:
                 assert rep.final_residual <= 1e-12
 
     def test_diverging_iterate_is_a_solver_error(self):
-        # the residual's squares overflow at sweep 12; without errstate
-        # numpy warns, and this repository's warning filter makes that
-        # warning the caller's exception instead of a SolverError
+        # x' = x^2 blows up before T: whole-mesh sweeps stall at sweep 3,
+        # and the residual's squares overflow in a window halved down to
+        # two nodes near the blow-up.  Without errstate numpy warns, and
+        # this repository's warning filter makes that warning the caller's
+        # exception instead of a SolverError
         from fracimpulse.config import parse_config
 
         cfg = parse_config(
@@ -290,7 +293,11 @@ class TestFailureModes:
             }
         )
         mesh = build_mesh(cfg.problem, cfg.target_h)
-        with pytest.raises(SolverError, match=r"iterate diverged at sweep 12: residual overflow"):
+        with pytest.raises(
+            SolverError,
+            match=r"iterate diverged at window sweep 17 of nodes 195\.\.196 "
+            r"\(t=0\.3046875\.\.0\.30625\): residual overflow",
+        ):
             solve_picard(cfg.problem, mesh)
 
     def test_residual_history_contracts(self):
@@ -300,6 +307,65 @@ class TestFailureModes:
         hist = rep.residual_history
         assert len(hist) == rep.iterations
         assert all(b < a for a, b in zip(hist[1:-1], hist[2:]))
+
+
+class TestWindows:
+    """Whole-mesh sweeps that stall give way to windows of nodes."""
+
+    # |lam| T^alpha / Gamma(alpha + 1) = 2.28, 6.38, 3.34: whole-mesh
+    # iterates peak near 1e13-1e15 and never reach tol
+    @pytest.mark.parametrize("alpha, lam, T", [(0.21, -2.17, 0.83), (0.5, -4.0, 2.0), (0.3, -3.0, 1.0)])
+    def test_fast_decays_converge(self, alpha, lam, T):
+        spec = _linear(alpha=alpha, lam=lam, T=T)
+        mesh = build_mesh(spec, T / 1024)
+        assert mesh.n_nodes == 1025
+        rep = solve_picard(spec, mesh, tol=1e-10, max_iter=200)
+        assert rep.converged and rep.final_residual <= 1e-10
+        mar = solve_marching(spec, mesh)
+        assert np.max(np.abs(rep.trajectory.values - mar.trajectory.values)) <= 1e-9
+
+    def test_report_counts_sweeps_per_node(self):
+        spec = _linear(alpha=0.5, lam=-4.0, T=2.0)
+        mesh = build_mesh(spec, 2.0 / 1024)
+        for max_iter in (1, 2, 3, 4, 10, 30, 200):
+            rep = solve_picard(spec, mesh, max_iter=max_iter)
+            assert rep.iterations <= max_iter
+            assert len(rep.residual_history) == rep.iterations
+            assert rep.converged is (rep.final_residual <= 1e-10)
+            assert rep.converged is (max_iter == 200)
+        # a stalled window runs out of sweeps: unconverged, not an error
+        rep = solve_picard(spec, mesh, max_iter=10)
+        assert rep.iterations == 10 and rep.final_residual > 1e-10
+
+    def test_halving_reaches_one_node(self):
+        # tol = 0 stalls every window at its third sweep, so the halves
+        # go down to single nodes, each of which gets what is left
+        spec = _linear(alpha=0.5, lam=-1.0)
+        mesh = build_mesh(spec, 2.0**-4)
+        rep = solve_picard(spec, mesh, tol=0.0, max_iter=40)
+        assert not rep.converged
+        assert rep.iterations == 40 == len(rep.residual_history)
+        ref = solve_picard(spec, mesh, tol=1e-13)
+        assert np.max(np.abs(rep.trajectory.values - ref.trajectory.values)) <= 1e-12
+
+
+class TestNorms:
+    def test_bitwise_linalg_norm(self):
+        rng = np.random.default_rng(3)
+        for d in (1, 2, 3):
+            x = rng.standard_normal((1000, d)) * 10.0 ** rng.uniform(-160.0, 153.0, (1000, 1))
+            x[:4] = [[5e-324] * d, [2.2e-308] * d, [7e153] * d, [-1.3e154] + [0.0] * (d - 1)]
+            assert _norms(x).tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+            for row in x[:10]:
+                assert _norms(row).tobytes() == np.linalg.norm(row, axis=-1).tobytes()
+
+    def test_same_overflow_signal(self):
+        x = np.array([[1e155, 0.0]])
+        for norm in (_norms, lambda v: np.linalg.norm(v, axis=-1)):
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+                norm(x)
+            with np.errstate(over="warn"), pytest.warns(RuntimeWarning, match="overflow"):
+                assert norm(x)[0] == np.inf
 
 
 class TestVectorState:

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fracimpulse.config import builtin_example, parse_config
-from fracimpulse.fracquad import WEIGHT_BYTES_BUDGET, build_weights
+from fracimpulse.fracquad import BLOCK, WEIGHT_BYTES_BUDGET, build_weights
 from fracimpulse.problem import (
     ImpulseSchedule,
     Mesh,
@@ -73,6 +73,25 @@ def _extend(mesh, extra):
     )
 
 
+def _online(table, g):
+    """W @ g through table.windows, with the rows of g that no window has
+    finished yet set to nan, so a read ahead of the solver shows.  The
+    windows must hold at most BLOCK nodes and cover 1 .. N in order."""
+    g = g.reshape(table.n_nodes, -1)
+    out = np.zeros_like(g)
+    finished = np.full_like(g, np.nan)
+    finished[0] = g[0]
+    nxt = 1
+    for lo, base, near in table.windows(finished):
+        n = base.shape[0]
+        assert lo == nxt and 1 <= n <= BLOCK and near.shape == (n, n)
+        finished[lo : lo + n] = g[lo : lo + n]
+        out[lo : lo + n] = base + near @ g[lo : lo + n]
+        nxt = lo + n
+    assert nxt == table.n_nodes
+    return out
+
+
 alphas = st.floats(0.05, 0.95)
 schemes = st.sampled_from(["rectangle", "trapezoid"])
 
@@ -85,6 +104,7 @@ def test_apply_row_diag_match_dense(mesh, alpha, scheme, d, seed):
     g = np.random.default_rng(seed).standard_normal((mesh.n_nodes, d))
     scale = np.abs(W) @ np.abs(g)
     assert np.all(np.abs(table.apply(g) - W @ g) <= REL * scale)
+    assert np.all(np.abs(_online(table, g) - W @ g) <= REL * scale)
     for j in range(mesh.n_nodes):
         row = W[j, : j + 1]
         assert np.all(np.abs(table.row(j) - row) <= REL * np.max(np.abs(row)))
@@ -147,7 +167,9 @@ def test_far_blocks_match_dense_on_a_long_run():
     table = build_weights(mesh, 0.3, "trapezoid")
     W = table.dense()
     g = np.cos(7.0 * mesh.nodes)
-    assert np.all(np.abs(table.apply(g) - W @ g) <= REL * (np.abs(W) @ np.abs(g)))
+    scale = np.abs(W) @ np.abs(g)
+    assert np.all(np.abs(table.apply(g) - W @ g) <= REL * scale)
+    assert np.all(np.abs(_online(table, g)[:, 0] - W @ g) <= REL * scale)
 
 
 def test_near_equal_steps_form_one_run():
@@ -247,7 +269,9 @@ class TestRunLengthsAroundPowersOfTwo:
             table = build_weights(mesh, 0.4, scheme)
             W = table.dense()
             g = np.stack([np.cos(7.0 * mesh.nodes), 1.0 - mesh.nodes], axis=1)
-            assert np.all(np.abs(table.apply(g) - W @ g) <= REL * (np.abs(W) @ np.abs(g)))
+            scale = np.abs(W) @ np.abs(g)
+            assert np.all(np.abs(table.apply(g) - W @ g) <= REL * scale)
+            assert np.all(np.abs(_online(table, g) - W @ g) <= REL * scale)
 
     @pytest.mark.parametrize("scheme", ["rectangle", "trapezoid"])
     @pytest.mark.parametrize("n", LENGTHS)
