@@ -14,9 +14,13 @@ approximate the operator's contraction factor, promise tol within
 STALL_SWEEPS more sweeps (_stalls).  Once they do not, it solves the
 rest left to right in windows of fracquad.BLOCK nodes, each swept to
 tol with the nodes to its left frozen: restricted to a window of length
-tau the Volterra operator contracts roughly like tau^alpha.  A window
-that stalls the same way is halved, down to one node, where a sweep is
-marching's corrector.
+tau the Volterra operator contracts roughly like tau^alpha.  Every
+window but the first starts from a predictor, the cubic through the
+last solved nodes of its smooth piece (as in the fractional Adams
+method), not from the stalled iterate.  A window that stalls the same
+way is halved, down to one node, where a sweep is marching's corrector;
+when a one-node window's update grows three sweeps in a row the solve
+stops unconverged, as marching reports a corrector that fails.
 
 solve_marching computes nodes left to right in one pass.  The
 rectangle scheme is fully explicit.  The trapezoid scheme predicts
@@ -82,6 +86,9 @@ MAX_CORRECTIONS = 60
 # halves, once the observed residual ratio would need more than this many
 # further sweeps to reach tol.
 STALL_SWEEPS = 64
+# A Picard window starts from the Lagrange polynomial of at most this degree
+# through the solved nodes to its left (_Windows._predict).
+PREDICTOR_DEGREE = 3
 
 
 @dataclass(frozen=True)
@@ -302,8 +309,9 @@ def solve_picard(
     max_iter sweeps otherwise.  iterations is the most sweeps any node
     had, residual_history holds the largest update at each sweep index
     (whole-mesh sweeps, then window sweeps) and final_residual the
-    largest last update.  Raises SolverError when an update overflows
-    (a diverging iterate).
+    largest last update.  A one-node window whose update grows three
+    sweeps in a row ends the solve there, unconverged.  Raises SolverError
+    when an update overflows (a diverging iterate).
     """
     if not (tol >= 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
@@ -345,6 +353,11 @@ def solve_picard(
     )
 
 
+class _Diverging(Exception):
+    """A one-node window's update grew over three sweeps in a row: marching's
+    corrector diverges there."""
+
+
 class _Windows:
     """The rest of a Picard solve, window by window from the left.
 
@@ -354,9 +367,14 @@ class _Windows:
     values (stored on the delay grid first), applies the jumps of the
     impulses inside the window at those values, as a whole-mesh sweep
     does, and adds base + near @ g; impulses to the left enter at their
-    final values.  A window whose own sweeps stall is solved again as two
-    halves from its current values, down to one node, where a sweep is
-    marching's corrector.
+    final values.  Before its first sweep a window, except the first one
+    at node 1, takes its values from _predict: the Lagrange polynomial
+    through the last PREDICTOR_DEGREE + 1 solved points of its smooth
+    piece, fewer right after an impulse, whose node enters at its right
+    limit.  A window whose own sweeps stall is solved again as two halves,
+    each predicted again (the right one off the finished left one), down
+    to one node, where a sweep is marching's corrector.  A one-node window
+    whose update grows three sweeps in a row stops the solve (_Diverging).
     """
 
     def __init__(self, spec, mesh, sampler, values, g, right_norms, tol):
@@ -369,8 +387,11 @@ class _Windows:
 
     def solve(self, table, budget: int) -> float:
         """Sweep every window to tol within budget sweeps a node; the largest last update."""
-        for lo, base, near in table.windows(self.g):
-            self._window(lo, base, near, budget, 0)
+        try:
+            for lo, base, near in table.windows(self.g):
+                self._window(lo, base, near, budget, 0)
+        except _Diverging:
+            pass
         return self.worst
 
     def _window(self, lo: int, base, near, budget: int, done: int) -> int:
@@ -378,6 +399,8 @@ class _Windows:
         to tol in at most budget sweeps; the sweeps a node had here."""
         hi = lo + base.shape[0]
         values, g, dd = self.values, self.g, self.sampler.delay
+        if lo > 1 or done:  # the first window keeps the whole-mesh iterate
+            self._predict(lo, hi)
         hist: list[float] = []
         while len(hist) < budget:
             self._jumps(lo, hi)
@@ -397,6 +420,9 @@ class _Windows:
             values[lo:hi] = new
             if residual <= self.tol:
                 break
+            if hi - lo == 1 and len(hist) >= 3 and hist[-3] < hist[-2] < hist[-1]:
+                self.worst = max(self.worst, residual)
+                raise _Diverging
             if hi - lo > 1 and len(hist) < budget and _stalls(hist, self.tol):
                 h = (hi - lo) // 2
                 left = self._window(lo, base[:h], near[:h, :h], budget - len(hist), sweep + 1)
@@ -406,6 +432,27 @@ class _Windows:
         self._jumps(lo, hi)  # at the final values, for the windows to the right
         self.worst = max(self.worst, residual)
         return len(hist)
+
+    def _predict(self, lo: int, hi: int) -> None:
+        """Overwrite nodes lo .. hi-1 with the Lagrange polynomial through the
+        last PREDICTOR_DEGREE + 1 solved points of their smooth piece, which
+        starts at node 0 or at the last impulse node left of lo, that node
+        at its right limit."""
+        t, values = self.mesh.nodes, self.values
+        start, right = 0, None
+        for k, idx in enumerate(self.mesh.impulse_idx):
+            if idx < lo:
+                start, right = idx, values[idx] + self.incs[k]
+        first = max(start, lo - 1 - PREDICTOR_DEGREE)
+        ts, ys = t[first:lo], values[first:lo].copy()
+        if first == start and right is not None:
+            ys[0] = right
+        basis = np.ones((hi - lo, ts.size))
+        for i in range(ts.size):
+            for j in range(ts.size):
+                if j != i:
+                    basis[:, i] *= (t[lo:hi] - ts[j]) / (ts[i] - ts[j])
+        values[lo:hi] = basis @ ys
 
     def _where(self, sweep: int, lo: int, hi: int) -> str:
         t = self.mesh.nodes

@@ -89,6 +89,20 @@ class TestExitCodes:
         assert ("converged=yes" in captured.out) is (code == 0)
         assert captured.err == ("" if code == 0 else "warning: no convergence within 10 sweeps (tol 1e-10)\n")
 
+    def test_diverging_one_node_window_writes_its_csv(self, tmp_path, capsys):
+        # x' = x^2 blows up before T, where a one-node window (marching's
+        # corrector) diverges: an unconverged report, not a solver error
+        data = {
+            "problem": {"alpha": 0.6, "T": 1.0, "x0": 1.0, "rhs": {"kind": "plain", "f": "x*x"}},
+            "numerics": {"target_h": 0.0015625},
+        }
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "traj.csv"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "converged=no" in captured.out and out.exists()
+        assert captured.err == "warning: no convergence within 200 sweeps (tol 1e-10)\n"
+
     def test_history_domain_error_exits_2_naming_the_time(self, tmp_path, capsys):
         # history(0) and history(-r) are fine; the grid point -0.25 divides by zero
         data = coarse("delay-plain")
@@ -583,7 +597,7 @@ class TestOrderStudy:
 
     def test_unconverged_study_solve_is_reported(self, tmp_path, capsys):
         # every solve stops unconverged after max_iter = 20 sweeps, and
-        # their errors alone give "estimated order = 2.606"
+        # their errors alone give "estimated order = 2.0469"
         data = {
             "problem": {"alpha": 0.6, "T": 1.0, "x0": 1.0, "rhs": {"kind": "plain", "f": "6*x"}},
             "numerics": {"max_iter": 20},
@@ -592,7 +606,7 @@ class TestOrderStudy:
         code = main(["order", "--config", str(cfg_path), "--h-list", "0.05,0.025,0.0125"])
         captured = capsys.readouterr()
         assert code == 2
-        assert "estimated order = 2.606" in captured.out
+        assert "estimated order = 2.0469" in captured.out
         assert captured.err == "warning: no convergence within 20 sweeps (tol 1e-10)\n" * 3
 
     def test_unconverged_fine_grid_reference_is_reported(self, tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fracimpulse import certify
 from fracimpulse.config import parse_config
-from fracimpulse.problem import ImpulseSchedule, ProblemSpec, RhsSpec, build_mesh
+from fracimpulse.problem import DelaySpec, ImpulseSchedule, ProblemSpec, RhsSpec, build_mesh
 from fracimpulse.solver import SolverError, jump_residual, solve_marching, solve_picard
 from fracimpulse.special import Envelope, gamma, mittag_leffler
 
@@ -186,6 +186,61 @@ def test_picard_and_marching_reach_one_fixed_point(data):
     a, b = pic.trajectory, mar.trajectory
     assert np.max(np.abs(a.values - b.values)) <= 10.0 * TOL
     assert np.max(np.abs(a.right_values - b.right_values), initial=0.0) <= 10.0 * TOL
+
+
+@st.composite
+def nonlinear_problems(draw):
+    """lam x - mu x|x| (plain) or lam x + 0.5 x(t - r) - mu sup x (delay) on
+    [0, 1] with one affine jump, on a mesh of step 2^-7."""
+    h = 2.0**-7
+    alpha = draw(st.floats(0.2, 0.95))
+    lam = draw(st.floats(-20.0, -1.0))
+    mu = draw(st.floats(0.0, 2.0))
+    a, b = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
+    impulses = ImpulseSchedule(
+        times=(draw(st.integers(1, 15)) / 16,), jumps=(lambda x: a * x + b,)
+    )
+    if draw(st.booleans()):
+        rhs = RhsSpec(kind="plain", f=lambda t, x: lam * x - mu * x * np.abs(x), vectorized=True)
+        spec = ProblemSpec(
+            alpha=alpha, T=1.0, rhs=rhs, x0=np.array([draw(st.floats(-1.5, 1.5))]), impulses=impulses
+        )
+    else:
+        c0, c1 = draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5))
+        rhs = RhsSpec(
+            kind="delay",
+            f=lambda t, x, xr, sup: lam * x + 0.5 * xr - mu * sup[:, None] * x,
+            vectorized=True,
+        )
+        delay = DelaySpec(r=draw(st.sampled_from([0.125, 0.25])), history=lambda s: np.array([c0 + c1 * s]))
+        spec = ProblemSpec(alpha=alpha, T=1.0, rhs=rhs, impulses=impulses, delay=delay)
+    return spec, build_mesh(spec, h), lam, mu
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=nonlinear_problems())
+def test_picard_converges_where_marching_contracts(case):
+    # whole-mesh sweeps stall on most of these, and windows that start
+    # from the iterate left at the switch used to overflow
+    spec, mesh, lam, mu = case
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverging corrector
+            mar = solve_marching(spec, mesh)
+    except SolverError:
+        mar = None
+    assume(mar is not None and mar.converged)
+    # the corrector's Lipschitz constant along marching's solution and the
+    # history's ends: |lam| + 2 mu max |x|
+    traj = mar.trajectory
+    big = max(np.max(np.abs(traj.values)), np.max(np.abs(traj.right_values)))
+    if spec.delay is not None:
+        big = max(big, *(abs(spec.delay.history(s)[0]) for s in (0.0, -spec.delay.r)))
+    lip = abs(lam) + 2.0 * mu * big
+    assume(mesh.nodes[1] ** spec.alpha * lip / gamma(spec.alpha + 2.0) <= 0.5)
+    pic = solve_picard(spec, mesh, tol=TOL, max_iter=200)
+    _check_report(pic, spec)
+    assert pic.converged
+    assert np.max(np.abs(pic.trajectory.values - mar.trajectory.values)) <= 1e-9
 
 
 @st.composite

@@ -246,9 +246,10 @@ class TestVectorizedContract:
         mesh = build_mesh(spec, 2.0**-6)
         rep = solve_picard(spec, mesh)
         # the whole-mesh residual ratio stalls at sweep 3; the one window
-        # of 64 nodes stalls too and is solved as two halves
+        # of 64 nodes stalls too and is solved as two halves, and its left
+        # half, restarted from x0, halves once more
         assert rep.converged and _window_batches(calls, mesh, rep) == 3
-        assert sorted({t.size for t in calls}) == [32, 64, mesh.n_nodes]
+        assert sorted({t.size for t in calls}) == [16, 32, 64, mesh.n_nodes]
         ref = solve_picard(_plain(lambda t, x: -1.5 * x), mesh)
         assert np.array_equal(rep.trajectory.values, ref.trajectory.values)
         calls.clear()
