@@ -155,15 +155,18 @@ def _warn_if_not_converged(cfg: RunConfig, report) -> bool:
     """Print solve's warning on stderr when report did not converge; True then."""
     if report.converged:
         return False
-    if report.method == "picard":
-        detail = f"{cfg.max_iter} sweeps (tol {_fmt(cfg.tol)})"
+    if report.method == "picard" and report.iterations < cfg.max_iter:
+        # a diverging one-node window ended the solve before its budget
+        detail = f": stopped after {report.iterations} of {cfg.max_iter} sweeps (tol {_fmt(cfg.tol)})"
+    elif report.method == "picard":
+        detail = f" within {cfg.max_iter} sweeps (tol {_fmt(cfg.tol)})"
     else:
         detail = (
-            f"{report.iterations} corrector iterations at "
+            f" within {report.iterations} corrector iterations at "
             f"{report.unconverged_nodes} of {report.trajectory.mesh.n_nodes} nodes "
             f"(worst update {_fmt(report.final_residual)})"
         )
-    print(f"warning: no convergence within {detail}", file=sys.stderr)
+    print(f"warning: no convergence{detail}", file=sys.stderr)
     return True
 
 

@@ -15,12 +15,14 @@ STALL_SWEEPS more sweeps (_stalls).  Once they do not, it solves the
 rest left to right in windows of fracquad.BLOCK nodes, each swept to
 tol with the nodes to its left frozen: restricted to a window of length
 tau the Volterra operator contracts roughly like tau^alpha.  Every
-window but the first starts from a predictor, the cubic through the
-last solved nodes of its smooth piece (as in the fractional Adams
-method), not from the stalled iterate.  A window that stalls the same
-way is halved, down to one node, where a sweep is marching's corrector;
-when a one-node window's update grows three sweeps in a row the solve
-stops unconverged, as marching reports a corrector that fails.
+window but the first starts from a predictor, not from the stalled
+iterate: the operator applied to samples of f extrapolated by the cubic
+through the last solved samples of their smooth piece (the fractional
+Adams-Bashforth predictor), which costs no call of f.  A window that
+stalls the same way, or whose update overflows, is halved, down to one
+node, where a sweep is marching's corrector; when a one-node window's
+update grows three sweeps in a row or overflows, the solve stops
+unconverged.
 
 solve_marching computes nodes left to right in one pass.  The
 rectangle scheme is fully explicit.  The trapezoid scheme predicts
@@ -29,7 +31,9 @@ x -> known + w_jj f(t_j, x) to convergence (the map contracts with
 factor w_jj * Lip(f), small for any usable step), so the marching
 solution coincides with the Picard fixed point up to tolerances.  When
 w_jj * Lip(f) is too large the corrector can fail to converge; the
-report then says so (converged=False).
+report then says so (converged=False).  A corrector whose update grows
+three iterations in a row stops marching at its node, by the rule that
+stops a one-node Picard window (_diverges).
 
 Both solvers touch the weights only through WeightTable.apply,
 windows, row and diag, and sample f through one sampler: a Picard sweep
@@ -86,8 +90,9 @@ MAX_CORRECTIONS = 60
 # halves, once the observed residual ratio would need more than this many
 # further sweeps to reach tol.
 STALL_SWEEPS = 64
-# A Picard window starts from the Lagrange polynomial of at most this degree
-# through the solved nodes to its left (_Windows._predict).
+# A Picard window starts from samples extrapolated by the Lagrange polynomial
+# of at most this degree through the solved samples to its left
+# (_Windows._extrapolate).
 PREDICTOR_DEGREE = 3
 
 
@@ -111,27 +116,30 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
-def _residual(new: np.ndarray, old: np.ndarray, where) -> float:
-    """The sup-norm update from old to new; SolverError, naming the sweep
-    where() gives, when it overflows."""
-    try:
-        with np.errstate(over="raise"):
-            return float(np.max(_norms(new - old)))
-    except FloatingPointError as e:  # the squares pass ~1e308
-        raise SolverError(f"the iterate diverged at {where()}: residual overflow ({e})") from e
+def _residual(new: np.ndarray, old: np.ndarray) -> float:
+    """The sup-norm update from old to new; inf once its squares pass ~1e308."""
+    with np.errstate(over="ignore"):
+        return float(np.max(_norms(new - old)))
 
 
 def _stalls(history: list[float], tol: float) -> bool:
-    """From the third sweep on, whether the last residual ratio rho cannot
-    bring the last residual r (> tol) to tol within STALL_SWEEPS more
-    sweeps: rho >= 1 or rho^STALL_SWEEPS > tol / r.  At tol = 0 it holds
-    whatever the data, so the switch does not depend on any node."""
-    if len(history) < 3:
+    """From the second sweep on, of the whole mesh or of one window, whether
+    the last residual ratio rho cannot bring the last residual r (> tol) to
+    tol within STALL_SWEEPS more sweeps: rho >= 1 or rho^STALL_SWEEPS > tol / r.
+    At tol = 0 it holds whatever the data, so the switch does not depend on
+    any node."""
+    if len(history) < 2:
         return False
     prev, last = history[-2:]
     if tol == 0.0:
         return True
     return STALL_SWEEPS * (math.log(last) - math.log(prev)) > math.log(tol) - math.log(last)
+
+
+def _diverges(updates: list[float]) -> bool:
+    """Whether the last three updates grew in a row: a one-node Picard window,
+    or marching's corrector, then stops the solve unconverged."""
+    return len(updates) >= 3 and updates[-3] < updates[-2] < updates[-1]
 
 
 def _sliding_max(a: np.ndarray, width: int) -> np.ndarray:
@@ -310,8 +318,9 @@ def solve_picard(
     had, residual_history holds the largest update at each sweep index
     (whole-mesh sweeps, then window sweeps) and final_residual the
     largest last update.  A one-node window whose update grows three
-    sweeps in a row ends the solve there, unconverged.  Raises SolverError
-    when an update overflows (a diverging iterate).
+    sweeps in a row, or overflows, ends the solve there, unconverged.
+    Raises SolverError when a whole-mesh update overflows (a diverging
+    iterate).
     """
     if not (tol >= 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
@@ -331,7 +340,9 @@ def solve_picard(
         right_norms[impulse_idx] = _norms(values[impulse_idx] + incs)
         g = sampler.sweep(values, right_norms)
         new = spec.x0[None, :] + np.cumsum(steps, axis=0) + table.apply(g)
-        residual = _residual(new, values, lambda: f"sweep {len(history) + 1}")
+        residual = _residual(new, values)
+        if residual == math.inf:
+            raise SolverError(f"the iterate diverged at sweep {len(history) + 1}: residual overflow")
         history.append(residual)
         values = new
         if residual <= tol or len(history) == max_iter:
@@ -354,8 +365,8 @@ def solve_picard(
 
 
 class _Diverging(Exception):
-    """A one-node window's update grew over three sweeps in a row: marching's
-    corrector diverges there."""
+    """A one-node window's update grew over three sweeps in a row or
+    overflowed: marching's corrector diverges there."""
 
 
 class _Windows:
@@ -364,17 +375,19 @@ class _Windows:
     table.windows gives each window of at most BLOCK nodes with the
     product of the frozen nodes to its left (base) and its own (n, n)
     block of weights (near).  A sweep samples f at the window's current
-    values (stored on the delay grid first), applies the jumps of the
-    impulses inside the window at those values, as a whole-mesh sweep
-    does, and adds base + near @ g; impulses to the left enter at their
-    final values.  Before its first sweep a window, except the first one
-    at node 1, takes its values from _predict: the Lagrange polynomial
-    through the last PREDICTOR_DEGREE + 1 solved points of its smooth
-    piece, fewer right after an impulse, whose node enters at its right
-    limit.  A window whose own sweeps stall is solved again as two halves,
-    each predicted again (the right one off the finished left one), down
-    to one node, where a sweep is marching's corrector.  A one-node window
-    whose update grows three sweeps in a row stops the solve (_Diverging).
+    values (stored on the delay grid first) and sets them to offsets +
+    base + near @ g, where offsets are x0 plus the jumps that reach the
+    window: impulses to the left enter at their final values, impulses
+    inside at the window's current values, as in a whole-mesh sweep, so
+    only a window that holds an impulse recomputes them each sweep.
+    Before its first sweep a window, except the first one at node 1,
+    takes offsets + base + near @ g_hat, where g_hat extrapolates the
+    samples of its smooth piece (_extrapolate); this costs no call of f.
+    A window whose own sweeps stall (_stalls), or whose update overflows,
+    is solved again as two halves, each predicted again (the right one
+    off the finished left one), down to one node, where a sweep is
+    marching's corrector.  A one-node window whose update grows three
+    sweeps in a row (_diverges) or overflows stops the solve (_Diverging).
     """
 
     def __init__(self, spec, mesh, sampler, values, g, right_norms, tol):
@@ -399,11 +412,15 @@ class _Windows:
         to tol in at most budget sweeps; the sweeps a node had here."""
         hi = lo + base.shape[0]
         values, g, dd = self.values, self.g, self.sampler.delay
+        inside = any(lo <= idx < hi for idx in self.mesh.impulse_idx)
+        offsets = self._offsets(lo, hi)
         if lo > 1 or done:  # the first window keeps the whole-mesh iterate
-            self._predict(lo, hi)
+            values[lo:hi] = offsets + base + near @ self._extrapolate(lo, hi)
         hist: list[float] = []
         while len(hist) < budget:
-            self._jumps(lo, hi)
+            if inside:
+                self._jumps(lo, hi)
+                offsets = self._offsets(lo, hi)
             x = values[lo:hi]
             if dd is None:
                 g[lo:hi] = self.sampler(lo, x)
@@ -411,8 +428,8 @@ class _Windows:
                 dd.store(lo, x)
                 g[lo:hi] = self.sampler(lo, x, *dd.window(lo, hi, self.right_norms))
             sweep = done + len(hist)
-            new = self._offsets(lo, hi) + base + near @ g[lo:hi]
-            residual = _residual(new, x, lambda: self._where(sweep, lo, hi))
+            new = offsets + base + near @ g[lo:hi]
+            residual = _residual(new, x)
             hist.append(residual)
             if sweep == len(self.history):
                 self.history.append(residual)
@@ -420,43 +437,36 @@ class _Windows:
             values[lo:hi] = new
             if residual <= self.tol:
                 break
-            if hi - lo == 1 and len(hist) >= 3 and hist[-3] < hist[-2] < hist[-1]:
-                self.worst = max(self.worst, residual)
-                raise _Diverging
-            if hi - lo > 1 and len(hist) < budget and _stalls(hist, self.tol):
+            if hi - lo == 1:
+                if residual == math.inf or _diverges(hist):
+                    self.worst = max(self.worst, residual)
+                    raise _Diverging
+            elif len(hist) < budget and (residual == math.inf or _stalls(hist, self.tol)):
                 h = (hi - lo) // 2
                 left = self._window(lo, base[:h], near[:h, :h], budget - len(hist), sweep + 1)
                 base = base[h:] + near[h:, :h] @ g[lo : lo + h]
                 right = self._window(lo + h, base, near[h:, h:], budget - len(hist), sweep + 1)
                 return len(hist) + max(left, right)
-        self._jumps(lo, hi)  # at the final values, for the windows to the right
+        if inside:
+            self._jumps(lo, hi)  # at the final values, for the windows to the right
         self.worst = max(self.worst, residual)
         return len(hist)
 
-    def _predict(self, lo: int, hi: int) -> None:
-        """Overwrite nodes lo .. hi-1 with the Lagrange polynomial through the
-        last PREDICTOR_DEGREE + 1 solved points of their smooth piece, which
-        starts at node 0 or at the last impulse node left of lo, that node
-        at its right limit."""
-        t, values = self.mesh.nodes, self.values
-        start, right = 0, None
-        for k, idx in enumerate(self.mesh.impulse_idx):
-            if idx < lo:
-                start, right = idx, values[idx] + self.incs[k]
-        first = max(start, lo - 1 - PREDICTOR_DEGREE)
-        ts, ys = t[first:lo], values[first:lo].copy()
-        if first == start and right is not None:
-            ys[0] = right
+    def _extrapolate(self, lo: int, hi: int) -> np.ndarray:
+        """Samples at nodes lo .. hi-1 from the Lagrange polynomial through
+        the last PREDICTOR_DEGREE + 1 solved samples of their smooth piece,
+        which starts at node 0 or after the last impulse left of lo; g[lo - 1]
+        as a constant when the piece has no solved sample."""
+        t = self.mesh.nodes
+        start = max((idx + 1 for idx in self.mesh.impulse_idx if idx < lo), default=0)
+        first = min(max(start, lo - 1 - PREDICTOR_DEGREE), lo - 1)
+        ts = t[first:lo]
         basis = np.ones((hi - lo, ts.size))
         for i in range(ts.size):
             for j in range(ts.size):
                 if j != i:
                     basis[:, i] *= (t[lo:hi] - ts[j]) / (ts[i] - ts[j])
-        values[lo:hi] = basis @ ys
-
-    def _where(self, sweep: int, lo: int, hi: int) -> str:
-        t = self.mesh.nodes
-        return f"window sweep {sweep + 1} of nodes {lo}..{hi - 1} (t={float(t[lo])!r}..{float(t[hi - 1])!r})"
+        return basis @ self.g[first:lo]
 
     def _jumps(self, lo: int, hi: int) -> None:
         """Increments and right-limit norms of the impulses at nodes lo .. hi-1."""
@@ -486,7 +496,9 @@ def solve_marching(spec: ProblemSpec, mesh: Mesh, scheme: str = "trapezoid") -> 
     nodes as iterations and the largest final corrector update as
     final_residual; unconverged_nodes counts the nodes that used up
     MAX_CORRECTIONS without meeting CORRECTOR_TOL, and converged is
-    False when there is one.
+    False when there is one.  A corrector whose update grows three
+    iterations in a row stops marching: its node counts as unconverged,
+    and the nodes to its right keep x0.
     """
     table = build_weights(mesh, spec.alpha, scheme)
     rect = (
@@ -525,16 +537,20 @@ def solve_marching(spec: ProblemSpec, mesh: Mesh, scheme: str = "trapezoid") -> 
         if scheme == "trapezoid":
             known = base + table.row(i)[:i] @ g[:i]
             wjj = wdiag[i]
+            gaps: list[float] = []
             for count in range(1, MAX_CORRECTIONS + 1):
                 nxt = known + wjj * f_at(i, xi)
-                gap = float(np.abs(nxt - xi).max())
+                gaps.append(float(np.abs(nxt - xi).max()))
                 xi = nxt
-                if gap <= CORRECTOR_TOL * (1.0 + float(np.abs(xi).max())):
+                met = gaps[-1] <= CORRECTOR_TOL * (1.0 + float(np.abs(xi).max()))
+                if met or _diverges(gaps):
                     break
-            else:
-                failed += 1
+            failed += not met
             most_corrections = max(most_corrections, count)
-            worst_gap = max(worst_gap, gap)
+            worst_gap = max(worst_gap, gaps[-1])
+            if not met and _diverges(gaps):
+                values[i] = xi  # the nodes to the right keep x0
+                break
         values[i] = xi
         g[i] = f_at(i, xi)
         if dd is not None:

@@ -75,7 +75,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("max_iter, code", [(None, 0), (10, 2)])
     def test_fast_decay_solve(self, tmp_path, capsys, max_iter, code):
-        # whole-mesh sweeps stall at sweep 3 and windows converge within
+        # whole-mesh sweeps stall at sweep 2 and windows converge within
         # the default 200 sweeps; given 10, a stalled window runs out
         data = {"problem": {"alpha": 0.5, "T": 2.0, "x0": 1.0, "rhs": {"kind": "plain", "f": "-4*x"}}}
         if max_iter is not None:
@@ -101,7 +101,31 @@ class TestExitCodes:
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert "converged=no" in captured.out and out.exists()
-        assert captured.err == "warning: no convergence within 200 sweeps (tol 1e-10)\n"
+        iterations = int(captured.out.split("iterations=")[1].split()[0])
+        assert iterations < 200
+        assert captured.err == f"warning: no convergence: stopped after {iterations} of 200 sweeps (tol 1e-10)\n"
+
+    @pytest.mark.parametrize(
+        "method, warning",
+        [
+            ("picard", "warning: no convergence: stopped after 17 of 200 sweeps (tol 1e-10)\n"),
+            ("marching", "warning: no convergence within 3 corrector iterations at 1 of 129 nodes (worst update "),
+        ],
+    )
+    def test_stiff_config_writes_its_csv_with_both_methods(self, tmp_path, capsys, method, warning):
+        # h^alpha 8 / Gamma(2.2) = 2.9: marching's corrector does not
+        # contract at node 1, so both methods stop there unconverged and
+        # still write their CSVs
+        data = {
+            "problem": {"alpha": 0.2, "T": 1.0, "x0": 1.0, "rhs": {"kind": "plain", "f": "-8*x"}},
+            "numerics": {"target_h": 0.0078125},
+        }
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "traj.csv"
+        assert main(["solve", "--config", str(cfg), "--method", method, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "converged=no" in captured.out and out.exists()
+        assert captured.err.startswith(warning) and captured.err.count("\n") == 1
 
     def test_history_domain_error_exits_2_naming_the_time(self, tmp_path, capsys):
         # history(0) and history(-r) are fine; the grid point -0.25 divides by zero
@@ -597,7 +621,7 @@ class TestOrderStudy:
 
     def test_unconverged_study_solve_is_reported(self, tmp_path, capsys):
         # every solve stops unconverged after max_iter = 20 sweeps, and
-        # their errors alone give "estimated order = 2.0469"
+        # their errors alone give "estimated order = 3.1913"
         data = {
             "problem": {"alpha": 0.6, "T": 1.0, "x0": 1.0, "rhs": {"kind": "plain", "f": "6*x"}},
             "numerics": {"max_iter": 20},
@@ -606,7 +630,7 @@ class TestOrderStudy:
         code = main(["order", "--config", str(cfg_path), "--h-list", "0.05,0.025,0.0125"])
         captured = capsys.readouterr()
         assert code == 2
-        assert "estimated order = 2.0469" in captured.out
+        assert "estimated order = 3.1913" in captured.out
         assert captured.err == "warning: no convergence within 20 sweeps (tol 1e-10)\n" * 3
 
     def test_unconverged_fine_grid_reference_is_reported(self, tmp_path, capsys):

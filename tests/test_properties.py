@@ -130,9 +130,17 @@ def test_values_before_the_first_impulse_ignore_it(alpha, lam, data, max_iter):
     mesh_b, mesh_j = build_mesh(bare, h), build_mesh(jumped, h)
     idx = mesh_j.impulse_idx[0]
     assert mesh_b.nodes[: idx + 1].tobytes() == mesh_j.nodes[: idx + 1].tobytes()
-    a = solve_picard(bare, mesh_b, tol=0.0, max_iter=max_iter)
-    b = solve_picard(jumped, mesh_j, tol=0.0, max_iter=max_iter)
-    assert a.iterations == b.iterations == max_iter
+    # a solve whose every node reached an exactly zero update stopped
+    # early, after as many sweeps as it reports; at that budget it runs
+    # the same sweeps to the end, and the other solve is held to it too
+    budget = max_iter
+    while True:
+        a = solve_picard(bare, mesh_b, tol=0.0, max_iter=budget)
+        b = solve_picard(jumped, mesh_j, tol=0.0, max_iter=budget)
+        if a.iterations == b.iterations == budget:
+            break
+        assert min(a.iterations, b.iterations) < budget and (a.converged or b.converged)
+        budget = min(a.iterations, b.iterations)
     assert a.trajectory.values[: idx + 1].tobytes() == b.trajectory.values[: idx + 1].tobytes()
 
 

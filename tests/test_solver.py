@@ -255,44 +255,99 @@ class TestFailureModes:
         assert len(rep.residual_history) == 2
 
     def test_marching_reports_corrector_failure(self):
-        # f = -lam sin(x) with w_jj * lam = 3: the trapezoid corrector
-        # x -> known - w_jj lam sin(x) does not contract at x0 = 1
+        # f = -lam sin(x) with w_jj * lam = c: the trapezoid corrector
+        # x -> known - c sin(x) does not contract at x0 = 1 for c = 3 and
+        # 2.2.  At c = 3 its update grows three times in a row at node 1,
+        # where marching stops; at c = 2.2 it cycles through all 60
+        # corrections at node 1, and marching stops at a later node
         h = 2.0**-6
         w_jj = h**0.5 / gamma(2.5)
-        for lam, stalls in ((3.0 / w_jj, True), (0.3 / w_jj, False)):
+        for c, iterations, failed in ((3.0, 4, 1), (2.2, 60, 2), (0.3, None, 0)):
             spec = ProblemSpec(
                 alpha=0.5,
                 T=1.0,
-                rhs=RhsSpec(kind="plain", f=lambda t, x, lam=lam: -lam * np.sin(x)),
+                rhs=RhsSpec(kind="plain", f=lambda t, x, lam=c / w_jj: -lam * np.sin(x)),
                 x0=np.array([1.0]),
             )
             mesh = build_mesh(spec, h)
             rep = solve_marching(spec, mesh)
-            assert rep.converged is not stalls
-            assert (rep.unconverged_nodes > 0) is stalls
-            if stalls:
-                assert rep.iterations == 60
+            assert rep.converged is (failed == 0)
+            assert rep.unconverged_nodes == failed
+            if failed:
+                assert rep.iterations == iterations
                 assert rep.final_residual > 1e-3
                 assert not solve_picard(spec, mesh).converged
             else:
                 assert 1 <= rep.iterations < 60
                 assert rep.final_residual <= 1e-12
 
-    def test_diverging_iterate_is_a_solver_error(self):
-        # h^alpha 8 / Gamma(2.2) = 2.9: marching's corrector does not
-        # contract, tol = 0 halves every window, and with max_iter 23 the
-        # residual's squares overflow in a two-node half before any
-        # one-node window can stop the solve.  Without errstate numpy
-        # warns, and this repository's warning filter makes that warning
-        # the caller's exception instead of a SolverError
+    def test_marching_stops_where_its_corrector_diverges(self):
+        # h^alpha 8 / Gamma(2.2) = 2.9: the corrector's update at node 1
+        # grows three times in a row; marching stops there unconverged and
+        # the nodes to its right keep x0
         spec = _linear(alpha=0.2, lam=-8.0)
         mesh = build_mesh(spec, 2.0**-7)
-        with pytest.raises(
-            SolverError,
-            match=r"iterate diverged at window sweep 16 of nodes 107\.\.108 "
-            r"\(t=0\.8359375\.\.0\.84375\): residual overflow",
-        ):
-            solve_picard(spec, mesh, tol=0.0, max_iter=23)
+        rep = solve_marching(spec, mesh)
+        assert not rep.converged and rep.unconverged_nodes == 1
+        assert rep.iterations == 3 and rep.final_residual > 1.0
+        assert np.isfinite(rep.trajectory.values[1, 0]) and rep.trajectory.values[1, 0] != 1.0
+        assert np.all(rep.trajectory.values[2:] == 1.0)
+
+    def test_diverging_iterate_is_a_solver_error(self):
+        # a whole-mesh update whose squares overflow is an error.  Without
+        # errstate numpy warns, and this repository's warning filter makes
+        # that warning the caller's exception instead of a SolverError
+        spec = ProblemSpec(
+            alpha=0.5,
+            T=1.0,
+            rhs=RhsSpec(kind="plain", f=lambda t, x: np.full_like(x, 1e160)),
+            x0=np.array([1.0]),
+        )
+        mesh = build_mesh(spec, 2.0**-4)
+        with pytest.raises(SolverError, match=r"iterate diverged at sweep 1: residual overflow"):
+            solve_picard(spec, mesh)
+
+    def test_stiff_windows_end_unconverged(self):
+        # h^alpha 8 / Gamma(2.2) = 2.9: marching's corrector does not
+        # contract, and tol = 0 halves every window.  The one-node window
+        # at node 1 grows three sweeps in a row and ends the solve after
+        # 17 sweeps; no update overflows
+        spec = _linear(alpha=0.2, lam=-8.0)
+        mesh = build_mesh(spec, 2.0**-7)
+        rep = solve_picard(spec, mesh, tol=0.0, max_iter=23)
+        assert not rep.converged and rep.iterations == 17 == len(rep.residual_history)
+        assert math.inf not in rep.residual_history and np.all(np.isfinite(rep.trajectory.values))
+
+    @pytest.mark.parametrize("persistent", [False, True])
+    def test_overflowing_window_is_halved(self, persistent):
+        # f spikes to 1e300 at node 300 in window sweeps, once or every
+        # time: the window's update overflows and it is halved, not an
+        # error.  Once, the halves converge; every time, the halving
+        # reaches node 300 alone, whose overflow ends the solve there
+        spec = _linear(alpha=0.5, lam=-4.0, T=2.0)
+        mesh = build_mesh(spec, 2.0 / 1024)
+        spiked = []
+
+        def f(t, x):
+            out = -4.0 * x
+            hit = t == mesh.nodes[300]
+            if t.size < mesh.n_nodes and hit.any() and (persistent or not spiked):
+                out[hit] = 1e300
+                spiked.append(t.size)
+            return out
+
+        spiking = ProblemSpec(
+            alpha=0.5, T=2.0, rhs=RhsSpec(kind="plain", f=f, vectorized=True), x0=np.array([1.0])
+        )
+        rep = solve_picard(spiking, mesh)
+        assert math.inf in rep.residual_history
+        if persistent:
+            assert spiked[-1] == 1 and not rep.converged and rep.final_residual == math.inf
+            assert rep.iterations < 200
+        else:
+            assert rep.converged
+            ref = solve_picard(spec, mesh)
+            assert np.max(np.abs(rep.trajectory.values - ref.trajectory.values)) <= 1e-9
 
     def test_diverging_one_node_window_ends_unconverged(self):
         # x' = x^2 blows up before T: near the blow-up the one-node windows
@@ -353,10 +408,10 @@ class TestWindows:
 
     @pytest.mark.parametrize("node", [317, 318, 319, 320])
     def test_predictor_stops_at_a_jump(self, node):
-        # the window at node 321 starts from the cubic through nodes
-        # 317..320; a jump of +1 among them starts the stencil at its
-        # right limit.  Fitted across the jump, the RHS goes non-finite
-        # a few nodes on (jump at 317 or 319)
+        # the window at node 321 extrapolates the samples of nodes
+        # 317..320; a jump of +1 among them starts the stencil after it
+        # (at 320, g[320] alone).  Fitted across the jump at 318, the RHS
+        # goes non-finite at node 342
         h = 2.0 / 1024
         spec = ProblemSpec(
             alpha=0.5,
@@ -373,9 +428,10 @@ class TestWindows:
         assert np.max(np.abs(rep.trajectory.values - mar.trajectory.values)) <= 1e-9
 
     # the dense-picard benchmark's problem with x0 = 1 and a jump of 0.5:
-    # predicted windows take about 8 and 8.7 calls a node, windows that
-    # start from the whole-mesh iterate 13.5 and 16.2
-    @pytest.mark.parametrize("lam, t1, limit", [(1.25, 0.5, 9.0), (2.0, 0.75, 10.0)])
+    # two whole-mesh sweeps and windows predicted from extrapolated
+    # samples take 6.0 and 6.7 calls a node; a cubic through the solved
+    # values after three sweeps takes 7.95 and 8.65
+    @pytest.mark.parametrize("lam, t1, limit", [(1.25, 0.5, 6.5), (2.0, 0.75, 7.2)])
     def test_rhs_calls_per_node(self, lam, t1, limit):
         calls = [0]
 
@@ -395,8 +451,31 @@ class TestWindows:
         assert solve_picard(spec, mesh).converged
         assert calls[0] / mesh.n_nodes <= limit
 
+    @pytest.mark.parametrize("name", ["logistic", "delay-exp", "delay-plain"])
+    def test_builtins_never_switch(self, name, monkeypatch):
+        # whole-mesh sweeps converge on the builtins at the steps the CLI
+        # benchmark runs, so their outputs do not depend on the windows
+        from fracimpulse import solver
+        from fracimpulse.config import builtin_example, parse_config
+
+        cfg = parse_config(builtin_example(name))
+        sizes = []
+
+        def recording(f, vectorized, args, dim, what, where):
+            sizes.append(args[0].size)
+            return sample(f, vectorized, args, dim, what, where)
+
+        sample = solver._sample
+        monkeypatch.setattr(solver, "_sample", recording)
+        for h in (2.0**-10, 2.0**-11):
+            mesh = build_mesh(cfg.problem, h)
+            for scheme in ("trapezoid", "rectangle"):
+                sizes.clear()
+                rep = solve_picard(cfg.problem, mesh, scheme=scheme, tol=cfg.tol, max_iter=cfg.max_iter)
+                assert rep.converged and set(sizes) == {mesh.n_nodes}
+
     def test_halving_reaches_one_node(self):
-        # tol = 0 stalls every window at its third sweep, so the halves
+        # tol = 0 stalls every window at its second sweep, so the halves
         # go down to single nodes, each of which gets what is left
         spec = _linear(alpha=0.5, lam=-1.0)
         mesh = build_mesh(spec, 2.0**-4)
