@@ -155,17 +155,20 @@ def _warn_if_not_converged(cfg: RunConfig, report) -> bool:
     """Print solve's warning on stderr when report did not converge; True then."""
     if report.converged:
         return False
-    if report.method == "picard" and report.iterations < cfg.max_iter:
-        # a diverging one-node window ended the solve before its budget
-        detail = f": stopped after {report.iterations} of {cfg.max_iter} sweeps (tol {_fmt(cfg.tol)})"
-    elif report.method == "picard":
-        detail = f" within {cfg.max_iter} sweeps (tol {_fmt(cfg.tol)})"
+    mesh, stop = report.trajectory.mesh, report.stop_node
+    at = None if stop is None else f"node {stop} (t={_fmt(mesh.nodes[stop])})"
+    tol = f"(tol {_fmt(cfg.tol)})"
+    worst = f"(worst update {_fmt(report.final_residual)})"
+    nodes = f"at {report.unconverged_nodes} of {mesh.n_nodes} nodes {worst}"
+    if report.method == "picard" and at is None:
+        detail = f" within {cfg.max_iter} sweeps {tol}"
+    elif report.method == "picard":  # a diverging one-node window ended the solve
+        detail = f": stopped at {at} after {report.iterations} of {cfg.max_iter} sweeps {tol}"
+    elif at is None:
+        detail = f" within {report.iterations} corrector iterations {nodes}"
     else:
-        detail = (
-            f" within {report.iterations} corrector iterations at "
-            f"{report.unconverged_nodes} of {report.trajectory.mesh.n_nodes} nodes "
-            f"(worst update {_fmt(report.final_residual)})"
-        )
+        detail = f": stopped at {at}, whose corrector diverged, with the nodes to its right at x0; "
+        detail += f"unconverged {nodes}"
     print(f"warning: no convergence{detail}", file=sys.stderr)
     return True
 

@@ -65,7 +65,10 @@ run's cross-block and first-column terms enter when the run starts; a
 far block of level b, rows [(2q+1)b, (2q+2)b) x columns [2qb, (2q+1)b),
 is added with its cached spectrum as soon as column (2q+1)b - 1 is
 final, which is before its first row is solved.  No weight is stored
-beyond apply's.
+beyond apply's.  A Picard window sweeps a block at once; marching reads
+the block's row k as base[k] + near[k, :k] @ g[lo : lo + k] and its
+diagonal weight near[k, k] once g[lo + k - 1] is final.  apply and
+windows are the table's only products.
 """
 
 from __future__ import annotations
@@ -208,16 +211,6 @@ class _Run:
             conv = np.fft.irfft(np.fft.rfft(src, n=2 * b) * self.spectra[level], n=2 * b)
             far[end : end + b] += conv[:, b:].T
 
-    def row(self, j: int) -> np.ndarray:
-        k = j - self.start
-        w = np.zeros(j + 1)
-        if self.cross is not None:
-            w[: self.start + 1] = self.cross.reshape(-1, self.start + 1)[k - 1]
-        w[self.start :] += self.gen[k::-1]
-        if self.col is not None:
-            w[self.start] += self.col[k]
-        return w
-
 
 @dataclass(frozen=True, eq=False)
 class WeightTable:
@@ -256,20 +249,6 @@ class WeightTable:
         window's final samples into g (see _Run.windows)."""
         for run in self.runs:
             yield from run.windows(g)
-
-    def row(self, j: int) -> np.ndarray:
-        """Row j of W: the weights of g(t_0) .. g(t_j), shape (j+1,)."""
-        j = int(j)
-        if not 0 <= j < self.n_nodes:
-            raise ValueError(f"node index {j} out of range")
-        return next(run for run in self.runs if j <= run.stop).row(j)
-
-    def diag(self) -> np.ndarray:
-        """The diagonal w[j, j] of every row."""
-        out = np.zeros(self.n_nodes)
-        for run in self.runs:
-            out[run.start + 1 : run.stop + 1] = run.gen[0]
-        return out
 
     def dense(self) -> np.ndarray:
         """The full (N+1)^2 table, built row by row from the nodes."""
@@ -396,14 +375,10 @@ def frac_integral(table: WeightTable, samples: np.ndarray, j: int | None = None)
     samples has shape (N+1,) or (N+1, d).  With j given, returns the
     value at node j only; otherwise the values at every node.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape[0] != table.n_nodes:
-        raise ValueError(
-            f"expected {table.n_nodes} samples, got {samples.shape[0]}"
-        )
-    if j is None:
-        return table.apply(samples)
-    return table.row(j) @ samples[: int(j) + 1]
+    if j is not None and not 0 <= int(j) < table.n_nodes:
+        raise ValueError(f"node index {j} out of range")
+    out = table.apply(samples)
+    return out if j is None else out[int(j)]
 
 
 def power_integral(alpha: float, beta: float, t: float) -> float:

@@ -32,22 +32,22 @@ factor w_jj * Lip(f), small for any usable step), so the marching
 solution coincides with the Picard fixed point up to tolerances.  When
 w_jj * Lip(f) is too large the corrector can fail to converge; the
 report then says so (converged=False).  A corrector whose update grows
-three iterations in a row stops marching at its node, by the rule that
-stops a one-node Picard window (_diverges).
+three iterations in a row stops marching at its node (stop_node), by
+the rule that stops a one-node Picard window (_diverges).
 
-Both solvers touch the weights only through WeightTable.apply,
-windows, row and diag, and sample f through one sampler: a Picard sweep
-samples every node of the mesh or of its window in one batch (one call
-of a vectorized RHS, see RhsSpec), and marching samples batches of one
-node.  A per-node callable costs its
+Both solvers touch the weights only through WeightTable.apply and
+windows (marching node by node, _rows), and sample f through one
+sampler: a Picard sweep samples every node of the mesh or of its window
+in one batch (one call of a vectorized RHS, see RhsSpec), and marching
+samples batches of one node.  A per-node callable costs its
 call plus a fraction of a microsecond per node: the outputs of a batch
 are collected and assembled into one preallocated array 1024 nodes at
 a time, so a sweep holds one chunk of Python outputs, not one per node.
 
-Lags and window sups come from one delay grid (_DelayData): a sweep
-stores its iterate (of the mesh or its window) and reads the delay
-windows of its nodes with an O(N) sliding max; marching reads node i's
-delay window before solving for it and folds |x| in.
+Every sweep, of the mesh, of a window or of one corrector step, takes
+its jumps from _Jumps and stores its iterate on one delay grid
+(_DelayData) before it reads the lags and window sups of its nodes,
+their own |x| included, with an O(N) sliding max (_Sampler.sweep).
 
 Right limits of a returned trajectory are rebuilt from the final left
 limits, so right - left = I_k(left) holds to roundoff.
@@ -108,6 +108,7 @@ class SolveReport:
     method: str
     residual_history: tuple[float, ...] = ()
     unconverged_nodes: int = 0
+    stop_node: int | None = None  # where a diverging corrector or one-node window stopped the solve
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -246,13 +247,15 @@ class _Sampler:
         self.times = mesh.nodes
         self.delay = _DelayData(spec, mesh) if spec.delay is not None else None
 
-    def sweep(self, values: np.ndarray, right_norms: np.ndarray) -> np.ndarray:
-        """f along a whole iterate, stored on the delay grid and read at once."""
+    def sweep(self, start: int, x: np.ndarray, right_norms: np.ndarray) -> np.ndarray:
+        """f at nodes start .. start + n - 1 from the (n, d) iterate x, which
+        a delay RHS stores on the delay grid before it reads the lags and
+        window sups of those nodes, their own |x| included."""
         dd = self.delay
         if dd is None:
-            return self(0, values)
-        dd.store(0, values)
-        return self(0, values, *dd.window(0, values.shape[0], right_norms))
+            return self(start, x)
+        dd.store(start, x)
+        return self(start, x, *dd.window(start, start + x.shape[0], right_norms))
 
     def __call__(self, start: int, x, x_lag=None, sups=None) -> np.ndarray:
         """f at nodes start .. start + n - 1 from (n, d) x and x_lag, (n,) sups."""
@@ -288,6 +291,42 @@ def _increments(spec: ProblemSpec, mesh: Mesh, values: np.ndarray) -> np.ndarray
     return incs
 
 
+class _Jumps:
+    """The increments I_k at an iterate's left limits as of the last update
+    of their nodes (0 before), and the (N,) right-limit norms that delay
+    sups read.  Node j's offset is levels[reach[j]]: x0 plus the prefix
+    sum of the increments of the reach[j] impulses left of it."""
+
+    def __init__(self, spec: ProblemSpec, mesh: Mesh):
+        self.spec, self.idx = spec, mesh.impulse_idx
+        self.incs = np.zeros((len(self.idx), spec.dim))
+        self.right_norms = np.zeros(mesh.n_nodes)
+        self.levels = spec.x0 + np.zeros((len(self.idx) + 1, spec.dim))
+        self.reach = np.searchsorted(np.array(self.idx, dtype=int), np.arange(mesh.n_nodes))
+
+    def update(self, values: np.ndarray, lo: int, hi: int) -> None:
+        """Recompute the jumps of the impulses at nodes lo .. hi - 1 from values."""
+        hit = [(k, idx) for k, idx in enumerate(self.idx) if lo <= idx < hi]
+        for k, idx in hit:
+            self.incs[k] = self.spec.impulses.apply(k, values[idx])
+            self.right_norms[idx] = _norms(values[idx] + self.incs[k])
+        if hit:
+            self.levels[1:] = self.spec.x0 + np.cumsum(self.incs, axis=0)
+
+    def offsets(self, lo: int, hi: int) -> np.ndarray:
+        """x0 plus the jumps that reach nodes lo .. hi - 1, as an (n, d) array."""
+        return self.levels[self.reach[lo:hi]]
+
+
+def _rows(table, g: np.ndarray):
+    """(j, history, w_jj) for the rows j = 1 .. N of W @ g in order, from
+    table.windows: history is row j's product with g[:j] and w_jj its
+    diagonal weight.  The caller writes g[j] before it asks for row j + 1."""
+    for lo, base, near in table.windows(g):
+        for k in range(base.shape[0]):
+            yield lo + k, base[k] + near[k, :k] @ g[lo : lo + k], near[k, k]
+
+
 def _initial_iterate(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
     """Constant x0 with the declared jumps applied once, in order."""
     values = np.tile(spec.x0, (mesh.n_nodes, 1))
@@ -318,7 +357,8 @@ def solve_picard(
     had, residual_history holds the largest update at each sweep index
     (whole-mesh sweeps, then window sweeps) and final_residual the
     largest last update.  A one-node window whose update grows three
-    sweeps in a row, or overflows, ends the solve there, unconverged.
+    sweeps in a row, or overflows, ends the solve there, unconverged, with
+    its node as stop_node.
     Raises SolverError when a whole-mesh update overflows (a diverging
     iterate).
     """
@@ -331,15 +371,12 @@ def solve_picard(
 
     values = _initial_iterate(spec, mesh)
     history: list[float] = []
-    impulse_idx = np.array(mesh.impulse_idx, dtype=int)
-    right_norms = np.zeros(mesh.n_nodes)
+    jumps = _Jumps(spec, mesh)
+    stop_node = None
     while True:
-        incs = _increments(spec, mesh, values)
-        steps = np.zeros_like(values)  # the jump sum is their running total
-        steps[impulse_idx + 1] = incs
-        right_norms[impulse_idx] = _norms(values[impulse_idx] + incs)
-        g = sampler.sweep(values, right_norms)
-        new = spec.x0[None, :] + np.cumsum(steps, axis=0) + table.apply(g)
+        jumps.update(values, 0, mesh.n_nodes)
+        g = sampler.sweep(0, values, jumps.right_norms)
+        new = jumps.offsets(0, mesh.n_nodes) + table.apply(g)
         residual = _residual(new, values)
         if residual == math.inf:
             raise SolverError(f"the iterate diverged at sweep {len(history) + 1}: residual overflow")
@@ -348,9 +385,10 @@ def solve_picard(
         if residual <= tol or len(history) == max_iter:
             break
         if _stalls(history, tol):
-            windows = _Windows(spec, mesh, sampler, values, g, right_norms, tol)
+            windows = _Windows(spec, mesh, sampler, values, g, tol)
             residual = windows.solve(table, max_iter - len(history))
             history += windows.history
+            stop_node = windows.stop_node
             break
 
     return SolveReport(
@@ -361,6 +399,7 @@ def solve_picard(
         scheme=scheme,
         method="picard",
         residual_history=tuple(history),
+        stop_node=stop_node,
     )
 
 
@@ -375,11 +414,11 @@ class _Windows:
     table.windows gives each window of at most BLOCK nodes with the
     product of the frozen nodes to its left (base) and its own (n, n)
     block of weights (near).  A sweep samples f at the window's current
-    values (stored on the delay grid first) and sets them to offsets +
-    base + near @ g, where offsets are x0 plus the jumps that reach the
-    window: impulses to the left enter at their final values, impulses
-    inside at the window's current values, as in a whole-mesh sweep, so
-    only a window that holds an impulse recomputes them each sweep.
+    values (_Sampler.sweep) and sets them to offsets + base + near @ g,
+    where offsets are x0 plus the jumps that reach the window (_Jumps):
+    impulses to the left enter at their final values, impulses inside at
+    the window's current values, as in a whole-mesh sweep, so only a
+    window that holds an impulse recomputes them each sweep.
     Before its first sweep a window, except the first one at node 1,
     takes offsets + base + near @ g_hat, where g_hat extrapolates the
     samples of its smooth piece (_extrapolate); this costs no call of f.
@@ -390,13 +429,13 @@ class _Windows:
     sweeps in a row (_diverges) or overflows stops the solve (_Diverging).
     """
 
-    def __init__(self, spec, mesh, sampler, values, g, right_norms, tol):
-        self.spec, self.mesh, self.sampler, self.tol = spec, mesh, sampler, tol
-        self.values, self.right_norms = values, right_norms
+    def __init__(self, spec, mesh, sampler, values, g, tol):
+        self.mesh, self.sampler, self.values, self.tol = mesh, sampler, values, tol
         self.g = g.copy()  # node 0's sample stays; every other row is resampled
-        self.incs = np.zeros((len(mesh.impulse_idx), spec.dim))
+        self.jumps = _Jumps(spec, mesh)
         self.history: list[float] = []  # the largest update at each window sweep
         self.worst = 0.0  # the largest last update of a window
+        self.stop_node = None  # the one-node window that diverged
 
     def solve(self, table, budget: int) -> float:
         """Sweep every window to tol within budget sweeps a node; the largest last update."""
@@ -411,22 +450,18 @@ class _Windows:
         """Sweep nodes lo .. lo + n - 1, which have had done window sweeps,
         to tol in at most budget sweeps; the sweeps a node had here."""
         hi = lo + base.shape[0]
-        values, g, dd = self.values, self.g, self.sampler.delay
+        values, g, jumps = self.values, self.g, self.jumps
         inside = any(lo <= idx < hi for idx in self.mesh.impulse_idx)
-        offsets = self._offsets(lo, hi)
+        offsets = jumps.offsets(lo, hi)
         if lo > 1 or done:  # the first window keeps the whole-mesh iterate
             values[lo:hi] = offsets + base + near @ self._extrapolate(lo, hi)
         hist: list[float] = []
         while len(hist) < budget:
             if inside:
-                self._jumps(lo, hi)
-                offsets = self._offsets(lo, hi)
+                jumps.update(values, lo, hi)
+                offsets = jumps.offsets(lo, hi)
             x = values[lo:hi]
-            if dd is None:
-                g[lo:hi] = self.sampler(lo, x)
-            else:
-                dd.store(lo, x)
-                g[lo:hi] = self.sampler(lo, x, *dd.window(lo, hi, self.right_norms))
+            g[lo:hi] = self.sampler.sweep(lo, x, jumps.right_norms)
             sweep = done + len(hist)
             new = offsets + base + near @ g[lo:hi]
             residual = _residual(new, x)
@@ -440,6 +475,7 @@ class _Windows:
             if hi - lo == 1:
                 if residual == math.inf or _diverges(hist):
                     self.worst = max(self.worst, residual)
+                    self.stop_node = lo
                     raise _Diverging
             elif len(hist) < budget and (residual == math.inf or _stalls(hist, self.tol)):
                 h = (hi - lo) // 2
@@ -448,7 +484,7 @@ class _Windows:
                 right = self._window(lo + h, base, near[h:, h:], budget - len(hist), sweep + 1)
                 return len(hist) + max(left, right)
         if inside:
-            self._jumps(lo, hi)  # at the final values, for the windows to the right
+            jumps.update(values, lo, hi)  # at the final values, for the windows to the right
         self.worst = max(self.worst, residual)
         return len(hist)
 
@@ -468,22 +504,6 @@ class _Windows:
                     basis[:, i] *= (t[lo:hi] - ts[j]) / (ts[i] - ts[j])
         return basis @ self.g[first:lo]
 
-    def _jumps(self, lo: int, hi: int) -> None:
-        """Increments and right-limit norms of the impulses at nodes lo .. hi-1."""
-        values = self.values
-        for k, idx in enumerate(self.mesh.impulse_idx):
-            if lo <= idx < hi:
-                self.incs[k] = self.spec.impulses.apply(k, values[idx])
-                self.right_norms[idx] = _norms(values[idx] + self.incs[k])
-
-    def _offsets(self, lo: int, hi: int) -> np.ndarray:
-        """x0 plus the jumps that reach nodes lo .. hi-1, as an (n, d) array."""
-        out = np.full((hi - lo, self.spec.dim), self.spec.x0)
-        for k, idx in enumerate(self.mesh.impulse_idx):
-            if idx + 1 < hi:
-                out[max(idx + 1 - lo, 0) :] += self.incs[k]
-        return out
-
 
 def solve_marching(spec: ProblemSpec, mesh: Mesh, scheme: str = "trapezoid") -> SolveReport:
     """One-pass time stepping, left to right.
@@ -497,69 +517,46 @@ def solve_marching(spec: ProblemSpec, mesh: Mesh, scheme: str = "trapezoid") -> 
     final_residual; unconverged_nodes counts the nodes that used up
     MAX_CORRECTIONS without meeting CORRECTOR_TOL, and converged is
     False when there is one.  A corrector whose update grows three
-    iterations in a row stops marching: its node counts as unconverged,
-    and the nodes to its right keep x0.
+    iterations in a row stops marching: its node counts as unconverged
+    and is the report's stop_node, and the nodes to its right keep x0.
     """
     table = build_weights(mesh, spec.alpha, scheme)
-    rect = (
-        table
-        if scheme == "rectangle"
-        else build_weights(mesh, spec.alpha, "rectangle")
-    )
     sampler = _Sampler(spec, mesh)
-    dd = sampler.delay
-    impulse_at = {idx: k for k, idx in enumerate(mesh.impulse_idx)}
-
-    n = mesh.n_nodes
-    d = spec.dim
-    values = np.tile(spec.x0, (n, 1))
-    g = np.zeros((n, d))
-    jsum = np.zeros(d)
-    right_norms = np.zeros(n)
-    wdiag = table.diag()
+    jumps = _Jumps(spec, mesh)
+    values = np.tile(spec.x0, (mesh.n_nodes, 1))
+    g = np.zeros_like(values)
+    g[0] = sampler.sweep(0, values[:1], jumps.right_norms)[0]
+    predictions = None
+    if scheme == "trapezoid":  # the rectangle value predicts the corrector
+        predictions = _rows(build_weights(mesh, spec.alpha, "rectangle"), g)
     most_corrections = 0
     worst_gap = 0.0
     failed = 0
+    stop_node = None
 
-    def f_at(i: int, x: np.ndarray) -> np.ndarray:
-        if dd is None:
-            return sampler(i, x[None, :])[0]
-        # the window sup with |x| at node i
-        sup = max(rest, float(_norms(x)))
-        return sampler(i, x[None, :], lag, np.array([sup]))[0]
-
-    for i in range(n):
-        if dd is not None:  # read while node i's row is empty
-            lag, sups = dd.window(i, i + 1, right_norms)
-            rest = float(sups[0])
-        base = spec.x0 + jsum
-        xi = base + rect.row(i)[:i] @ g[:i]  # the rectangle value predicts
-        if scheme == "trapezoid":
-            known = base + table.row(i)[:i] @ g[:i]
-            wjj = wdiag[i]
+    for j, history, wjj in _rows(table, g):
+        offset = jumps.offsets(j, j + 1)[0]
+        x = offset + history
+        if predictions is not None:
+            known, x = x, offset + next(predictions)[1]
             gaps: list[float] = []
             for count in range(1, MAX_CORRECTIONS + 1):
-                nxt = known + wjj * f_at(i, xi)
-                gaps.append(float(np.abs(nxt - xi).max()))
-                xi = nxt
-                met = gaps[-1] <= CORRECTOR_TOL * (1.0 + float(np.abs(xi).max()))
+                nxt = known + wjj * sampler.sweep(j, x[None, :], jumps.right_norms)[0]
+                gaps.append(float(np.abs(nxt - x).max()))
+                x = nxt
+                met = gaps[-1] <= CORRECTOR_TOL * (1.0 + float(np.abs(x).max()))
                 if met or _diverges(gaps):
                     break
             failed += not met
             most_corrections = max(most_corrections, count)
             worst_gap = max(worst_gap, gaps[-1])
             if not met and _diverges(gaps):
-                values[i] = xi  # the nodes to the right keep x0
-                break
-        values[i] = xi
-        g[i] = f_at(i, xi)
-        if dd is not None:
-            dd.store(i, values[i : i + 1])
-        k = impulse_at.get(i)
-        if k is not None:
-            inc = spec.impulses.apply(k, values[i])
-            jsum = jsum + inc
-            right_norms[i] = _norms(values[i] + inc)
+                stop_node = j
+        values[j] = x
+        if stop_node is not None:
+            break  # the nodes to the right keep x0
+        g[j] = sampler.sweep(j, values[j : j + 1], jumps.right_norms)[0]
+        jumps.update(values, j, j + 1)
 
     return SolveReport(
         trajectory=_final_trajectory(spec, mesh, values),
@@ -570,6 +567,7 @@ def solve_marching(spec: ProblemSpec, mesh: Mesh, scheme: str = "trapezoid") -> 
         method="marching",
         residual_history=(),
         unconverged_nodes=failed,
+        stop_node=stop_node,
     )
 
 

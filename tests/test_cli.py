@@ -103,19 +103,32 @@ class TestExitCodes:
         assert "converged=no" in captured.out and out.exists()
         iterations = int(captured.out.split("iterations=")[1].split()[0])
         assert iterations < 200
-        assert captured.err == f"warning: no convergence: stopped after {iterations} of 200 sweeps (tol 1e-10)\n"
+        stop = re.fullmatch(
+            rf"warning: no convergence: stopped at node (\d+) \(t=(\S+)\) "
+            rf"after {iterations} of 200 sweeps \(tol 1e-10\)\n",
+            captured.err,
+        )
+        assert stop is not None  # and its t is the node's row of the CSV
+        assert stop[2] == out.read_text().splitlines()[1 + int(stop[1])].split(",")[0]
 
     @pytest.mark.parametrize(
         "method, warning",
         [
-            ("picard", "warning: no convergence: stopped after 17 of 200 sweeps (tol 1e-10)\n"),
-            ("marching", "warning: no convergence within 3 corrector iterations at 1 of 129 nodes (worst update "),
+            (
+                "picard",
+                "warning: no convergence: stopped at node 1 (t=0.0078125) after 17 of 200 sweeps (tol 1e-10)\n",
+            ),
+            (
+                "marching",
+                "warning: no convergence: stopped at node 1 (t=0.0078125), whose corrector diverged, "
+                "with the nodes to its right at x0; unconverged at 1 of 129 nodes (worst update ",
+            ),
         ],
     )
     def test_stiff_config_writes_its_csv_with_both_methods(self, tmp_path, capsys, method, warning):
         # h^alpha 8 / Gamma(2.2) = 2.9: marching's corrector does not
-        # contract at node 1, so both methods stop there unconverged and
-        # still write their CSVs
+        # contract at node 1, so both methods stop there unconverged, say
+        # where, and still write their CSVs
         data = {
             "problem": {"alpha": 0.2, "T": 1.0, "x0": 1.0, "rhs": {"kind": "plain", "f": "-8*x"}},
             "numerics": {"target_h": 0.0078125},

@@ -104,6 +104,8 @@ def test_frac_integral_validates_input():
         frac_integral(table, np.zeros(3))
     with pytest.raises(ValueError):
         frac_integral(table, np.zeros(mesh.n_nodes), j=mesh.n_nodes)
+    with pytest.raises(ValueError):
+        frac_integral(table, np.zeros(mesh.n_nodes), j=-1)
 
 
 def test_semigroup_property_discrete():

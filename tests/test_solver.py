@@ -273,6 +273,7 @@ class TestFailureModes:
             rep = solve_marching(spec, mesh)
             assert rep.converged is (failed == 0)
             assert rep.unconverged_nodes == failed
+            assert (rep.stop_node is None) is (failed == 0)
             if failed:
                 assert rep.iterations == iterations
                 assert rep.final_residual > 1e-3
@@ -288,7 +289,7 @@ class TestFailureModes:
         spec = _linear(alpha=0.2, lam=-8.0)
         mesh = build_mesh(spec, 2.0**-7)
         rep = solve_marching(spec, mesh)
-        assert not rep.converged and rep.unconverged_nodes == 1
+        assert not rep.converged and rep.unconverged_nodes == 1 and rep.stop_node == 1
         assert rep.iterations == 3 and rep.final_residual > 1.0
         assert np.isfinite(rep.trajectory.values[1, 0]) and rep.trajectory.values[1, 0] != 1.0
         assert np.all(rep.trajectory.values[2:] == 1.0)
@@ -316,6 +317,7 @@ class TestFailureModes:
         mesh = build_mesh(spec, 2.0**-7)
         rep = solve_picard(spec, mesh, tol=0.0, max_iter=23)
         assert not rep.converged and rep.iterations == 17 == len(rep.residual_history)
+        assert rep.stop_node == 1
         assert math.inf not in rep.residual_history and np.all(np.isfinite(rep.trajectory.values))
 
     @pytest.mark.parametrize("persistent", [False, True])
@@ -343,9 +345,9 @@ class TestFailureModes:
         assert math.inf in rep.residual_history
         if persistent:
             assert spiked[-1] == 1 and not rep.converged and rep.final_residual == math.inf
-            assert rep.iterations < 200
+            assert rep.iterations < 200 and rep.stop_node == 300
         else:
-            assert rep.converged
+            assert rep.converged and rep.stop_node is None
             ref = solve_picard(spec, mesh)
             assert np.max(np.abs(rep.trajectory.values - ref.trajectory.values)) <= 1e-9
 

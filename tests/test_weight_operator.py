@@ -24,6 +24,7 @@ from fracimpulse.problem import (
     RhsSpec,
     build_mesh,
 )
+from fracimpulse.solver import _rows
 from fracimpulse.special import gamma
 
 REL = 1e-12
@@ -92,23 +93,48 @@ def _online(table, g):
     return out
 
 
+def _marching_reads(table, g):
+    """Row j's product with g[:j] and its diagonal weight for every j, as
+    marching reads them (solver._rows), with the rows of g right of j set
+    to nan.  The rows must come in order 1 .. N."""
+    g = g.reshape(table.n_nodes, -1)
+    history, diag = np.zeros_like(g), np.zeros(table.n_nodes)
+    finished = np.full_like(g, np.nan)
+    finished[0] = g[0]
+    nxt = 1
+    for j, hist, wjj in _rows(table, finished):
+        assert j == nxt
+        history[j], diag[j] = hist, wjj
+        finished[j] = g[j]
+        nxt = j + 1
+    assert nxt == table.n_nodes
+    return history, diag
+
+
+def _same_prefix(long_table, short_table, g):
+    """Whether the long table's first rows read like the short one's, bitwise."""
+    n = short_table.n_nodes
+    pairs = zip(_marching_reads(long_table, g), _marching_reads(short_table, g[:n]))
+    return all(np.array_equal(a[:n], b) for a, b in pairs)
+
+
 alphas = st.floats(0.05, 0.95)
 schemes = st.sampled_from(["rectangle", "trapezoid"])
 
 
 @PROPERTY
 @given(mesh=meshes(), alpha=alphas, scheme=schemes, d=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
-def test_apply_row_diag_match_dense(mesh, alpha, scheme, d, seed):
+def test_apply_windows_and_marching_rows_match_dense(mesh, alpha, scheme, d, seed):
     table = build_weights(mesh, alpha, scheme)
     W = table.dense()
     g = np.random.default_rng(seed).standard_normal((mesh.n_nodes, d))
     scale = np.abs(W) @ np.abs(g)
     assert np.all(np.abs(table.apply(g) - W @ g) <= REL * scale)
     assert np.all(np.abs(_online(table, g) - W @ g) <= REL * scale)
-    for j in range(mesh.n_nodes):
-        row = W[j, : j + 1]
-        assert np.all(np.abs(table.row(j) - row) <= REL * np.max(np.abs(row)))
-    assert np.all(np.abs(table.diag() - np.diag(W)) <= REL * np.abs(np.diag(W)))
+    history, diag = _marching_reads(table, g)
+    strict = np.tril(W, -1)
+    assert np.all(np.abs(history - strict @ g) <= REL * (np.abs(strict) @ np.abs(g)))
+    assert np.all(np.abs(diag - np.diag(W)) <= REL * np.abs(np.diag(W)))
 
 
 @PROPERTY
@@ -157,8 +183,7 @@ def test_prefix_bitwise_across_mesh_lengths(mesh, alpha, scheme, extra, seed):
     g = np.random.default_rng(seed).standard_normal(longer.n_nodes)
     n = mesh.n_nodes
     assert np.array_equal(long_table.apply(g)[:n], short_table.apply(g[:n]))
-    for j in range(n):
-        assert np.array_equal(long_table.row(j), short_table.row(j))
+    assert _same_prefix(long_table, short_table, g)
 
 
 def test_far_blocks_match_dense_on_a_long_run():
@@ -296,8 +321,7 @@ class TestRunLengthsAroundPowersOfTwo:
             long_table = build_weights(longer, 0.4, scheme)
             g = np.random.default_rng(n).standard_normal(longer.n_nodes)
             assert np.array_equal(long_table.apply(g)[:-1], short_table.apply(g[:-1]))
-            for j in (0, 1, n - 2, n - 1):
-                assert np.array_equal(long_table.row(lead + j), short_table.row(lead + j))
+            assert _same_prefix(long_table, short_table, g)
 
     @pytest.mark.parametrize("scheme", ["rectangle", "trapezoid"])
     @pytest.mark.parametrize("k", [6, 11])
