@@ -12,17 +12,18 @@ limits) and a solve stops when the sup-norm update falls below tol.  It
 sweeps the whole mesh while the observed residual ratios, which
 approximate the operator's contraction factor, promise tol within
 STALL_SWEEPS more sweeps (_stalls).  Once they do not, it solves the
-rest left to right in windows of fracquad.BLOCK nodes, each swept to
-tol with the nodes to its left frozen: restricted to a window of length
-tau the Volterra operator contracts roughly like tau^alpha.  Every
-window but the first starts from a predictor, not from the stalled
-iterate: the operator applied to samples of f extrapolated by the cubic
-through the last solved samples of their smooth piece (the fractional
-Adams-Bashforth predictor), which costs no call of f.  A window that
-stalls the same way, or whose update overflows, is halved, down to one
-node, where a sweep is marching's corrector; when a one-node window's
-update grows three sweeps in a row or overflows, the solve stops
-unconverged.
+rest left to right in windows of at most WINDOW nodes (each block of
+fracquad.BLOCK nodes that WeightTable.windows yields is solved as its
+halves), each swept to tol with the nodes to its left frozen:
+restricted to a window of length tau the Volterra operator contracts
+roughly like tau^alpha.  Every window but the first starts from a
+predictor, not from the stalled iterate: the operator applied to
+samples of f extrapolated by the cubic through the last solved samples
+of their smooth piece (the fractional Adams-Bashforth predictor), which
+costs no call of f.  A window that stalls the same way, or whose
+update overflows, is halved, down to one node, where a sweep is
+marching's corrector; when a one-node window's update grows three
+sweeps in a row or overflows, the solve stops unconverged.
 
 solve_marching computes nodes left to right in one pass.  The
 rectangle scheme is fully explicit.  The trapezoid scheme predicts
@@ -94,6 +95,9 @@ STALL_SWEEPS = 64
 # of at most this degree through the solved samples to its left
 # (_Windows._extrapolate).
 PREDICTOR_DEGREE = 3
+# Picard windows hold at most this many nodes: a larger block of
+# WeightTable.windows is solved as its halves (_Windows).
+WINDOW = 32
 
 
 @dataclass(frozen=True)
@@ -118,9 +122,15 @@ def _norms(x: np.ndarray) -> np.ndarray:
 
 
 def _residual(new: np.ndarray, old: np.ndarray) -> float:
-    """The sup-norm update from old to new; inf once its squares pass ~1e308."""
+    """The sup-norm update from old to new; inf once its squares pass ~1e308.
+    Bitwise max(_norms(new - old)): sqrt is correctly rounded and monotone,
+    so it is taken once, of the largest squared norm."""
     with np.errstate(over="ignore"):
-        return float(np.max(_norms(new - old)))
+        d = new - old
+        d *= d
+        if d.shape[1] > 1:
+            d = np.add.reduce(d, axis=-1)
+    return math.sqrt(np.maximum.reduce(d.ravel()))
 
 
 def _stalls(history: list[float], tol: float) -> bool:
@@ -294,15 +304,16 @@ def _increments(spec: ProblemSpec, mesh: Mesh, values: np.ndarray) -> np.ndarray
 class _Jumps:
     """The increments I_k at an iterate's left limits as of the last update
     of their nodes (0 before), and the (N,) right-limit norms that delay
-    sups read.  Node j's offset is levels[reach[j]]: x0 plus the prefix
-    sum of the increments of the reach[j] impulses left of it."""
+    sups read.  reach[j], for j = 0 .. N + 1, counts the impulses left of
+    node j, and node j's offset is levels[reach[j]]: x0 plus the prefix
+    sum of the increments of those impulses."""
 
     def __init__(self, spec: ProblemSpec, mesh: Mesh):
         self.spec, self.idx = spec, mesh.impulse_idx
         self.incs = np.zeros((len(self.idx), spec.dim))
         self.right_norms = np.zeros(mesh.n_nodes)
         self.levels = spec.x0 + np.zeros((len(self.idx) + 1, spec.dim))
-        self.reach = np.searchsorted(np.array(self.idx, dtype=int), np.arange(mesh.n_nodes))
+        self.reach = np.searchsorted(np.array(self.idx, dtype=int), np.arange(mesh.n_nodes + 1))
 
     def update(self, values: np.ndarray, lo: int, hi: int) -> None:
         """Recompute the jumps of the impulses at nodes lo .. hi - 1 from values."""
@@ -403,6 +414,17 @@ def solve_picard(
     )
 
 
+def _lagrange(ts: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The Lagrange basis through the distinct points ts, evaluated at t:
+    basis[k, i] = prod over j != i of (t[k] - ts[j]) / (ts[i] - ts[j])."""
+    basis = np.ones((t.size, ts.size))
+    for i in range(ts.size):
+        for j in range(ts.size):
+            if j != i:
+                basis[:, i] *= (t - ts[j]) / (ts[i] - ts[j])
+    return basis
+
+
 class _Diverging(Exception):
     """A one-node window's update grew over three sweeps in a row or
     overflowed: marching's corrector diverges there."""
@@ -411,11 +433,13 @@ class _Diverging(Exception):
 class _Windows:
     """The rest of a Picard solve, window by window from the left.
 
-    table.windows gives each window of at most BLOCK nodes with the
+    table.windows gives each block of at most BLOCK nodes with the
     product of the frozen nodes to its left (base) and its own (n, n)
-    block of weights (near).  A sweep samples f at the window's current
-    values (_Sampler.sweep) and sets them to offsets + base + near @ g,
-    where offsets are x0 plus the jumps that reach the window (_Jumps):
+    block of weights (near); a block of more than WINDOW nodes is solved
+    as its two halves, the right one with base + near @ g over the
+    finished left one.  A sweep samples f at the window's current values
+    (_Sampler.sweep) and sets them to offsets + base + near @ g, where
+    offsets are x0 plus the jumps that reach the window (_Jumps):
     impulses to the left enter at their final values, impulses inside at
     the window's current values, as in a whole-mesh sweep, so only a
     window that holds an impulse recomputes them each sweep.
@@ -423,8 +447,8 @@ class _Windows:
     takes offsets + base + near @ g_hat, where g_hat extrapolates the
     samples of its smooth piece (_extrapolate); this costs no call of f.
     A window whose own sweeps stall (_stalls), or whose update overflows,
-    is solved again as two halves, each predicted again (the right one
-    off the finished left one), down to one node, where a sweep is
+    is solved again as its two halves, each predicted again (the right
+    one off the finished left one), down to one node, where a sweep is
     marching's corrector.  A one-node window whose update grows three
     sweeps in a row (_diverges) or overflows stops the solve (_Diverging).
     """
@@ -436,6 +460,7 @@ class _Windows:
         self.history: list[float] = []  # the largest update at each window sweep
         self.worst = 0.0  # the largest last update of a window
         self.stop_node = None  # the one-node window that diverged
+        self.bases: dict[tuple[int, int], np.ndarray] = {}  # _extrapolate's, by shape
 
     def solve(self, table, budget: int) -> float:
         """Sweep every window to tol within budget sweeps a node; the largest last update."""
@@ -450,25 +475,28 @@ class _Windows:
         """Sweep nodes lo .. lo + n - 1, which have had done window sweeps,
         to tol in at most budget sweeps; the sweeps a node had here."""
         hi = lo + base.shape[0]
-        values, g, jumps = self.values, self.g, self.jumps
-        inside = any(lo <= idx < hi for idx in self.mesh.impulse_idx)
-        offsets = jumps.offsets(lo, hi)
-        if lo > 1 or done:  # the first window keeps the whole-mesh iterate
-            values[lo:hi] = offsets + base + near @ self._extrapolate(lo, hi)
+        values, g, jumps, history = self.values, self.g, self.jumps, self.history
         hist: list[float] = []
-        while len(hist) < budget:
+        halve = hi - lo > WINDOW
+        if not halve:
+            inside = jumps.reach[hi] > jumps.reach[lo]
+            known = jumps.offsets(lo, hi) + base
+            if lo > 1 or done:  # the first window keeps the whole-mesh iterate
+                values[lo:hi] = known + near @ self._extrapolate(lo, hi)
+        while not halve and len(hist) < budget:
             if inside:
                 jumps.update(values, lo, hi)
-                offsets = jumps.offsets(lo, hi)
+                known = jumps.offsets(lo, hi) + base
             x = values[lo:hi]
             g[lo:hi] = self.sampler.sweep(lo, x, jumps.right_norms)
-            sweep = done + len(hist)
-            new = offsets + base + near @ g[lo:hi]
+            new = known + near @ g[lo:hi]
             residual = _residual(new, x)
             hist.append(residual)
-            if sweep == len(self.history):
-                self.history.append(residual)
-            self.history[sweep] = max(self.history[sweep], residual)
+            sweep = done + len(hist) - 1
+            if sweep < len(history):
+                history[sweep] = max(history[sweep], residual)
+            else:
+                history.append(residual)
             values[lo:hi] = new
             if residual <= self.tol:
                 break
@@ -477,12 +505,14 @@ class _Windows:
                     self.worst = max(self.worst, residual)
                     self.stop_node = lo
                     raise _Diverging
-            elif len(hist) < budget and (residual == math.inf or _stalls(hist, self.tol)):
-                h = (hi - lo) // 2
-                left = self._window(lo, base[:h], near[:h, :h], budget - len(hist), sweep + 1)
-                base = base[h:] + near[h:, :h] @ g[lo : lo + h]
-                right = self._window(lo + h, base, near[h:, h:], budget - len(hist), sweep + 1)
-                return len(hist) + max(left, right)
+            else:
+                halve = len(hist) < budget and (residual == math.inf or _stalls(hist, self.tol))
+        if halve:
+            h = (hi - lo) // 2
+            left = self._window(lo, base[:h], near[:h, :h], budget - len(hist), done + len(hist))
+            base = base[h:] + near[h:, :h] @ g[lo : lo + h]
+            right = self._window(lo + h, base, near[h:, h:], budget - len(hist), done + len(hist))
+            return len(hist) + max(left, right)
         if inside:
             jumps.update(values, lo, hi)  # at the final values, for the windows to the right
         self.worst = max(self.worst, residual)
@@ -492,16 +522,22 @@ class _Windows:
         """Samples at nodes lo .. hi-1 from the Lagrange polynomial through
         the last PREDICTOR_DEGREE + 1 solved samples of their smooth piece,
         which starts at node 0 or after the last impulse left of lo; g[lo - 1]
-        as a constant when the piece has no solved sample."""
-        t = self.mesh.nodes
-        start = max((idx + 1 for idx in self.mesh.impulse_idx if idx < lo), default=0)
+        as a constant when the piece has no solved sample.
+
+        The basis is affine-invariant, so on one mesh segment, whose step is
+        uniform, it depends only on the source and target counts and is
+        built once for each pair, at the node indices."""
+        reach = self.jumps.reach
+        start = self.mesh.impulse_idx[reach[lo] - 1] + 1 if reach[lo] else 0
         first = min(max(start, lo - 1 - PREDICTOR_DEGREE), lo - 1)
-        ts = t[first:lo]
-        basis = np.ones((hi - lo, ts.size))
-        for i in range(ts.size):
-            for j in range(ts.size):
-                if j != i:
-                    basis[:, i] *= (t[lo:hi] - ts[j]) / (ts[i] - ts[j])
+        if reach[hi - 1] == reach[lo]:  # nodes first .. hi - 1 lie on one segment
+            shape = (lo - first, hi - lo)
+            basis = self.bases.get(shape)
+            if basis is None:
+                ts, t = np.arange(-shape[0], 0.0), np.arange(shape[1], dtype=float)
+                basis = self.bases[shape] = _lagrange(ts, t)
+        else:
+            basis = _lagrange(self.mesh.nodes[first:lo], self.mesh.nodes[lo:hi])
         return basis @ self.g[first:lo]
 
 

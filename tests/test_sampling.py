@@ -245,11 +245,11 @@ class TestVectorizedContract:
         spec = _plain(batched, vectorized=True)
         mesh = build_mesh(spec, 2.0**-6)
         rep = solve_picard(spec, mesh)
-        # the whole-mesh residual ratio stalls at sweep 2; the one window
-        # of 64 nodes stalls too and is solved as two halves, and its left
-        # half, restarted from its predictor, halves once more
+        # the whole-mesh residual ratio stalls at sweep 2; the one block of
+        # 64 nodes is solved as two windows of 32, and the left one stalls
+        # too and is solved again as two halves
         assert rep.converged and _window_batches(calls, mesh, rep) == 2
-        assert sorted({t.size for t in calls}) == [16, 32, 64, mesh.n_nodes]
+        assert sorted({t.size for t in calls}) == [16, 32, mesh.n_nodes]
         ref = solve_picard(_plain(lambda t, x: -1.5 * x), mesh)
         assert np.array_equal(rep.trajectory.values, ref.trajectory.values)
         calls.clear()

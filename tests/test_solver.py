@@ -1,9 +1,13 @@
 """Solvers: exactness cases, oracle error bounds, method agreement."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracimpulse.problem import (
     DelaySpec,
@@ -13,8 +17,11 @@ from fracimpulse.problem import (
     build_mesh,
 )
 from fracimpulse.solver import (
+    PREDICTOR_DEGREE,
     SolverError,
     _norms,
+    _residual,
+    _Windows,
     jump_residual,
     solve_marching,
     solve_picard,
@@ -310,13 +317,14 @@ class TestFailureModes:
 
     def test_stiff_windows_end_unconverged(self):
         # h^alpha 8 / Gamma(2.2) = 2.9: marching's corrector does not
-        # contract, and tol = 0 halves every window.  The one-node window
-        # at node 1 grows three sweeps in a row and ends the solve after
-        # 17 sweeps; no update overflows
+        # contract, and tol = 0 halves every window.  After two whole-mesh
+        # sweeps and two in each of the windows of 32, 16, 8, 4 and 2 nodes
+        # from node 1, the one-node window at node 1 grows three sweeps in
+        # a row and ends the solve after 15 sweeps; no update overflows
         spec = _linear(alpha=0.2, lam=-8.0)
         mesh = build_mesh(spec, 2.0**-7)
         rep = solve_picard(spec, mesh, tol=0.0, max_iter=23)
-        assert not rep.converged and rep.iterations == 17 == len(rep.residual_history)
+        assert not rep.converged and rep.iterations == 15 == len(rep.residual_history)
         assert rep.stop_node == 1
         assert math.inf not in rep.residual_history and np.all(np.isfinite(rep.trajectory.values))
 
@@ -476,6 +484,71 @@ class TestWindows:
                 rep = solve_picard(cfg.problem, mesh, scheme=scheme, tol=cfg.tol, max_iter=cfg.max_iter)
                 assert rep.converged and set(sizes) == {mesh.n_nodes}
 
+    def test_dense_picard_rhs_call_ceiling(self):
+        # the middle dense-picard benchmark problem, f = -1.25 x called
+        # node by node on N = 7169 nodes with one jump at 0.5: 4.9 calls a
+        # node with 64-node windows, 3.8 with 32-node ones
+        lam, x0, c, t1 = 1.25, 1.0, 0.5, 0.5
+        calls = [0]
+
+        def f(t, x):
+            calls[0] += 1
+            return -lam * x
+
+        spec = ProblemSpec(
+            alpha=0.5,
+            T=1.0,
+            rhs=RhsSpec(kind="plain", f=f),
+            x0=np.array([x0]),
+            impulses=ImpulseSchedule(times=(t1,), jumps=(lambda x: np.full_like(x, c),)),
+        )
+        mesh = build_mesh(spec, 1.0 / 7168)
+        assert mesh.n_nodes == 7169
+        rep = solve_picard(spec, mesh)
+        assert rep.converged
+        assert calls[0] / mesh.n_nodes <= 4.5
+        # the benchmark's oracle bound: the jump cell makes the error first order
+        exact = x0 * mittag_leffler(0.5, -lam) + c * mittag_leffler(0.5, -lam * math.sqrt(1.0 - t1))
+        assert abs(rep.trajectory.values[-1, 0] - exact) <= 0.5 * (x0 + c) / 7168
+
+    # (t1, target_h, windows): a one-run mesh, with no impulse and with an
+    # impulse at node 256 inside a window; a two-run mesh whose steps
+    # differ by 1e-3 relative at its impulse node 154, with windows right
+    # after it (one, one, two, three and four samples of the new piece),
+    # across it and on each side of it
+    @pytest.mark.parametrize(
+        "t1, target_h, windows",
+        [
+            (None, 1e-3, [(501, 533), (801, 833), (1, 33), (3, 35), (990, 1001)]),
+            (0.5, 2.0**-9, [(250, 282), (257, 289), (300, 332)]),
+            (0.3, 2.0**-9, [(155, 187), (156, 188), (157, 189), (158, 190), (159, 191)]),
+            (0.3, 2.0**-9, [(140, 172), (150, 155), (123, 155), (300, 332), (482, 514)]),
+        ],
+    )
+    def test_predictor_is_lagrange_through_the_node_times(self, t1, target_h, windows):
+        # a window's predicted samples are the Lagrange polynomial through
+        # the last solved samples of its piece, evaluated exactly at the
+        # node times, to 1e-12 of the sum of |l_i(t)| |g_i| it adds up
+        # (5e4 times |g| 32 steps past the last of four samples).  The
+        # windows of one mesh share one _Windows, so a basis built for one
+        # window shape is reused by the next
+        impulses = {}
+        if t1 is not None:
+            impulses["impulses"] = ImpulseSchedule(times=(t1,), jumps=(lambda x: x,))
+        spec = ProblemSpec(
+            alpha=0.5, T=1.0, rhs=RhsSpec(kind="plain", f=lambda t, x: -x), x0=np.zeros(2), **impulses
+        )
+        mesh = build_mesh(spec, target_h)
+        t = mesh.nodes
+        g = np.stack([np.cos(3.0 * t) + 0.5 * t, np.exp(-2.0 * t)], axis=1)
+        state = _Windows(spec, mesh, None, None, g, 1e-10)
+        for lo, hi in windows:
+            got = state._extrapolate(lo, hi)
+            start = max([idx + 1 for idx in mesh.impulse_idx if idx < lo], default=0)
+            first = min(max(start, lo - 1 - PREDICTOR_DEGREE), lo - 1)
+            want, scale = _lagrange_exact(t[first:lo], g[first:lo], t[lo:hi])
+            assert np.all(np.abs(got - want) <= 1e-12 * scale), (lo, hi)
+
     def test_halving_reaches_one_node(self):
         # tol = 0 stalls every window at its second sweep, so the halves
         # go down to single nodes, each of which gets what is left
@@ -505,6 +578,64 @@ class TestNorms:
                 norm(x)
             with np.errstate(over="warn"), pytest.warns(RuntimeWarning, match="overflow"):
                 assert norm(x)[0] == np.inf
+
+
+def _lagrange_exact(ts, ys, t):
+    """The Lagrange polynomial through (ts, ys) at t, in exact arithmetic on
+    the given floats and rounded once, and the sum of |l_i(t)| |ys_i|."""
+    ts = [Fraction(float(s)) for s in ts]
+    value = np.zeros((len(t), ys.shape[1]))
+    scale = np.zeros_like(value)
+    for k, tk in enumerate(t):
+        tk = Fraction(float(tk))
+        for i, ti in enumerate(ts):
+            li = math.prod((tk - tj) / (ti - tj) for j, tj in enumerate(ts) if j != i)
+            for c in range(ys.shape[1]):
+                value[k, c] += li * Fraction(float(ys[i, c]))
+                scale[k, c] += abs(float(li) * ys[i, c])
+    return value, scale
+
+
+@st.composite
+def update_pairs(draw):
+    """(n, d) iterates new and old with entries of any sign whose
+    magnitudes are log-uniform over 1e-200 .. 1e308, so that updates
+    underflow, overflow on subtraction or squaring, or neither, or over
+    1e-200 .. 1e-150, where the largest squared norm is often subnormal;
+    some rows are unchanged and some differences sit at the overflow edge
+    of the squared norm, sqrt(DBL_MAX)."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    top = draw(st.sampled_from([308.0, -150.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def entries():
+        return rng.choice([-1.0, 1.0], (n, d)) * 10.0 ** rng.uniform(-200.0, top, (n, d))
+
+    new, old = entries(), entries()
+    same = rng.random(n) < 0.2
+    old[same] = new[same]
+    edge = rng.random(n) < 0.1
+    old[edge] = 0.0
+    new[edge] = math.sqrt(np.finfo(float).max) * (1.0 + rng.integers(-4, 5, (int(edge.sum()), d)) * 2.0**-52)
+    return new, old
+
+
+class TestResidual:
+    @settings(max_examples=300, deadline=None)
+    @given(update_pairs())
+    def test_bitwise_the_largest_norm_of_the_update(self, pair):
+        # the stopping rule and the window halving on overflow read this
+        # number: it is the largest _norms(new - old) bit for bit, inf
+        # exactly where that is, and silent where that overflows
+        new, old = pair
+        with np.errstate(over="ignore"):
+            want = float(np.max(_norms(new - old)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _residual(new, old)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert (got == math.inf) is (want == math.inf)
 
 
 class TestVectorState:
