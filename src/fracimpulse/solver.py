@@ -16,14 +16,19 @@ rest left to right in windows of at most WINDOW nodes (each block of
 fracquad.BLOCK nodes that WeightTable.windows yields is solved as its
 halves), each swept to tol with the nodes to its left frozen:
 restricted to a window of length tau the Volterra operator contracts
-roughly like tau^alpha.  Every window but the first starts from a
-predictor, not from the stalled iterate: the operator applied to
-samples of f extrapolated by the cubic through the last solved samples
-of their smooth piece (the fractional Adams-Bashforth predictor), which
-costs no call of f.  A window that stalls the same way, or whose
-update overflows, is halved, down to one node, where a sweep is
-marching's corrector; when a one-node window's update grows three
-sweeps in a row or overflows, the solve stops unconverged.
+roughly like tau^alpha.  The contraction factor does not depend on the
+mesh, so on a mesh of more than 32 * PROBE_NODES nodes whole-mesh
+sweeps first run on the mesh of step T / PROBE_NODES, at most
+PROBE_SWEEPS of them (_probe_stalls); if they stall there, the solve
+starts in windows at the initial iterate and sweeps no whole mesh.
+Every window but the first starts from a predictor, not from the
+stalled iterate: the operator applied to samples of f extrapolated by
+the cubic through the last solved samples of their smooth piece (the
+fractional Adams-Bashforth predictor), which costs no call of f.  A
+window that stalls the same way, or whose update overflows, is halved,
+down to one node, where a sweep is marching's corrector; when a
+one-node window's update grows three sweeps in a row or overflows, the
+solve stops unconverged.
 
 solve_marching computes nodes left to right in one pass.  The
 rectangle scheme is fully explicit.  The trapezoid scheme predicts
@@ -70,6 +75,7 @@ from .problem import (
     Trajectory,
     _history_values,
     _sample,
+    build_mesh,
 )
 
 __all__ = [
@@ -98,6 +104,9 @@ PREDICTOR_DEGREE = 3
 # Picard windows hold at most this many nodes: a larger block of
 # WeightTable.windows is solved as its halves (_Windows).
 WINDOW = 32
+# The step T / PROBE_NODES of the probe mesh, and its sweeps (_probe_stalls).
+PROBE_NODES = 128
+PROBE_SWEEPS = 4
 
 
 @dataclass(frozen=True)
@@ -352,38 +361,14 @@ def _final_trajectory(spec: ProblemSpec, mesh: Mesh, values: np.ndarray) -> Traj
     return Trajectory(mesh=mesh, values=values, right_values=rights)
 
 
-def solve_picard(
-    spec: ProblemSpec,
-    mesh: Mesh,
-    scheme: str = "trapezoid",
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> SolveReport:
-    """Fixed-point iteration of the integral operator: whole-mesh sweeps
-    until they stall (_stalls), then windows of nodes left to right.
-
-    Stops when every node's update between consecutive iterates is at
-    most tol in the sup norm; converged=False once some node has had
-    max_iter sweeps otherwise.  iterations is the most sweeps any node
-    had, residual_history holds the largest update at each sweep index
-    (whole-mesh sweeps, then window sweeps) and final_residual the
-    largest last update.  A one-node window whose update grows three
-    sweeps in a row, or overflows, ends the solve there, unconverged, with
-    its node as stop_node.
-    Raises SolverError when a whole-mesh update overflows (a diverging
-    iterate).
-    """
-    if not (tol >= 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-    table = build_weights(mesh, spec.alpha, scheme)
-    sampler = _Sampler(spec, mesh)
-
+def _sweeps(spec, mesh, table, sampler, tol: float, max_iter: int):
+    """Whole-mesh sweeps from the initial iterate until the update is at
+    most tol, max_iter sweeps are done or they stall (_stalls): the last
+    iterate and its samples, the updates and whether they stalled.
+    Raises SolverError when an update overflows (a diverging iterate)."""
     values = _initial_iterate(spec, mesh)
     history: list[float] = []
     jumps = _Jumps(spec, mesh)
-    stop_node = None
     while True:
         jumps.update(values, 0, mesh.n_nodes)
         g = sampler.sweep(0, values, jumps.right_norms)
@@ -393,14 +378,67 @@ def solve_picard(
             raise SolverError(f"the iterate diverged at sweep {len(history) + 1}: residual overflow")
         history.append(residual)
         values = new
-        if residual <= tol or len(history) == max_iter:
-            break
-        if _stalls(history, tol):
-            windows = _Windows(spec, mesh, sampler, values, g, tol)
-            residual = windows.solve(table, max_iter - len(history))
-            history += windows.history
-            stop_node = windows.stop_node
-            break
+        stalled = residual > tol and _stalls(history, tol)
+        if stalled or residual <= tol or len(history) == max_iter:
+            return values, g, history, stalled
+
+
+def _probe_stalls(spec: ProblemSpec, scheme: str, tol: float) -> bool:
+    """Whether at most PROBE_SWEEPS whole-mesh sweeps stall on the mesh of
+    step T / PROBE_NODES; False when the probe raises, so that the fine
+    solve then raises or reports as it does without a probe."""
+    try:
+        mesh = build_mesh(spec, spec.T / PROBE_NODES)
+        table = build_weights(mesh, spec.alpha, scheme)
+        return _sweeps(spec, mesh, table, _Sampler(spec, mesh), tol, PROBE_SWEEPS)[3]
+    except Exception:
+        return False
+
+
+def solve_picard(
+    spec: ProblemSpec,
+    mesh: Mesh,
+    scheme: str = "trapezoid",
+    tol: float = 1e-10,
+    max_iter: int = 200,
+) -> SolveReport:
+    """Fixed-point iteration of the integral operator: whole-mesh sweeps
+    until they stall (_stalls), then windows of nodes left to right.  On
+    more than 32 * PROBE_NODES nodes, windows from the start when the
+    sweeps of the coarse probe mesh stall (_probe_stalls, which samples f
+    at up to PROBE_SWEEPS times its node count).
+
+    Stops when every node's update between consecutive iterates is at
+    most tol in the sup norm; converged=False once some node has had
+    max_iter sweeps otherwise.  iterations is the most sweeps any node
+    had, residual_history holds the largest update at each sweep index
+    (whole-mesh sweeps, then window sweeps; probe sweeps are not counted)
+    and final_residual the largest last update.  A one-node window whose
+    update grows three sweeps in a row, or overflows, ends the solve
+    there, unconverged, with its node as stop_node.
+    Raises SolverError when a whole-mesh update overflows (a diverging
+    iterate); a probe that raises or overflows changes nothing.
+    """
+    if not (tol >= 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    table = build_weights(mesh, spec.alpha, scheme)
+    sampler = _Sampler(spec, mesh)
+    if mesh.n_nodes > 32 * PROBE_NODES and _probe_stalls(spec, scheme, tol):
+        values, history, stalled = _initial_iterate(spec, mesh), [], True
+        g = np.zeros_like(values)  # node 0's sample; the windows sample the rest
+        g[0] = sampler.sweep(0, values[:1], np.zeros(mesh.n_nodes))[0]
+    else:
+        values, g, history, stalled = _sweeps(spec, mesh, table, sampler, tol, max_iter)
+    stop_node = None
+    if stalled and len(history) < max_iter:
+        windows = _Windows(spec, mesh, sampler, values, g, tol)
+        residual = windows.solve(table, max_iter - len(history))
+        history += windows.history
+        stop_node = windows.stop_node
+    else:
+        residual = history[-1]
 
     return SolveReport(
         trajectory=_final_trajectory(spec, mesh, values),

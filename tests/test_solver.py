@@ -440,7 +440,8 @@ class TestWindows:
     # the dense-picard benchmark's problem with x0 = 1 and a jump of 0.5:
     # two whole-mesh sweeps and windows predicted from extrapolated
     # samples take 6.0 and 6.7 calls a node; a cubic through the solved
-    # values after three sweeps takes 7.95 and 8.65
+    # values after three sweeps takes 7.95 and 8.65.  N = 4097 is probed,
+    # and windows from the initial iterate take 2.8 and 3.2
     @pytest.mark.parametrize("lam, t1, limit", [(1.25, 0.5, 6.5), (2.0, 0.75, 7.2)])
     def test_rhs_calls_per_node(self, lam, t1, limit):
         calls = [0]
@@ -487,7 +488,9 @@ class TestWindows:
     def test_dense_picard_rhs_call_ceiling(self):
         # the middle dense-picard benchmark problem, f = -1.25 x called
         # node by node on N = 7169 nodes with one jump at 0.5: 4.9 calls a
-        # node with 64-node windows, 3.8 with 32-node ones
+        # node with 64-node windows, 3.8 with 32-node ones after whole-mesh
+        # sweeps, 1.9 when the probe mesh's sweeps stall and the windows
+        # start at the initial iterate
         lam, x0, c, t1 = 1.25, 1.0, 0.5, 0.5
         calls = [0]
 
@@ -506,7 +509,7 @@ class TestWindows:
         assert mesh.n_nodes == 7169
         rep = solve_picard(spec, mesh)
         assert rep.converged
-        assert calls[0] / mesh.n_nodes <= 4.5
+        assert calls[0] / mesh.n_nodes <= 2.5
         # the benchmark's oracle bound: the jump cell makes the error first order
         exact = x0 * mittag_leffler(0.5, -lam) + c * mittag_leffler(0.5, -lam * math.sqrt(1.0 - t1))
         assert abs(rep.trajectory.values[-1, 0] - exact) <= 0.5 * (x0 + c) / 7168
@@ -559,6 +562,106 @@ class TestWindows:
         assert rep.iterations == 40 == len(rep.residual_history)
         ref = solve_picard(spec, mesh, tol=1e-13)
         assert np.max(np.abs(rep.trajectory.values - ref.trajectory.values)) <= 1e-12
+
+
+def _jump_problem(f, vectorized=False):
+    """The dense-picard benchmark's problem shape: x0 = 1, a jump of 0.5 at 0.5."""
+    return ProblemSpec(
+        alpha=0.5,
+        T=1.0,
+        rhs=RhsSpec(kind="plain", f=f, vectorized=vectorized),
+        x0=np.array([1.0]),
+        impulses=ImpulseSchedule(times=(0.5,), jumps=(lambda x: np.full_like(x, 0.5),)),
+    )
+
+
+class TestProbe:
+    """On more than 32 * PROBE_NODES nodes, whole-mesh sweeps of a coarse
+    probe mesh decide whether Picard starts in windows."""
+
+    @staticmethod
+    def _record_batches(monkeypatch):
+        from fracimpulse import solver
+
+        sizes = []
+        sample = solver._sample
+
+        def recording(f, vectorized, args, dim, what, where):
+            sizes.append(args[0].size)
+            return sample(f, vectorized, args, dim, what, where)
+
+        monkeypatch.setattr(solver, "_sample", recording)
+        return sizes
+
+    @pytest.mark.parametrize("name", ["logistic", "delay-exp", "delay-plain"])
+    def test_builtins_are_not_routed(self, name, monkeypatch):
+        # the probe's sweeps converge or keep contracting on the builtins at
+        # 2^-12 (N > 4096), so every batch is a whole mesh, the probe's or
+        # the solve's, and the report is bitwise the one without a probe
+        from fracimpulse import solver
+        from fracimpulse.config import builtin_example, parse_config
+
+        cfg = parse_config(builtin_example(name))
+        mesh = build_mesh(cfg.problem, 2.0**-12)
+        probe = build_mesh(cfg.problem, cfg.problem.T / solver.PROBE_NODES)
+        assert mesh.n_nodes > 32 * solver.PROBE_NODES
+        sizes = self._record_batches(monkeypatch)
+        for scheme in ("trapezoid", "rectangle"):
+            sizes.clear()
+            kwargs = dict(scheme=scheme, tol=cfg.tol, max_iter=cfg.max_iter)
+            rep = solve_picard(cfg.problem, mesh, **kwargs)
+            assert rep.converged and set(sizes) == {mesh.n_nodes, probe.n_nodes}
+            with monkeypatch.context() as m:
+                m.setattr(solver, "PROBE_NODES", mesh.n_nodes)
+                sizes.clear()
+                ref = solve_picard(cfg.problem, mesh, **kwargs)
+                assert set(sizes) == {mesh.n_nodes}
+            assert np.array_equal(rep.trajectory.values, ref.trajectory.values)
+            assert np.array_equal(rep.trajectory.right_values, ref.trajectory.right_values)
+            assert rep.residual_history == ref.residual_history
+            assert rep.final_residual == ref.final_residual
+
+    def test_routed_per_node_matches_vectorized(self, monkeypatch):
+        # N = 8193: the probe's sweeps stall, every batch of the solve's
+        # mesh is one window, and a per-node f gives the vectorized one's bits
+        from fracimpulse import solver
+
+        mesh = build_mesh(_jump_problem(lambda t, x: -x), 2.0**-13)
+        probe = build_mesh(_jump_problem(lambda t, x: -x), 1.0 / solver.PROBE_NODES)
+        assert mesh.n_nodes == 8193
+        sizes = self._record_batches(monkeypatch)
+        reps = [
+            solve_picard(_jump_problem(lambda t, x: -1.25 * x, vectorized=v), mesh)
+            for v in (False, True)
+        ]
+        assert probe.n_nodes in sizes and max(set(sizes) - {probe.n_nodes}) <= solver.WINDOW
+        node, vec = reps
+        assert node.converged and vec.converged
+        assert np.array_equal(node.trajectory.values, vec.trajectory.values)
+        assert np.array_equal(node.trajectory.right_values, vec.trajectory.right_values)
+        assert node.residual_history == vec.residual_history and node.iterations == vec.iterations
+        # the unprobed solve, whole-mesh sweeps first, reaches the same fixed point
+        monkeypatch.setattr(solver, "PROBE_NODES", mesh.n_nodes)
+        ref = solve_picard(_jump_problem(lambda t, x: -1.25 * x, vectorized=True), mesh)
+        assert ref.converged and ref.iterations > vec.iterations
+        assert np.max(np.abs(vec.trajectory.values - ref.trajectory.values)) <= 1e-9
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_fine_mesh_errors_are_unchanged(self, vectorized):
+        # a probe that overflows or raises leaves the fine solve as it was:
+        # its first whole-mesh sweep overflows, or names the first fine node
+        # past t = 0.7, 5735 of 8193
+        def boom(t, x):
+            if np.any(np.asarray(t) > 0.7):
+                raise ValueError("boom")
+            return -1.25 * x
+
+        mesh = build_mesh(_jump_problem(lambda t, x: -x), 2.0**-13)
+        huge = _jump_problem(lambda t, x: np.full_like(x, 1e160), vectorized)
+        with pytest.raises(SolverError, match=r"iterate diverged at sweep 1: residual overflow"):
+            solve_picard(huge, mesh)
+        with pytest.raises(SolverError, match=r"node 5735 \(t="):
+            solve_picard(_jump_problem(boom, vectorized), mesh)
 
 
 class TestNorms:
