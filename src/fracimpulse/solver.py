@@ -20,15 +20,19 @@ roughly like tau^alpha.  The contraction factor does not depend on the
 mesh, so on a mesh of more than 32 * PROBE_NODES nodes whole-mesh
 sweeps first run on the mesh of step T / PROBE_NODES, at most
 PROBE_SWEEPS of them (_probe_stalls); if they stall there, the solve
-starts in windows at the initial iterate and sweeps no whole mesh.
+starts in windows at the initial iterate and sweeps no whole mesh.  A
+per-node RHS starts there whenever the probe neither raises nor
+overflows: it pays per call, and windows call it about 1.3 times a
+node where whole-mesh sweeps call it at least twice.
 Every window but the first starts from a predictor, not from the
 stalled iterate: the operator applied to samples of f extrapolated by
-the cubic through the last solved samples of their smooth piece (the
-fractional Adams-Bashforth predictor), which costs no call of f.  A
-window that stalls the same way, or whose update overflows, is halved,
-down to one node, where a sweep is marching's corrector; when a
-one-node window's update grows three sweeps in a row or overflows, the
-solve stops unconverged.
+the cubic in (t - t_p)^alpha through the last solved samples of their
+smooth piece, which starts at t_p, 0 or an impulse (the fractional
+Adams-Bashforth predictor in the variable of the piece's series); it
+costs no call of f.  A window that stalls the same way, or whose update
+overflows, is halved, down to one node, where a sweep is marching's
+corrector; when a one-node window's update grows three sweeps in a row
+or overflows, the solve stops unconverged.
 
 solve_marching computes nodes left to right in one pass.  The
 rectangle scheme is fully explicit.  The trapezoid scheme predicts
@@ -383,16 +387,16 @@ def _sweeps(spec, mesh, table, sampler, tol: float, max_iter: int):
             return values, g, history, stalled
 
 
-def _probe_stalls(spec: ProblemSpec, scheme: str, tol: float) -> bool:
+def _probe_stalls(spec: ProblemSpec, scheme: str, tol: float) -> bool | None:
     """Whether at most PROBE_SWEEPS whole-mesh sweeps stall on the mesh of
-    step T / PROBE_NODES; False when the probe raises, so that the fine
-    solve then raises or reports as it does without a probe."""
+    step T / PROBE_NODES; None when the probe raises or overflows, so that
+    the fine solve then raises or reports as it does without a probe."""
     try:
         mesh = build_mesh(spec, spec.T / PROBE_NODES)
         table = build_weights(mesh, spec.alpha, scheme)
         return _sweeps(spec, mesh, table, _Sampler(spec, mesh), tol, PROBE_SWEEPS)[3]
     except Exception:
-        return False
+        return None
 
 
 def solve_picard(
@@ -406,7 +410,9 @@ def solve_picard(
     until they stall (_stalls), then windows of nodes left to right.  On
     more than 32 * PROBE_NODES nodes, windows from the start when the
     sweeps of the coarse probe mesh stall (_probe_stalls, which samples f
-    at up to PROBE_SWEEPS times its node count).
+    at up to PROBE_SWEEPS times its node count), and for a per-node RHS
+    (not spec.rhs.vectorized) whenever the probe neither raises nor
+    overflows.
 
     Stops when every node's update between consecutive iterates is at
     most tol in the sup norm; converged=False once some node has had
@@ -425,7 +431,10 @@ def solve_picard(
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     table = build_weights(mesh, spec.alpha, scheme)
     sampler = _Sampler(spec, mesh)
-    if mesh.n_nodes > 32 * PROBE_NODES and _probe_stalls(spec, scheme, tol):
+    probe = _probe_stalls(spec, scheme, tol) if mesh.n_nodes > 32 * PROBE_NODES else None
+    # a per-node RHS pays per node: windows call it about 1.3 times a node,
+    # whole-mesh sweeps at least twice; a vectorized one pays per batch
+    if probe is not None and (probe or not spec.rhs.vectorized):
         values, history, stalled = _initial_iterate(spec, mesh), [], True
         g = np.zeros_like(values)  # node 0's sample; the windows sample the rest
         g[0] = sampler.sweep(0, values[:1], np.zeros(mesh.n_nodes))[0]
@@ -453,14 +462,14 @@ def solve_picard(
 
 
 def _lagrange(ts: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The Lagrange basis through the distinct points ts, evaluated at t:
-    basis[k, i] = prod over j != i of (t[k] - ts[j]) / (ts[i] - ts[j])."""
-    basis = np.ones((t.size, ts.size))
-    for i in range(ts.size):
-        for j in range(ts.size):
-            if j != i:
-                basis[:, i] *= (t - ts[j]) / (ts[i] - ts[j])
-    return basis
+    """The Lagrange bases through the distinct points ts (..., p), evaluated
+    at t (..., n), over any leading axes: basis[..., k, i] is the product
+    over j != i of t[k] - ts[j], divided by the product of ts[i] - ts[j]."""
+    p = ts.shape[-1]
+    others = (np.arange(p)[:, None] + np.arange(1, p)) % p  # row i: every j != i
+    num = np.multiply.reduce((t[..., :, None] - ts[..., None, :])[..., others], axis=-1)
+    den = np.multiply.reduce(ts[..., :, None] - ts[..., others], axis=-1)
+    return num / den[..., None, :]
 
 
 class _Diverging(Exception):
@@ -493,12 +502,13 @@ class _Windows:
 
     def __init__(self, spec, mesh, sampler, values, g, tol):
         self.mesh, self.sampler, self.values, self.tol = mesh, sampler, values, tol
+        self.alpha = spec.alpha
         self.g = g.copy()  # node 0's sample stays; every other row is resampled
         self.jumps = _Jumps(spec, mesh)
         self.history: list[float] = []  # the largest update at each window sweep
         self.worst = 0.0  # the largest last update of a window
         self.stop_node = None  # the one-node window that diverged
-        self.bases: dict[tuple[int, int], np.ndarray] = {}  # _extrapolate's, by shape
+        self.bases: dict[int, np.ndarray] = {}  # _extrapolate's, of full windows by lo
 
     def solve(self, table, budget: int) -> float:
         """Sweep every window to tol within budget sweeps a node; the largest last update."""
@@ -557,25 +567,34 @@ class _Windows:
         return len(hist)
 
     def _extrapolate(self, lo: int, hi: int) -> np.ndarray:
-        """Samples at nodes lo .. hi-1 from the Lagrange polynomial through
-        the last PREDICTOR_DEGREE + 1 solved samples of their smooth piece,
-        which starts at node 0 or after the last impulse left of lo; g[lo - 1]
-        as a constant when the piece has no solved sample.
+        """Samples at nodes lo .. hi-1 from the Lagrange polynomial in
+        s = (t - t_p)^alpha through the last PREDICTOR_DEGREE + 1 solved
+        samples of the smooth piece of node lo, which starts at t_p: node 0,
+        or the last impulse left of lo, whose own sample is a left limit and
+        belongs to the piece before; g[lo - 1] as a constant when the piece
+        has no solved sample.  On each piece the solution and its samples of
+        f are series in s (Lubich 1986); the targets past an impulse inside
+        the window keep lo's s, so no prediction reads a later impulse.
 
-        The basis is affine-invariant, so on one mesh segment, whose step is
-        uniform, it depends only on the source and target counts and is
-        built once for each pair, at the node indices."""
-        reach = self.jumps.reach
-        start = self.mesh.impulse_idx[reach[lo] - 1] + 1 if reach[lo] else 0
+        A full window, of WINDOW nodes with PREDICTOR_DEGREE + 1 samples,
+        that finds no basis builds the bases of every window of WINDOW
+        nodes from it to the end of its piece in one call, so a piece's
+        full windows share one call; any other window builds its own."""
+        mesh, piece = self.mesh, self.jumps.reach[lo]
+        start = mesh.impulse_idx[piece - 1] + 1 if piece else 0
+        t_p = mesh.nodes[max(start - 1, 0)]
         first = min(max(start, lo - 1 - PREDICTOR_DEGREE), lo - 1)
-        if reach[hi - 1] == reach[lo]:  # nodes first .. hi - 1 lie on one segment
-            shape = (lo - first, hi - lo)
-            basis = self.bases.get(shape)
-            if basis is None:
-                ts, t = np.arange(-shape[0], 0.0), np.arange(shape[1], dtype=float)
-                basis = self.bases[shape] = _lagrange(ts, t)
-        else:
-            basis = _lagrange(self.mesh.nodes[first:lo], self.mesh.nodes[lo:hi])
+        full = hi - lo == WINDOW and lo - first == PREDICTOR_DEGREE + 1
+        if full and lo not in self.bases:  # the piece's full windows from lo on
+            stop = min(mesh.boundary_idx[piece + 1] + 1, mesh.n_nodes - WINDOW + 1)
+            los = np.arange(lo, stop, WINDOW)
+            s = (mesh.nodes[los[:, None] + np.arange(first - lo, WINDOW)] - t_p) ** self.alpha
+            self.bases.update(zip(los.tolist(), _lagrange(s[:, : lo - first], s[:, lo - first :])))
+        if full:
+            basis = self.bases[lo]
+        else:  # a half, a shorter window or one near the piece's start
+            s = (mesh.nodes[first:hi] - t_p) ** self.alpha
+            basis = _lagrange(s[: lo - first], s[lo - first :])
         return basis @ self.g[first:lo]
 
 

@@ -634,7 +634,8 @@ class TestOrderStudy:
 
     def test_unconverged_study_solve_is_reported(self, tmp_path, capsys):
         # every solve stops unconverged after max_iter = 20 sweeps, and
-        # their errors alone give "estimated order = 3.1903"
+        # their errors alone give "estimated order = 3.17455...", digits
+        # that follow the windows' predictor
         data = {
             "problem": {"alpha": 0.6, "T": 1.0, "x0": 1.0, "rhs": {"kind": "plain", "f": "6*x"}},
             "numerics": {"max_iter": 20},
@@ -643,7 +644,7 @@ class TestOrderStudy:
         code = main(["order", "--config", str(cfg_path), "--h-list", "0.05,0.025,0.0125"])
         captured = capsys.readouterr()
         assert code == 2
-        assert "estimated order = 3.1903" in captured.out
+        assert "estimated order = 3.17455" in captured.out
         assert captured.err == "warning: no convergence within 20 sweeps (tol 1e-10)\n" * 3
 
     def test_unconverged_fine_grid_reference_is_reported(self, tmp_path, capsys):

@@ -441,8 +441,9 @@ class TestWindows:
     # two whole-mesh sweeps and windows predicted from extrapolated
     # samples take 6.0 and 6.7 calls a node; a cubic through the solved
     # values after three sweeps takes 7.95 and 8.65.  N = 4097 is probed,
-    # and windows from the initial iterate take 2.8 and 3.2
-    @pytest.mark.parametrize("lam, t1, limit", [(1.25, 0.5, 6.5), (2.0, 0.75, 7.2)])
+    # and windows from the initial iterate take 2.8 and 3.2 with a cubic
+    # in t, 1.65 and 2.22 with one in (t - t_p)^alpha
+    @pytest.mark.parametrize("lam, t1, limit", [(1.25, 0.5, 2.0), (2.0, 0.75, 2.6)])
     def test_rhs_calls_per_node(self, lam, t1, limit):
         calls = [0]
 
@@ -490,7 +491,8 @@ class TestWindows:
         # node by node on N = 7169 nodes with one jump at 0.5: 4.9 calls a
         # node with 64-node windows, 3.8 with 32-node ones after whole-mesh
         # sweeps, 1.9 when the probe mesh's sweeps stall and the windows
-        # start at the initial iterate
+        # start at the initial iterate, 1.27 when their predictor is a cubic
+        # in (t - t_p)^alpha instead of in t
         lam, x0, c, t1 = 1.25, 1.0, 0.5, 0.5
         calls = [0]
 
@@ -509,32 +511,35 @@ class TestWindows:
         assert mesh.n_nodes == 7169
         rep = solve_picard(spec, mesh)
         assert rep.converged
-        assert calls[0] / mesh.n_nodes <= 2.5
+        assert calls[0] / mesh.n_nodes <= 1.5
         # the benchmark's oracle bound: the jump cell makes the error first order
         exact = x0 * mittag_leffler(0.5, -lam) + c * mittag_leffler(0.5, -lam * math.sqrt(1.0 - t1))
         assert abs(rep.trajectory.values[-1, 0] - exact) <= 0.5 * (x0 + c) / 7168
 
-    # (t1, target_h, windows): a one-run mesh, with no impulse and with an
-    # impulse at node 256 inside a window; a two-run mesh whose steps
-    # differ by 1e-3 relative at its impulse node 154, with windows right
-    # after it (one, one, two, three and four samples of the new piece),
-    # across it and on each side of it
+    # (t1, target_h, windows): a one-run mesh, with no impulse (the first,
+    # second and third full windows from node 501 share one batch of
+    # bases) and with an impulse at node 256 inside a window; a two-run
+    # mesh whose steps differ by 1e-3 relative at its impulse node 154,
+    # with windows right after it (one, one, two, three and four samples of
+    # the new piece), across it and on each side of it
     @pytest.mark.parametrize(
         "t1, target_h, windows",
         [
-            (None, 1e-3, [(501, 533), (801, 833), (1, 33), (3, 35), (990, 1001)]),
+            (None, 1e-3, [(501, 533), (533, 565), (801, 833), (1, 33), (3, 35), (565, 597), (990, 1001)]),
             (0.5, 2.0**-9, [(250, 282), (257, 289), (300, 332)]),
             (0.3, 2.0**-9, [(155, 187), (156, 188), (157, 189), (158, 190), (159, 191)]),
             (0.3, 2.0**-9, [(140, 172), (150, 155), (123, 155), (300, 332), (482, 514)]),
         ],
     )
     def test_predictor_is_lagrange_through_the_node_times(self, t1, target_h, windows):
-        # a window's predicted samples are the Lagrange polynomial through
-        # the last solved samples of its piece, evaluated exactly at the
-        # node times, to 1e-12 of the sum of |l_i(t)| |g_i| it adds up
-        # (5e4 times |g| 32 steps past the last of four samples).  The
-        # windows of one mesh share one _Windows, so a basis built for one
-        # window shape is reused by the next
+        # a window's predicted samples are the Lagrange polynomial in
+        # s = (t - t_p)^alpha through the last solved samples of lo's
+        # piece, which starts at t_p, evaluated exactly at the targets' s,
+        # past an impulse inside the window too, to 1e-12 of the sum of
+        # |l_i(s)| |g_i| it adds up (up to 5e4 times |g| 32 steps past the
+        # last of four samples).  The windows of one mesh share one
+        # _Windows, so a batch of bases built for one window serves the
+        # full windows after it
         impulses = {}
         if t1 is not None:
             impulses["impulses"] = ImpulseSchedule(times=(t1,), jumps=(lambda x: x,))
@@ -547,9 +552,11 @@ class TestWindows:
         state = _Windows(spec, mesh, None, None, g, 1e-10)
         for lo, hi in windows:
             got = state._extrapolate(lo, hi)
+            t_p = max([t[idx] for idx in mesh.impulse_idx if idx < lo], default=0.0)
             start = max([idx + 1 for idx in mesh.impulse_idx if idx < lo], default=0)
             first = min(max(start, lo - 1 - PREDICTOR_DEGREE), lo - 1)
-            want, scale = _lagrange_exact(t[first:lo], g[first:lo], t[lo:hi])
+            s = (t[first:hi] - t_p) ** spec.alpha
+            want, scale = _lagrange_exact(s[: lo - first], g[first:lo], s[lo - first :])
             assert np.all(np.abs(got - want) <= 1e-12 * scale), (lo, hi)
 
     def test_halving_reaches_one_node(self):
@@ -645,6 +652,42 @@ class TestProbe:
         ref = solve_picard(_jump_problem(lambda t, x: -1.25 * x, vectorized=True), mesh)
         assert ref.converged and ref.iterations > vec.iterations
         assert np.max(np.abs(vec.trajectory.values - ref.trajectory.values)) <= 1e-9
+
+    def test_per_node_rhs_is_routed_without_a_stall(self, monkeypatch):
+        # whole-mesh sweeps of f = -0.6 x keep contracting, so the probe does
+        # not stall.  A per-node f still starts in windows, where it makes
+        # 1.15 calls a node against 19.1 in whole-mesh sweeps; a vectorized
+        # one, which pays per batch, keeps its whole-mesh sweeps and their bits
+        from fracimpulse import solver
+
+        calls = [0]
+
+        def f(t, x):
+            calls[0] += 1
+            return -0.6 * x
+
+        node, vec = _jump_problem(f), _jump_problem(lambda t, x: -0.6 * x, vectorized=True)
+        mesh = build_mesh(node, 2.0**-13)
+        probe = build_mesh(node, 1.0 / solver.PROBE_NODES)
+        assert mesh.n_nodes == 8193
+        assert solver._probe_stalls(vec, "trapezoid", 1e-10) is False
+        sizes = self._record_batches(monkeypatch)
+        routed = solve_picard(node, mesh)
+        assert routed.converged and calls[0] / mesh.n_nodes <= 1.5
+        assert probe.n_nodes in sizes and max(set(sizes) - {probe.n_nodes}) <= solver.WINDOW
+        sizes.clear()
+        swept = solve_picard(vec, mesh)
+        assert swept.converged and set(sizes) == {mesh.n_nodes, probe.n_nodes}
+        with monkeypatch.context() as m:
+            m.setattr(solver, "PROBE_NODES", mesh.n_nodes)
+            sizes.clear()
+            ref = solve_picard(vec, mesh)
+            assert set(sizes) == {mesh.n_nodes}
+        assert np.array_equal(swept.trajectory.values, ref.trajectory.values)
+        assert np.array_equal(swept.trajectory.right_values, ref.trajectory.right_values)
+        assert swept.residual_history == ref.residual_history
+        assert swept.final_residual == ref.final_residual
+        assert np.max(np.abs(routed.trajectory.values - ref.trajectory.values)) <= 1e-9
 
     @pytest.mark.parametrize("vectorized", [False, True])
     def test_fine_mesh_errors_are_unchanged(self, vectorized):
