@@ -247,8 +247,11 @@ def cmd_order(args) -> int:
         unconverged |= _warn_if_not_converged(cfg, rep)
         err = float(np.max(np.abs(rep.trajectory.values[-1] - ref)))
         errors.append(err)
-        steps.append(max(rep.trajectory.mesh.seg_steps))  # the step the slope is fit to
+        mesh = rep.trajectory.mesh
+        steps.append(max(mesh.seg_steps))  # the grid step, which the slope is fit to
         print(f"h = {_fmt(h)}   mesh step = {_fmt(steps[-1])}   error at T = {_fmt(err)}")
+        if mesh.n_nodes - 1 > round(cfg.problem.T / steps[-1]):  # impulse nodes inserted off the grid
+            print(f"warning: at h = {_fmt(h)} impulses cut grid cells; the slope may mislead", file=sys.stderr)
 
     slope = fit_order(steps, errors, ref)
     if slope is None:

@@ -13,10 +13,11 @@ the jump sum accumulates.  Solutions are piecewise continuous with
 left-continuous convention at impulse nodes: x(t_k) = x(t_k-), and the
 right limit stored separately.
 
-Meshes place every impulse time exactly on a node, with uniform spacing
-inside each segment.  When a delay is present a single global step is
-used and r must be an integer number of steps, so the delayed argument
-x(t - r) always lands on a node.
+Meshes place every impulse time exactly on a node and share one step h:
+either each segment's own uniform step, when these agree, or the grid
+k h with each off-grid impulse time inserted as a node.  When a delay is
+present a single global step is used and r must be an integer number of
+steps, so the delayed argument x(t - r) always lands on a node.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ __all__ = [
 ]
 
 MAX_MESH_NODES = 2**15
+# Steps this many ulps apart are one step: linspace nodes already differ
+# from k*h by that much (0.3/615 and 0.4/820 differ in the last bit).
+STEP_ULPS = 4
 
 RHS_KINDS = ("plain", "split", "delay", "general_delay")
 
@@ -481,10 +485,11 @@ class ProblemSpec:
 class Mesh:
     """Node set for one problem: impulse times sit exactly on nodes.
 
-    nodes[boundary_idx[j]] .. nodes[boundary_idx[j+1]] spans segment j
-    with uniform step seg_steps[j].  impulse_idx = boundary_idx[1:-1].
-    delay_steps is the integer r/h for delay problems (global uniform
-    step), else None.
+    nodes[boundary_idx[j]] .. nodes[boundary_idx[j+1]] spans segment j,
+    with step seg_steps[j], and impulse_idx = boundary_idx[1:-1].  The
+    steps agree to STEP_ULPS ulps.  On a grid k h with inserted nodes
+    each is h, and the cells cut by an off-grid impulse are shorter.
+    delay_steps is the integer r/h for delay problems, else None.
     """
 
     nodes: np.ndarray
@@ -511,6 +516,16 @@ class Mesh:
         return i if i < self.nodes.size and self.nodes[i] <= t + slack else None
 
 
+def _one_step(steps) -> bool:
+    """Whether the steps agree with the first to STEP_ULPS ulps."""
+    return all(abs(steps[0] - h) <= STEP_ULPS * math.ulp(h) for h in steps)
+
+
+def _on_grid(nodes: np.ndarray, h: float) -> bool:
+    """Whether each node k is k h to within 1e-12 times the last node."""
+    return bool(np.all(np.abs(nodes - h * np.arange(nodes.size)) <= 1e-12 * nodes[-1]))
+
+
 def _count_is_integral(ratio: float) -> int | None:
     k = round(ratio)
     if k >= 1 and abs(ratio - k) <= 1e-9 * max(1.0, abs(ratio)):
@@ -518,29 +533,30 @@ def _count_is_integral(ratio: float) -> int | None:
     return None
 
 
+def _check_nodes(n: int) -> None:
+    if n > MAX_MESH_NODES:
+        raise MeshError(f"mesh would need {n} nodes, over the {MAX_MESH_NODES} cap; enlarge target_h")
+
+
 def build_mesh(spec: ProblemSpec, target_h: float) -> Mesh:
     """Build the solver mesh for spec with steps no larger than target_h.
 
-    Each inter-impulse segment gets the largest uniform step <= target_h
-    that divides it evenly.  With a delay, one global step h = r/q is
-    used so that both r and every segment are integer multiples of h;
-    if no such step exists within the node cap, a MeshError explains
-    the commensurability failure.
+    Each inter-impulse segment gets ceil(length / target_h) equal steps
+    if these agree to STEP_ULPS ulps; otherwise the nodes are the grid
+    k h, h = T / ceil(T / target_h), plus each impulse time that is not
+    bitwise a grid node.  With a delay, one global step h = r/q is used
+    so that r and every segment are integer multiples of h and the nodes
+    are k h to 1e-12 T; if no such step exists within the node cap, a
+    MeshError says why.
     """
     target_h = float(target_h)
     if not (target_h > 0.0 and math.isfinite(target_h)):
         raise MeshError(f"target_h must be positive and finite, got {target_h!r}")
     edges = [0.0, *spec.impulses.times, spec.T]
     lengths = [b - a for a, b in zip(edges, edges[1:])]
-    shortest = min(lengths)
-    if target_h >= shortest:
-        raise MeshError(
-            f"target_h={target_h!r} must be smaller than the shortest "
-            f"inter-impulse segment ({shortest!r}); refine the step"
-        )
 
     if spec.delay is None:
-        counts = [math.ceil(L / target_h - 1e-12) for L in lengths]
+        counts = [max(1, math.ceil(L / target_h - 1e-12)) for L in lengths]
         delay_steps = None
     else:
         r = spec.delay.r
@@ -553,13 +569,11 @@ def build_mesh(spec: ProblemSpec, target_h: float) -> Mesh:
                 cand = [_count_is_integral(L / h) for L in lengths]
                 if all(c is not None for c in cand):
                     if sum(cand) + 1 <= MAX_MESH_NODES:
-                        counts = cand
-                        delay_steps = q
+                        counts, delay_steps = cand, q
                         break
                     raise MeshError(
-                        f"delay-commensurate mesh needs {sum(cand) + 1} nodes, "
-                        f"over the {MAX_MESH_NODES} cap; enlarge target_h or "
-                        f"choose commensurate delay/impulse times"
+                        f"delay-commensurate mesh needs {sum(cand) + 1} nodes, over the {MAX_MESH_NODES} "
+                        f"cap; enlarge target_h or choose commensurate delay/impulse times"
                     )
             q += 1
         if counts is None:
@@ -569,37 +583,39 @@ def build_mesh(spec: ProblemSpec, target_h: float) -> Mesh:
                 f"the delay r={r!r} and impulse layout are incommensurate"
             )
 
-    if sum(counts) + 1 > MAX_MESH_NODES:
-        raise MeshError(
-            f"mesh would need {sum(counts) + 1} nodes, over the "
-            f"{MAX_MESH_NODES} cap; enlarge target_h"
-        )
-
-    pieces = []
-    boundary_idx = [0]
-    for j, (a, b, n) in enumerate(zip(edges, edges[1:], counts)):
-        seg = np.linspace(a, b, n + 1)
-        pieces.append(seg if j == 0 else seg[1:])
-        boundary_idx.append(boundary_idx[-1] + n)
-    nodes = np.concatenate(pieces)
     seg_steps = tuple(L / n for L, n in zip(lengths, counts))
+    if spec.delay is not None or _one_step(seg_steps):
+        _check_nodes(sum(counts) + 1)
+        segments = zip(edges, edges[1:], counts)
+        nodes = np.concatenate([np.linspace(a, b, n + 1)[j > 0 :] for j, (a, b, n) in enumerate(segments)])
+        boundary_idx = [0, *np.cumsum(counts).tolist()]
+        if not _one_step(seg_steps):  # commensurate to roundoff: the global step
+            seg_steps = (spec.delay.r / delay_steps,) * len(counts)
+            if not _on_grid(nodes, seg_steps[0]):
+                raise MeshError(
+                    f"the segments {lengths!r} are multiples of h = r/{delay_steps} only to 1e-9, "
+                    f"so their nodes miss the grid k h; choose commensurate delay/impulse times"
+                )
+    else:  # the grid k h with the off-grid impulse times inserted
+        n = math.ceil(spec.T / target_h - 1e-12)
+        _check_nodes(n + 1)
+        grid = np.linspace(0.0, spec.T, n + 1)
+        times = np.array(spec.impulses.times)
+        off = times[grid[np.searchsorted(grid, times)] != times]
+        nodes = np.insert(grid, np.searchsorted(grid, off), off)
+        _check_nodes(nodes.size)
+        boundary_idx = [0, *np.searchsorted(nodes, times).tolist(), nodes.size - 1]
+        seg_steps = (spec.T / n,) * len(lengths)
 
     for tk, idx in zip(spec.impulses.times, boundary_idx[1:-1]):
         if nodes[idx] != tk:
             raise MeshError(f"impulse time {tk!r} failed to land on a node")
 
-    mesh = Mesh(
-        nodes=nodes,
-        boundary_idx=tuple(boundary_idx),
-        seg_steps=seg_steps,
-        delay_steps=delay_steps,
-    )
     if spec.delay is not None:
-        q = mesh.delay_steps
-        back = nodes[q:] - spec.delay.r
-        if not np.allclose(back, nodes[: nodes.size - q], rtol=0.0, atol=1e-9):
+        back = nodes[delay_steps:] - spec.delay.r
+        if not np.allclose(back, nodes[: nodes.size - delay_steps], rtol=0.0, atol=1e-9):
             raise MeshError("delayed argument fails to land on nodes")
-    return mesh
+    return Mesh(nodes, tuple(boundary_idx), seg_steps, delay_steps)
 
 
 @dataclass(frozen=True)

@@ -267,10 +267,12 @@ def closed_form_seminorms(env: "Envelope", ps: np.ndarray, T: float) -> np.ndarr
 
 def _pow_diff(A: np.ndarray, B: np.ndarray, expo: float | np.ndarray) -> np.ndarray:
     """A**expo - B**expo for A > 0 and A >= B >= 0, stable when A is
-    close to B.  B = 0 needs no branch: log1p(-1) = -inf and
+    close to B and, through log(B / A), when B < A / 2, where B - A may
+    round B's digits away.  B = 0 needs no branch: log1p(-1) = -inf and
     expm1(-inf) = -1, so the result is A**expo exactly."""
     with np.errstate(divide="ignore"):
         r = np.log1p((B - A) / A)
+        np.log(B / A, out=r, where=(0.0 < B) & (B < 0.5 * A))
     r *= expo
     np.expm1(r, out=r)
     r *= A**expo

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import fracimpulse
 from fracimpulse import solver
+from fracimpulse.fracquad import build_weights
 from fracimpulse.problem import (
     DelaySpec,
     ImpulseSchedule,
@@ -341,15 +342,20 @@ def test_solver_error_is_one_class():
 
 
 class TestBuildMesh:
-    def test_segment_steps_divide_evenly(self):
+    def test_off_grid_impulse_is_an_inserted_node(self):
         spec = _plain_spec(times=(0.3,))
         mesh = build_mesh(spec, 0.25)
-        # [0, 0.3] takes h = 0.15 (2 cells), [0.3, 1] takes h = 0.7/3
-        assert mesh.seg_steps[0] == pytest.approx(0.15)
-        assert mesh.seg_steps[1] == pytest.approx(0.7 / 3.0)
-        assert all(h <= 0.25 + 1e-15 for h in mesh.seg_steps)
-        assert mesh.nodes[0] == 0.0 and mesh.nodes[-1] == 1.0
+        # 0.15 and 0.7/3 per segment differ, so the grid k/4 takes 0.3 in
+        assert mesh.seg_steps == (0.25, 0.25)
+        assert mesh.nodes.tolist() == [0.0, 0.25, 0.3, 0.5, 0.75, 1.0]
         assert mesh.boundary_idx == (0, 2, 5)
+
+    def test_one_step_segments_keep_their_nodes(self):
+        # 0.3/615 and 0.4/820 differ in the last bit: one step
+        spec = _plain_spec(times=(0.3, 0.6))
+        mesh = build_mesh(spec, 2.0**-11)
+        assert mesh.boundary_idx == (0, 615, 1230, 2050)
+        assert mesh.seg_steps == (0.3 / 615, 0.3 / 615, 0.4 / 820)
 
     def test_impulse_times_on_nodes_bitwise(self):
         spec = _plain_spec(times=(0.3, 0.6))
@@ -365,12 +371,12 @@ class TestBuildMesh:
         coarse_set = set(coarse.nodes.tolist())
         assert coarse_set.issubset(set(fine.nodes.tolist()))
 
-    def test_target_h_must_resolve_shortest_segment(self):
+    def test_segment_shorter_than_target_h_is_a_cut_cell(self):
         spec = _plain_spec(times=(0.1,))
-        with pytest.raises(MeshError, match="shortest"):
-            build_mesh(spec, 0.1)
-        with pytest.raises(MeshError):
-            build_mesh(spec, 0.5)
+        mesh = build_mesh(spec, 0.5)
+        assert mesh.nodes.tolist() == [0.0, 0.1, 0.5, 1.0]
+        assert mesh.boundary_idx == (0, 1, 3) and mesh.seg_steps == (0.5, 0.5)
+        assert build_mesh(spec, 0.1).n_nodes == 11  # 0.1 is the grid node 1 * 0.1
 
     def test_node_cap(self):
         spec = _plain_spec()
@@ -391,6 +397,31 @@ class TestBuildMesh:
         mesh = build_mesh(spec, 0.3)
         assert mesh.delay_steps == 2
         assert mesh.seg_steps == (0.25, 0.25)
+
+    def test_delay_segments_off_by_roundoff_take_the_global_step(self):
+        # 3.3/66, 0.1/2 and 1.6/32 are all 0.05 but differ by more than
+        # STEP_ULPS ulps: the delay mesh keeps its nodes, and its weights
+        # one step, r/q
+        spec = _delay_spec(r=0.1, T=5.0, times=(3.3, 3.4))
+        mesh = build_mesh(spec, 0.05)
+        assert mesh.delay_steps == 2 and mesh.seg_steps == (0.05, 0.05, 0.05)
+        assert mesh.boundary_idx == (0, 66, 68, 100)
+        table = build_weights(mesh, 0.5, "trapezoid")
+        W, g = table.dense(), np.cos(mesh.nodes)
+        assert np.all(np.abs(table.apply(g) - W @ g) <= 1e-12 * (np.abs(W) @ np.abs(g)))
+
+    def test_delay_segments_off_the_step_grid_are_refused(self):
+        # 0.3 + 1e-10 is 6 steps of 0.05 only to 1e-9, so its segments'
+        # nodes would lie up to 1e-10 off the grid k h that the weights use
+        spec = _delay_spec(r=0.1, T=1.0, times=(0.3 + 1e-10,))
+        with pytest.raises(MeshError, match="miss the grid k h; choose commensurate"):
+            build_mesh(spec, 0.05)
+
+    def test_delay_node_cap_names_the_delay(self):
+        # h = 2^-15 = r/16384 is the first commensurate step, one node too many
+        spec = _delay_spec(r=0.5, times=(0.5,))
+        with pytest.raises(MeshError, match="delay-commensurate mesh needs 32769 nodes.*commensurate"):
+            build_mesh(spec, 2.0**-15)
 
     def test_incommensurate_delay_fails(self):
         # r irrational relative to the segment layout: no h = r/q divides 0.5

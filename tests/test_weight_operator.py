@@ -2,16 +2,17 @@
 
 Properties are drawn over random orders, horizons, impulse layouts and
 meshes whose segments share one step (a single Toeplitz run) or do not
-(dense cross-blocks between runs).
+(a grid with the off-grid impulse times inserted as nodes).
 """
 
+import dataclasses
 import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fracimpulse.config import builtin_example, parse_config
@@ -204,16 +205,33 @@ def test_near_equal_steps_form_one_run():
     assert len(set(mesh.seg_steps)) > 1
     for scheme in ("rectangle", "trapezoid"):
         table = build_weights(mesh, 0.5, scheme)
-        assert len(table.runs) == 1 and table.runs[0].cross is None
+        assert table.node_rows == () and table.grid.size == mesh.n_nodes
         assert table.weights.nbytes <= 64 * 8 * mesh.n_nodes
         W = table.dense()
         g = np.cos(7.0 * mesh.nodes)
         assert np.all(np.abs(table.apply(g) - W @ g) <= REL * (np.abs(W) @ np.abs(g)))
-    # steps 1% apart still form two runs
+
+
+def test_two_step_mesh_is_refused():
+    # steps 1% apart are neither one step nor a grid plus inserted nodes
     n1, n2 = 100, 101
     nodes = np.concatenate([np.linspace(0.0, 0.5, n1 + 1), np.linspace(0.5, 1.0, n2 + 1)[1:]])
     mesh = Mesh(nodes=nodes, boundary_idx=(0, n1, n1 + n2), seg_steps=(0.5 / n1, 0.5 / n2))
-    assert len(build_weights(mesh, 0.5, "trapezoid").runs) == 2
+    with pytest.raises(MeshError, match="more than one step"):
+        build_weights(mesh, 0.5, "trapezoid")
+    # one step, but a node off the grid that is no impulse node
+    nodes = np.linspace(0.0, 1.0, 101)
+    nodes = np.insert(nodes, 30, 0.2951)
+    mesh = Mesh(nodes=nodes, boundary_idx=(0, 101), seg_steps=(0.01,))
+    with pytest.raises(MeshError, match="neither one step nor a grid"):
+        build_weights(mesh, 0.5, "trapezoid")
+    # one step and T / h cells, but the nodes of a segment 1e-10 too long
+    # lie up to 1e-10 off the grid, which the Toeplitz weights assume
+    nodes = np.concatenate([np.linspace(0.0, 0.3 + 1e-10, 7), np.linspace(0.3 + 1e-10, 1.0, 15)[1:]])
+    for idx in ((0, 6, 20), (0, 20)):
+        mesh = Mesh(nodes=nodes, boundary_idx=idx, seg_steps=(0.05,) * (len(idx) - 1))
+        with pytest.raises(MeshError, match="neither one step nor a grid"):
+            build_weights(mesh, 0.5, "trapezoid")
 
 
 def test_single_step_storage_is_linear():
@@ -224,27 +242,38 @@ def test_single_step_storage_is_linear():
         assert table.weights.nbytes <= 64 * 8 * mesh.n_nodes
 
 
-def test_cross_block_build_keeps_temporaries_small():
-    # the builtin logistic mesh at 2^-10: steps 0.3/308 and 0.4/410 form
-    # two runs, and the second holds a 2 MiB cross-block
+def test_inserted_node_storage_is_linear():
+    # a jump at 0.3 on the grid of step 2^-14: one inserted node, its row
+    # and the correction columns of its cut cell
+    mesh = build_mesh(_spec(1.0, (0.3,)), 2.0**-14)
+    assert mesh.n_nodes == 2**14 + 2 and mesh.seg_steps == (2.0**-14,) * 2
+    for scheme in ("rectangle", "trapezoid"):
+        table = build_weights(mesh, 0.5, scheme)
+        assert [q for q, _ in table.node_rows] == [mesh.impulse_idx[0], mesh.impulse_idx[0] + 1]
+        assert table.weights.nbytes <= 2**21
+
+
+def test_inserted_node_build_keeps_temporaries_small():
+    # the builtin logistic mesh at 2^-10: its segment steps 0.3/308 and
+    # 0.4/410 differ, so 0.3 and 0.6 are inserted into the grid k 2^-10
     mesh = build_mesh(parse_config(builtin_example("logistic")).problem, 2.0**-10)
+    assert mesh.n_nodes == 1027 and mesh.seg_steps == (2.0**-10,) * 3
     tracemalloc.start()
     try:
         table = build_weights(mesh, 0.5, "trapezoid")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.runs[1].cross is not None and table.weights.nbytes > 2**21
+    assert len(table.node_rows) == 4 and table.weights.nbytes <= 2**17
     assert peak - table.weights.nbytes < 2**19
 
 
-def test_budget_refuses_cross_blocks_before_allocating():
-    # runs of 16000 and 16001 steps: the second run's cross-block alone
-    # would take 16001 * 16001 * 8 bytes, about 2 GB
-    n1, n2 = 16000, 16001
-    nodes = np.concatenate([np.linspace(0.0, 0.5, n1 + 1), np.linspace(0.5, 1.0, n2 + 1)[1:]])
-    mesh = Mesh(nodes=nodes, boundary_idx=(0, n1, n1 + n2), seg_steps=(0.5 / n1, 0.5 / n2))
-    assert mesh.seg_steps[0] != mesh.seg_steps[1]
+def test_budget_refuses_many_inserted_nodes_before_allocating():
+    # 1500 off-grid jumps on the grid of step 1/30000: 4501 correction
+    # columns of 2^15 floats each would take about 1.2 GB
+    times = tuple((np.arange(1500) + 0.37) / 1500.0)
+    mesh = build_mesh(_spec(1.0, times), 1.0 / 30000.0)
+    assert mesh.n_nodes == 30001 + 1500
     tracemalloc.start()
     try:
         with pytest.raises(MeshError, match=r"needs \d+ bytes") as err:
@@ -270,27 +299,27 @@ def test_dense_reference_refuses_over_budget():
     assert peak < 2**20
 
 
-def _run_mesh(n, lead=0):
-    """n nodes of step 2^-11 after `lead` steps of another step: one run
-    of n nodes, after a cross-block when lead > 0."""
-    h, h0 = 2.0**-11, 1.3 * 2.0**-11
-    nodes = np.concatenate([h0 * np.arange(lead), lead * h0 + h * np.arange(n)])
-    if lead == 0:
+def _run_mesh(n, cut=False):
+    """n grid nodes of step 2^-11, and with cut a node inserted at 5.3
+    steps, as the impulse node of a jump there."""
+    h = 2.0**-11
+    nodes = h * np.arange(n)
+    if not cut:
         return Mesh(nodes=nodes, boundary_idx=(0, n - 1), seg_steps=(h,))
-    return Mesh(nodes=nodes, boundary_idx=(0, lead, lead + n - 1), seg_steps=(h0, h))
+    return Mesh(nodes=np.insert(nodes, 6, 5.3 * h), boundary_idx=(0, 6, n), seg_steps=(h, h))
 
 
 class TestRunLengthsAroundPowersOfTwo:
-    """Runs of 2^k, 2^k + 1 and 2^k + 2 nodes: the index space holds a
-    run's rows, so 2^k + 1 nodes still fit a 2^k pad."""
+    """Grids of 2^k, 2^k + 1 and 2^k + 2 nodes: the index space holds the
+    grid rows, so 2^k + 1 nodes still fit a 2^k pad."""
 
     LENGTHS = [64, 65, 66, 2048, 2049, 2050]
 
     @pytest.mark.parametrize("scheme", ["rectangle", "trapezoid"])
     @pytest.mark.parametrize("n", LENGTHS)
     def test_apply_matches_dense(self, n, scheme):
-        for lead in (0, 5) if n < 100 else (0,):
-            mesh = _run_mesh(n, lead)
+        for cut in (False, True) if n < 100 else (False,):
+            mesh = _run_mesh(n, cut)
             table = build_weights(mesh, 0.4, scheme)
             W = table.dense()
             g = np.stack([np.cos(7.0 * mesh.nodes), 1.0 - mesh.nodes], axis=1)
@@ -301,8 +330,8 @@ class TestRunLengthsAroundPowersOfTwo:
     @pytest.mark.parametrize("scheme", ["rectangle", "trapezoid"])
     @pytest.mark.parametrize("n", LENGTHS)
     def test_apply_is_causal_bitwise(self, n, scheme):
-        for lead in (0, 5):
-            mesh = _run_mesh(n, lead)
+        for cut in (False, True):
+            mesh = _run_mesh(n, cut)
             table = build_weights(mesh, 0.4, scheme)
             rng = np.random.default_rng(n)
             g = rng.standard_normal((mesh.n_nodes, 1))
@@ -315,8 +344,8 @@ class TestRunLengthsAroundPowersOfTwo:
     @pytest.mark.parametrize("scheme", ["rectangle", "trapezoid"])
     @pytest.mark.parametrize("n", [64, 65, 2048, 2049])
     def test_prefix_bitwise_across_the_length_boundary(self, n, scheme):
-        for lead in (0, 5):
-            short, longer = _run_mesh(n, lead), _run_mesh(n + 1, lead)
+        for cut in (False, True):
+            short, longer = _run_mesh(n, cut), _run_mesh(n + 1, cut)
             short_table = build_weights(short, 0.4, scheme)
             long_table = build_weights(longer, 0.4, scheme)
             g = np.random.default_rng(n).standard_normal(longer.n_nodes)
@@ -327,6 +356,100 @@ class TestRunLengthsAroundPowersOfTwo:
     @pytest.mark.parametrize("k", [6, 11])
     def test_one_node_past_a_power_of_two_stores_the_same_bytes(self, k, scheme):
         tables = [build_weights(_run_mesh(2**k + extra), 0.4, scheme) for extra in (0, 1, 2)]
-        assert tables[0].runs[0].gen.size == tables[1].runs[0].gen.size == 2**k + 1
+        assert tables[0].gen.size == tables[1].gen.size == 2**k + 1
         assert tables[0].weights.tobytes() == tables[1].weights.tobytes()
         assert tables[2].weights.nbytes > tables[1].weights.nbytes  # the pad doubles
+
+
+@pytest.mark.parametrize("scheme", ["rectangle", "trapezoid"])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("times", [(), (0.3, 0.6)])
+def test_added_correction_entries_match_dense(times, d, scheme):
+    # entries at random columns, at the last node of the first block of
+    # BLOCK grid rows, the first of the next one and the last column: apply
+    # adds each, windows once its column is final or inside the window
+    mesh = build_mesh(_spec(1.0, times), 1.0 / 150.0)
+    table = build_weights(mesh, 0.4, scheme)
+    n = mesh.n_nodes - 1
+    rng = np.random.default_rng(n + d)
+    grid, rows = table.grid, table.grid.size - 1
+    W = table.dense()
+    added = []
+    for col in sorted({*rng.integers(0, n + 1, 4).tolist(), int(grid[BLOCK]), int(grid[BLOCK + 1]), n}):
+        v = np.zeros(table.gen.size - 1)
+        v[:rows] = np.where(grid[1:] >= col, rng.standard_normal(rows), 0.0)
+        W[grid[1:], col] += v[:rows]
+        added.append((col, v))
+    table = dataclasses.replace(table, corrections=tuple(sorted(table.corrections + tuple(added), key=lambda e: e[0])))
+    g = rng.standard_normal((mesh.n_nodes, d))
+    scale = np.abs(W) @ np.abs(g)
+    assert np.all(np.abs(table.apply(g) - W @ g) <= REL * scale)
+    assert np.all(np.abs(_online(table, g) - W @ g) <= REL * scale)
+    history, diag = _marching_reads(table, g)
+    strict = np.tril(W, -1)
+    assert np.all(np.abs(history - strict @ g) <= REL * (np.abs(strict) @ np.abs(g)))
+    assert np.all(np.abs(diag - np.diag(W)) <= REL * np.abs(np.diag(W)))
+
+
+def _check_off_grid(mesh, times, alpha, d, seed, extra):
+    """The weight invariants on a mesh of a plain problem with jumps at times."""
+    assert np.array_equal(mesh.nodes[list(mesh.impulse_idx)], times)
+    t = mesh.nodes
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((mesh.n_nodes, d))
+    longer = _extend(mesh, extra)
+    g_long = rng.standard_normal(longer.n_nodes)
+    for scheme in ("rectangle", "trapezoid"):
+        table = build_weights(mesh, alpha, scheme)
+        exact = t**alpha / gamma(alpha + 1.0)
+        got = table.apply(np.ones(mesh.n_nodes))
+        assert got[0] == 0.0 and np.all(np.abs(got[1:] - exact[1:]) <= 1e-12 * exact[1:])
+        if scheme == "trapezoid":
+            exact = gamma(2.0) / gamma(2.0 + alpha) * t ** (1.0 + alpha)
+            got = table.apply(t)
+            assert np.all(np.abs(got[1:] - exact[1:]) <= 1e-10 * exact[1:])
+        W = table.dense()
+        scale = np.abs(W) @ np.abs(g)
+        assert np.all(np.abs(table.apply(g) - W @ g) <= REL * scale)
+        assert np.all(np.abs(_online(table, g) - W @ g) <= REL * scale)
+        long_table = build_weights(longer, alpha, scheme)
+        n = mesh.n_nodes
+        assert np.array_equal(long_table.apply(g_long)[:n], table.apply(g_long[:n]))
+        assert _same_prefix(long_table, table, g_long)
+
+
+@PROPERTY
+@given(
+    T=st.floats(0.2, 4.0),
+    fracs=st.lists(st.floats(0.001, 0.999), min_size=1, max_size=3, unique=True),
+    cells=st.floats(20.0, 300.0),
+    alpha=alphas,
+    d=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.integers(1, 200),
+)
+def test_off_grid_layouts_keep_the_weight_invariants(T, fracs, cells, alpha, d, seed, extra):
+    # 1-3 jumps at uniform random times and a random target_h: the
+    # impulse times that miss the grid k h are inserted nodes
+    times = tuple(sorted(T * f for f in fracs))
+    assume(all(b > a for a, b in zip(times, times[1:])))
+    mesh = build_mesh(_spec(T, times), T / cells)
+    _check_off_grid(mesh, times, alpha, d, seed, extra)
+
+
+@pytest.mark.parametrize(
+    "times, inserted",
+    [
+        ((0.5 + 1e-12 / 64.0,), 1),  # 1e-12 h right of the grid node 0.5
+        ((0.25 - 1e-6 / 64.0, 0.5 + 1e-12 / 64.0), 2),  # and 1e-6 h left of 0.25
+        ((0.3, 0.5), 1),  # 0.5 is on the grid and inserts no node
+        ((0.3, math.nextafter(0.3, 1.0)), 2),  # one cut cell of three pieces, one an ulp wide
+    ],
+)
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_inserted_nodes_next_to_grid_nodes(times, inserted, alpha):
+    mesh = build_mesh(_spec(1.0, times), 2.0**-6)
+    assert mesh.n_nodes == 65 + inserted and mesh.seg_steps == (2.0**-6,) * (len(times) + 1)
+    assert build_weights(mesh, alpha, "trapezoid").grid.size == 65
+    for d in (1, 2):
+        _check_off_grid(mesh, times, alpha, d, seed=d, extra=70)
