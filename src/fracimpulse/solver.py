@@ -16,14 +16,10 @@ rest left to right in windows of at most WINDOW nodes (each block of
 fracquad.BLOCK nodes that WeightTable.windows yields is solved as its
 halves), each swept to tol with the nodes to its left frozen:
 restricted to a window of length tau the Volterra operator contracts
-roughly like tau^alpha.  The contraction factor does not depend on the
-mesh, so on a mesh of more than 32 * PROBE_NODES nodes whole-mesh
-sweeps first run on the mesh of step T / PROBE_NODES, at most
-PROBE_SWEEPS of them (_probe_stalls); if they stall there, the solve
-starts in windows at the initial iterate and sweeps no whole mesh.  A
-per-node RHS starts there whenever the probe neither raises nor
-overflows: it pays per call, and windows call it about 1.3 times a
-node where whole-mesh sweeps call it at least twice.
+roughly like tau^alpha.  A per-node RHS on more than PER_NODE_WINDOWS
+nodes starts in windows at the initial iterate and sweeps no whole
+mesh: it pays per call, and windows call it about 1.3 times a node
+where whole-mesh sweeps call it at least twice.
 Every window but the first starts from a predictor, not from the
 stalled iterate: the operator applied to samples of f extrapolated by
 the cubic in (t - t_p)^alpha through the last solved samples of their
@@ -79,7 +75,6 @@ from .problem import (
     Trajectory,
     _history_values,
     _sample,
-    build_mesh,
 )
 
 __all__ = [
@@ -108,9 +103,9 @@ PREDICTOR_DEGREE = 3
 # Picard windows hold at most this many nodes: a larger block of
 # WeightTable.windows is solved as its halves (_Windows).
 WINDOW = 32
-# The step T / PROBE_NODES of the probe mesh, and its sweeps (_probe_stalls).
-PROBE_NODES = 128
-PROBE_SWEEPS = 4
+# A per-node RHS on more than this many nodes starts Picard in windows at
+# the initial iterate (solve_picard).
+PER_NODE_WINDOWS = 4096
 
 
 @dataclass(frozen=True)
@@ -306,14 +301,6 @@ class _Sampler:
         return g
 
 
-def _increments(spec: ProblemSpec, mesh: Mesh, values: np.ndarray) -> np.ndarray:
-    """I_k at the left limits values[t_k], one row per impulse: (m, d)."""
-    incs = np.zeros((len(mesh.impulse_idx), values.shape[1]))
-    for k, idx in enumerate(mesh.impulse_idx):
-        incs[k] = spec.impulses.apply(k, values[idx])
-    return incs
-
-
 class _Jumps:
     """The increments I_k at an iterate's left limits as of the last update
     of their nodes (0 before), and the (N,) right-limit norms that delay
@@ -329,13 +316,17 @@ class _Jumps:
         self.reach = np.searchsorted(np.array(self.idx, dtype=int), np.arange(mesh.n_nodes + 1))
 
     def update(self, values: np.ndarray, lo: int, hi: int) -> None:
-        """Recompute the jumps of the impulses at nodes lo .. hi - 1 from values."""
-        hit = [(k, idx) for k, idx in enumerate(self.idx) if lo <= idx < hi]
-        for k, idx in hit:
+        """Recompute the jumps of the impulses at nodes lo .. hi - 1 from
+        values; a right-limit norm whose squares pass ~1e308 is inf."""
+        first, stop = self.reach[lo], self.reach[hi]
+        if first == stop:
+            return
+        for k in range(first, stop):
+            idx = self.idx[k]
             self.incs[k] = self.spec.impulses.apply(k, values[idx])
-            self.right_norms[idx] = _norms(values[idx] + self.incs[k])
-        if hit:
-            self.levels[1:] = self.spec.x0 + np.cumsum(self.incs, axis=0)
+            with np.errstate(over="ignore"):
+                self.right_norms[idx] = _norms(values[idx] + self.incs[k])
+        self.levels[1:] = self.spec.x0 + np.cumsum(self.incs, axis=0)
 
     def offsets(self, lo: int, hi: int) -> np.ndarray:
         """x0 plus the jumps that reach nodes lo .. hi - 1, as an (n, d) array."""
@@ -361,7 +352,9 @@ def _initial_iterate(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
 
 
 def _final_trajectory(spec: ProblemSpec, mesh: Mesh, values: np.ndarray) -> Trajectory:
-    rights = values[list(mesh.impulse_idx)] + _increments(spec, mesh, values)
+    jumps = _Jumps(spec, mesh)
+    jumps.update(values, 0, mesh.n_nodes)
+    rights = values[list(mesh.impulse_idx)] + jumps.incs
     return Trajectory(mesh=mesh, values=values, right_values=rights)
 
 
@@ -387,18 +380,6 @@ def _sweeps(spec, mesh, table, sampler, tol: float, max_iter: int):
             return values, g, history, stalled
 
 
-def _probe_stalls(spec: ProblemSpec, scheme: str, tol: float) -> bool | None:
-    """Whether at most PROBE_SWEEPS whole-mesh sweeps stall on the mesh of
-    step T / PROBE_NODES; None when the probe raises or overflows, so that
-    the fine solve then raises or reports as it does without a probe."""
-    try:
-        mesh = build_mesh(spec, spec.T / PROBE_NODES)
-        table = build_weights(mesh, spec.alpha, scheme)
-        return _sweeps(spec, mesh, table, _Sampler(spec, mesh), tol, PROBE_SWEEPS)[3]
-    except Exception:
-        return None
-
-
 def solve_picard(
     spec: ProblemSpec,
     mesh: Mesh,
@@ -407,23 +388,20 @@ def solve_picard(
     max_iter: int = 200,
 ) -> SolveReport:
     """Fixed-point iteration of the integral operator: whole-mesh sweeps
-    until they stall (_stalls), then windows of nodes left to right.  On
-    more than 32 * PROBE_NODES nodes, windows from the start when the
-    sweeps of the coarse probe mesh stall (_probe_stalls, which samples f
-    at up to PROBE_SWEEPS times its node count), and for a per-node RHS
-    (not spec.rhs.vectorized) whenever the probe neither raises nor
-    overflows.
+    until they stall (_stalls), then windows of nodes left to right.  A
+    per-node RHS (not spec.rhs.vectorized) on more than PER_NODE_WINDOWS
+    nodes starts in windows at the initial iterate.
 
     Stops when every node's update between consecutive iterates is at
     most tol in the sup norm; converged=False once some node has had
     max_iter sweeps otherwise.  iterations is the most sweeps any node
     had, residual_history holds the largest update at each sweep index
-    (whole-mesh sweeps, then window sweeps; probe sweeps are not counted)
-    and final_residual the largest last update.  A one-node window whose
-    update grows three sweeps in a row, or overflows, ends the solve
-    there, unconverged, with its node as stop_node.
+    (whole-mesh sweeps, then window sweeps) and final_residual the
+    largest last update.  A one-node window whose update grows three
+    sweeps in a row, or overflows, ends the solve there, unconverged,
+    with its node as stop_node.
     Raises SolverError when a whole-mesh update overflows (a diverging
-    iterate); a probe that raises or overflows changes nothing.
+    iterate).
     """
     if not (tol >= 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
@@ -431,10 +409,9 @@ def solve_picard(
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     table = build_weights(mesh, spec.alpha, scheme)
     sampler = _Sampler(spec, mesh)
-    probe = _probe_stalls(spec, scheme, tol) if mesh.n_nodes > 32 * PROBE_NODES else None
     # a per-node RHS pays per node: windows call it about 1.3 times a node,
     # whole-mesh sweeps at least twice; a vectorized one pays per batch
-    if probe is not None and (probe or not spec.rhs.vectorized):
+    if not spec.rhs.vectorized and mesh.n_nodes > PER_NODE_WINDOWS:
         values, history, stalled = _initial_iterate(spec, mesh), [], True
         g = np.zeros_like(values)  # node 0's sample; the windows sample the rest
         g[0] = sampler.sweep(0, values[:1], np.zeros(mesh.n_nodes))[0]
@@ -667,8 +644,10 @@ def solve_marching(spec: ProblemSpec, mesh: Mesh, scheme: str = "trapezoid") -> 
 def jump_residual(traj: Trajectory, spec: ProblemSpec) -> float:
     """max_k | right_k - left_k - I_k(left_k) |, zero without impulses."""
     mesh = traj.mesh
+    jumps = _Jumps(spec, mesh)
+    jumps.update(traj.values, 0, mesh.n_nodes)
     left = traj.values[list(mesh.impulse_idx)]
-    gaps = traj.right_values - left - _increments(spec, mesh, traj.values)
+    gaps = traj.right_values - left - jumps.incs
     return float(np.max(np.abs(gaps), initial=0.0))
 
 

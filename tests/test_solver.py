@@ -440,9 +440,9 @@ class TestWindows:
     # the dense-picard benchmark's problem with x0 = 1 and a jump of 0.5:
     # two whole-mesh sweeps and windows predicted from extrapolated
     # samples take 6.0 and 6.7 calls a node; a cubic through the solved
-    # values after three sweeps takes 7.95 and 8.65.  N = 4097 is probed,
-    # and windows from the initial iterate take 2.8 and 3.2 with a cubic
-    # in t, 1.65 and 2.22 with one in (t - t_p)^alpha
+    # values after three sweeps takes 7.95 and 8.65.  On N = 4097 a
+    # per-node f starts in windows at the initial iterate, which take 2.8
+    # and 3.2 with a cubic in t, 1.65 and 2.22 with one in (t - t_p)^alpha
     @pytest.mark.parametrize("lam, t1, limit", [(1.25, 0.5, 2.0), (2.0, 0.75, 2.6)])
     def test_rhs_calls_per_node(self, lam, t1, limit):
         calls = [0]
@@ -490,9 +490,8 @@ class TestWindows:
         # the middle dense-picard benchmark problem, f = -1.25 x called
         # node by node on N = 7169 nodes with one jump at 0.5: 4.9 calls a
         # node with 64-node windows, 3.8 with 32-node ones after whole-mesh
-        # sweeps, 1.9 when the probe mesh's sweeps stall and the windows
-        # start at the initial iterate, 1.27 when their predictor is a cubic
-        # in (t - t_p)^alpha instead of in t
+        # sweeps, 1.9 when the windows start at the initial iterate, 1.27
+        # when their predictor is a cubic in (t - t_p)^alpha instead of in t
         lam, x0, c, t1 = 1.25, 1.0, 0.5, 0.5
         calls = [0]
 
@@ -583,81 +582,68 @@ def _jump_problem(f, vectorized=False):
 
 
 class TestProbe:
-    """On more than 32 * PROBE_NODES nodes, whole-mesh sweeps of a coarse
-    probe mesh decide whether Picard starts in windows."""
+    """Which Picard solves on more than PER_NODE_WINDOWS nodes start in
+    windows: those of a per-node RHS.  Every other solve sweeps its own
+    mesh first, and no second mesh is solved."""
 
     @staticmethod
-    def _record_batches(monkeypatch):
+    def _record(monkeypatch):
+        """The batch sizes of every sampling and the nodes of every weight table built."""
         from fracimpulse import solver
 
-        sizes = []
-        sample = solver._sample
+        sizes, tables = [], []
+        sample, build = solver._sample, solver.build_weights
 
         def recording(f, vectorized, args, dim, what, where):
             sizes.append(args[0].size)
             return sample(f, vectorized, args, dim, what, where)
 
+        def building(mesh, *args, **kwargs):
+            tables.append(mesh.n_nodes)
+            return build(mesh, *args, **kwargs)
+
         monkeypatch.setattr(solver, "_sample", recording)
-        return sizes
+        monkeypatch.setattr(solver, "build_weights", building)
+        return sizes, tables
 
     @pytest.mark.parametrize("name", ["logistic", "delay-exp", "delay-plain"])
     def test_builtins_are_not_routed(self, name, monkeypatch):
-        # the probe's sweeps converge or keep contracting on the builtins at
-        # 2^-12 (N > 4096), so every batch is a whole mesh, the probe's or
-        # the solve's, and the report is bitwise the one without a probe
+        # config right-hand sides are vectorized, so the builtins at 2^-12
+        # (N > 4096) sweep their whole mesh: every batch is the whole mesh,
+        # and the solve builds its own table only
         from fracimpulse import solver
         from fracimpulse.config import builtin_example, parse_config
 
         cfg = parse_config(builtin_example(name))
         mesh = build_mesh(cfg.problem, 2.0**-12)
-        probe = build_mesh(cfg.problem, cfg.problem.T / solver.PROBE_NODES)
-        assert mesh.n_nodes > 32 * solver.PROBE_NODES
-        sizes = self._record_batches(monkeypatch)
+        assert mesh.n_nodes > solver.PER_NODE_WINDOWS and cfg.problem.rhs.vectorized
+        sizes, tables = self._record(monkeypatch)
         for scheme in ("trapezoid", "rectangle"):
             sizes.clear()
-            kwargs = dict(scheme=scheme, tol=cfg.tol, max_iter=cfg.max_iter)
-            rep = solve_picard(cfg.problem, mesh, **kwargs)
-            assert rep.converged and set(sizes) == {mesh.n_nodes, probe.n_nodes}
-            with monkeypatch.context() as m:
-                m.setattr(solver, "PROBE_NODES", mesh.n_nodes)
-                sizes.clear()
-                ref = solve_picard(cfg.problem, mesh, **kwargs)
-                assert set(sizes) == {mesh.n_nodes}
-            assert np.array_equal(rep.trajectory.values, ref.trajectory.values)
-            assert np.array_equal(rep.trajectory.right_values, ref.trajectory.right_values)
-            assert rep.residual_history == ref.residual_history
-            assert rep.final_residual == ref.final_residual
+            tables.clear()
+            rep = solve_picard(cfg.problem, mesh, scheme=scheme, tol=cfg.tol, max_iter=cfg.max_iter)
+            assert rep.converged and set(sizes) == {mesh.n_nodes}
+            assert tables == [mesh.n_nodes]
 
-    def test_routed_per_node_matches_vectorized(self, monkeypatch):
-        # N = 8193: the probe's sweeps stall, every batch of the solve's
-        # mesh is one window, and a per-node f gives the vectorized one's bits
-        from fracimpulse import solver
-
+    def test_routed_per_node_matches_vectorized(self):
+        # N = 8193: whole-mesh sweeps of -1.25 x stall at sweep 2, and the
+        # windows from the stalled iterate land on the bits of the per-node
+        # solve, which starts in windows at the initial iterate
         mesh = build_mesh(_jump_problem(lambda t, x: -x), 2.0**-13)
-        probe = build_mesh(_jump_problem(lambda t, x: -x), 1.0 / solver.PROBE_NODES)
         assert mesh.n_nodes == 8193
-        sizes = self._record_batches(monkeypatch)
-        reps = [
-            solve_picard(_jump_problem(lambda t, x: -1.25 * x, vectorized=v), mesh)
-            for v in (False, True)
-        ]
-        assert probe.n_nodes in sizes and max(set(sizes) - {probe.n_nodes}) <= solver.WINDOW
-        node, vec = reps
+        node, vec = (
+            solve_picard(_jump_problem(lambda t, x: -1.25 * x, vectorized=v), mesh) for v in (False, True)
+        )
         assert node.converged and vec.converged
         assert np.array_equal(node.trajectory.values, vec.trajectory.values)
         assert np.array_equal(node.trajectory.right_values, vec.trajectory.right_values)
-        assert node.residual_history == vec.residual_history and node.iterations == vec.iterations
-        # the unprobed solve, whole-mesh sweeps first, reaches the same fixed point
-        monkeypatch.setattr(solver, "PROBE_NODES", mesh.n_nodes)
-        ref = solve_picard(_jump_problem(lambda t, x: -1.25 * x, vectorized=True), mesh)
-        assert ref.converged and ref.iterations > vec.iterations
-        assert np.max(np.abs(vec.trajectory.values - ref.trajectory.values)) <= 1e-9
+        assert vec.iterations == node.iterations + 2
 
     def test_per_node_rhs_is_routed_without_a_stall(self, monkeypatch):
-        # whole-mesh sweeps of f = -0.6 x keep contracting, so the probe does
-        # not stall.  A per-node f still starts in windows, where it makes
-        # 1.15 calls a node against 19.1 in whole-mesh sweeps; a vectorized
-        # one, which pays per batch, keeps its whole-mesh sweeps and their bits
+        # whole-mesh sweeps of f = -0.6 x keep contracting.  A per-node f
+        # still starts in windows, where it makes 1.15 calls a node against
+        # 19.1 in whole-mesh sweeps; a vectorized one, which pays per batch,
+        # sweeps the whole mesh to tol
         from fracimpulse import solver
 
         calls = [0]
@@ -668,32 +654,23 @@ class TestProbe:
 
         node, vec = _jump_problem(f), _jump_problem(lambda t, x: -0.6 * x, vectorized=True)
         mesh = build_mesh(node, 2.0**-13)
-        probe = build_mesh(node, 1.0 / solver.PROBE_NODES)
         assert mesh.n_nodes == 8193
-        assert solver._probe_stalls(vec, "trapezoid", 1e-10) is False
-        sizes = self._record_batches(monkeypatch)
+        sizes, tables = self._record(monkeypatch)
         routed = solve_picard(node, mesh)
         assert routed.converged and calls[0] / mesh.n_nodes <= 1.5
-        assert probe.n_nodes in sizes and max(set(sizes) - {probe.n_nodes}) <= solver.WINDOW
+        assert max(sizes) <= solver.WINDOW and tables == [mesh.n_nodes]
         sizes.clear()
         swept = solve_picard(vec, mesh)
-        assert swept.converged and set(sizes) == {mesh.n_nodes, probe.n_nodes}
-        with monkeypatch.context() as m:
-            m.setattr(solver, "PROBE_NODES", mesh.n_nodes)
-            sizes.clear()
-            ref = solve_picard(vec, mesh)
-            assert set(sizes) == {mesh.n_nodes}
-        assert np.array_equal(swept.trajectory.values, ref.trajectory.values)
-        assert np.array_equal(swept.trajectory.right_values, ref.trajectory.right_values)
-        assert swept.residual_history == ref.residual_history
-        assert swept.final_residual == ref.final_residual
-        assert np.max(np.abs(routed.trajectory.values - ref.trajectory.values)) <= 1e-9
+        assert swept.converged and set(sizes) == {mesh.n_nodes}
+        assert np.max(np.abs(routed.trajectory.values - swept.trajectory.values)) <= 1e-9
 
     @pytest.mark.parametrize("vectorized", [False, True])
     def test_fine_mesh_errors_are_unchanged(self, vectorized):
-        # a probe that overflows or raises leaves the fine solve as it was:
-        # its first whole-mesh sweep overflows, or names the first fine node
-        # past t = 0.7, 5735 of 8193
+        # f = 1e160 overflows the squares of a whole-mesh update at sweep 1,
+        # which raises; windows from the initial iterate converge to the
+        # closed form x0 + 1e160 t^alpha / Gamma(alpha + 1), plus the jump
+        # past t = 0.5.  An f that raises names the first node past
+        # t = 0.7, 5735 of 8193, either way
         def boom(t, x):
             if np.any(np.asarray(t) > 0.7):
                 raise ValueError("boom")
@@ -701,8 +678,16 @@ class TestProbe:
 
         mesh = build_mesh(_jump_problem(lambda t, x: -x), 2.0**-13)
         huge = _jump_problem(lambda t, x: np.full_like(x, 1e160), vectorized)
-        with pytest.raises(SolverError, match=r"iterate diverged at sweep 1: residual overflow"):
-            solve_picard(huge, mesh)
+        if vectorized:
+            with pytest.raises(SolverError, match=r"iterate diverged at sweep 1: residual overflow"):
+                solve_picard(huge, mesh)
+        else:
+            rep = solve_picard(huge, mesh)
+            past = np.arange(mesh.n_nodes) > mesh.impulse_idx[0]
+            exact = 1.0 + 1e160 * mesh.nodes**0.5 / gamma(1.5) + 0.5 * past
+            assert rep.converged
+            assert np.max(np.abs(rep.trajectory.values[:, 0] / exact - 1.0)) <= 1e-14
+            assert abs(rep.trajectory.right_values[0, 0] / (exact[mesh.impulse_idx[0]] + 0.5) - 1.0) <= 1e-14
         with pytest.raises(SolverError, match=r"node 5735 \(t="):
             solve_picard(_jump_problem(boom, vectorized), mesh)
 
