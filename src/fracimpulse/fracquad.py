@@ -79,7 +79,7 @@ from itertools import accumulate
 import numpy as np
 
 from .exprlang import Expr, compile_expr, monomial
-from .problem import Mesh, MeshError, _on_grid, _one_step
+from .problem import Mesh, MeshError, _one_step
 from .special import _pow_diff, gamma
 
 __all__ = [
@@ -267,6 +267,11 @@ def _row(t: np.ndarray, j: int, alpha: float, scheme: str, out: np.ndarray) -> n
     if right is not None:
         out[1:] += right
     return out
+
+
+def _on_grid(nodes: np.ndarray, h: float) -> bool:
+    """Whether each node k is k h to within 1e-12 times the last node."""
+    return bool(np.all(np.abs(nodes - h * np.arange(nodes.size)) <= 1e-12 * nodes[-1]))
 
 
 def _inserted(mesh: Mesh, h: float) -> list[int]:

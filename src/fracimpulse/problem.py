@@ -15,9 +15,10 @@ right limit stored separately.
 
 Meshes place every impulse time exactly on a node and share one step h:
 either each segment's own uniform step, when these agree, or the grid
-k h with each off-grid impulse time inserted as a node.  When a delay is
-present a single global step is used and r must be an integer number of
-steps, so the delayed argument x(t - r) always lands on a node.
+k h with each off-grid impulse time inserted as a node.  A delay does
+not shape the mesh: the solvers read the delayed argument x(t - r) off
+the nodes, exactly where t - r is a node and by linear interpolation
+elsewhere.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class ProblemError(ValueError):
 
 
 class MeshError(ValueError):
-    """Mesh construction failure (refinement or commensurability)."""
+    """Mesh construction failure (a bad target_h or too many nodes)."""
 
 
 class SolverError(RuntimeError):
@@ -378,7 +379,7 @@ class RhsSpec:
 
 @dataclass(frozen=True)
 class DelaySpec:
-    """Finite delay r > 0 with history phi on [-r, 0].
+    """Finite delay r > 0 with history phi on [-r, 0]; r need not fit the mesh.
 
     history maps s in [-r, 0] to the state; sample_times optionally
     lists the knots of a sampled history so the sup-norm window can
@@ -489,13 +490,12 @@ class Mesh:
     with step seg_steps[j], and impulse_idx = boundary_idx[1:-1].  The
     steps agree to STEP_ULPS ulps.  On a grid k h with inserted nodes
     each is h, and the cells cut by an off-grid impulse are shorter.
-    delay_steps is the integer r/h for delay problems, else None.
+    Delay problems use the same meshes: r need not be a multiple of h.
     """
 
     nodes: np.ndarray
     boundary_idx: tuple[int, ...]
     seg_steps: tuple[float, ...]
-    delay_steps: int | None = None
 
     @property
     def impulse_idx(self) -> tuple[int, ...]:
@@ -521,18 +521,6 @@ def _one_step(steps) -> bool:
     return all(abs(steps[0] - h) <= STEP_ULPS * math.ulp(h) for h in steps)
 
 
-def _on_grid(nodes: np.ndarray, h: float) -> bool:
-    """Whether each node k is k h to within 1e-12 times the last node."""
-    return bool(np.all(np.abs(nodes - h * np.arange(nodes.size)) <= 1e-12 * nodes[-1]))
-
-
-def _count_is_integral(ratio: float) -> int | None:
-    k = round(ratio)
-    if k >= 1 and abs(ratio - k) <= 1e-9 * max(1.0, abs(ratio)):
-        return int(k)
-    return None
-
-
 def _check_nodes(n: int) -> None:
     if n > MAX_MESH_NODES:
         raise MeshError(f"mesh would need {n} nodes, over the {MAX_MESH_NODES} cap; enlarge target_h")
@@ -544,58 +532,21 @@ def build_mesh(spec: ProblemSpec, target_h: float) -> Mesh:
     Each inter-impulse segment gets ceil(length / target_h) equal steps
     if these agree to STEP_ULPS ulps; otherwise the nodes are the grid
     k h, h = T / ceil(T / target_h), plus each impulse time that is not
-    bitwise a grid node.  With a delay, one global step h = r/q is used
-    so that r and every segment are integer multiples of h and the nodes
-    are k h to 1e-12 T; if no such step exists within the node cap, a
-    MeshError says why.
+    bitwise a grid node.  A delay r plays no part: any r and impulse
+    layout get the mesh that the same problem without the delay gets.
     """
     target_h = float(target_h)
     if not (target_h > 0.0 and math.isfinite(target_h)):
         raise MeshError(f"target_h must be positive and finite, got {target_h!r}")
     edges = [0.0, *spec.impulses.times, spec.T]
     lengths = [b - a for a, b in zip(edges, edges[1:])]
-
-    if spec.delay is None:
-        counts = [max(1, math.ceil(L / target_h - 1e-12)) for L in lengths]
-        delay_steps = None
-    else:
-        r = spec.delay.r
-        q = max(1, math.ceil(r / target_h - 1e-12))
-        q_cap = math.ceil(r * MAX_MESH_NODES / spec.T) + 1
-        counts = None
-        while q <= q_cap:
-            h = r / q
-            if h <= target_h * (1.0 + 1e-12):
-                cand = [_count_is_integral(L / h) for L in lengths]
-                if all(c is not None for c in cand):
-                    if sum(cand) + 1 <= MAX_MESH_NODES:
-                        counts, delay_steps = cand, q
-                        break
-                    raise MeshError(
-                        f"delay-commensurate mesh needs {sum(cand) + 1} nodes, over the {MAX_MESH_NODES} "
-                        f"cap; enlarge target_h or choose commensurate delay/impulse times"
-                    )
-            q += 1
-        if counts is None:
-            raise MeshError(
-                f"no step h = r/q <= {target_h!r} divides every segment "
-                f"{lengths!r} evenly within the {MAX_MESH_NODES}-node cap; "
-                f"the delay r={r!r} and impulse layout are incommensurate"
-            )
-
+    counts = [max(1, math.ceil(L / target_h - 1e-12)) for L in lengths]
     seg_steps = tuple(L / n for L, n in zip(lengths, counts))
-    if spec.delay is not None or _one_step(seg_steps):
+    if _one_step(seg_steps):
         _check_nodes(sum(counts) + 1)
         segments = zip(edges, edges[1:], counts)
         nodes = np.concatenate([np.linspace(a, b, n + 1)[j > 0 :] for j, (a, b, n) in enumerate(segments)])
         boundary_idx = [0, *np.cumsum(counts).tolist()]
-        if not _one_step(seg_steps):  # commensurate to roundoff: the global step
-            seg_steps = (spec.delay.r / delay_steps,) * len(counts)
-            if not _on_grid(nodes, seg_steps[0]):
-                raise MeshError(
-                    f"the segments {lengths!r} are multiples of h = r/{delay_steps} only to 1e-9, "
-                    f"so their nodes miss the grid k h; choose commensurate delay/impulse times"
-                )
     else:  # the grid k h with the off-grid impulse times inserted
         n = math.ceil(spec.T / target_h - 1e-12)
         _check_nodes(n + 1)
@@ -610,12 +561,7 @@ def build_mesh(spec: ProblemSpec, target_h: float) -> Mesh:
     for tk, idx in zip(spec.impulses.times, boundary_idx[1:-1]):
         if nodes[idx] != tk:
             raise MeshError(f"impulse time {tk!r} failed to land on a node")
-
-    if spec.delay is not None:
-        back = nodes[delay_steps:] - spec.delay.r
-        if not np.allclose(back, nodes[: nodes.size - delay_steps], rtol=0.0, atol=1e-9):
-            raise MeshError("delayed argument fails to land on nodes")
-    return Mesh(nodes, tuple(boundary_idx), seg_steps, delay_steps)
+    return Mesh(nodes, tuple(boundary_idx), seg_steps)
 
 
 @dataclass(frozen=True)
@@ -691,24 +637,22 @@ def history_sup_norm(traj: Trajectory, delay: DelaySpec, t: float) -> float:
     Reads phi for s < 0 and the trajectory for s >= 0.  phi is sampled
     by the solvers' rule, so a history that fails or returns a
     non-finite value raises SolverError naming the time.  Sample points
-    are the mesh nodes inside the window, the delay-aligned grid points
-    in the negative part, any declared history sample times in the
+    are the mesh nodes inside the window, t - r and the lags t_l - r
+    below 0 of the nodes t_l > t (at a node t, where the solvers sample
+    the history of its window), any declared history sample times in the
     window, and both window endpoints.  Impulse nodes strictly inside
     the window contribute their left limit; an impulse node at the
-    window's left endpoint contributes its right limit.  A node counts
-    as on the window (and at an endpoint) to Mesh.node_index's 1e-12
-    relative, so t - r matches its node on non-dyadic steps too.
+    window's left endpoint contributes its right limit, and a left
+    endpoint inside a cell the interpolant of Trajectory.evaluate.  A
+    node counts as on the window (and at an endpoint) to
+    Mesh.node_index's 1e-12 relative, so t - r matches its node on
+    non-dyadic steps too.
     """
-    mesh = traj.mesh
-    if mesh.delay_steps is None:
-        raise ProblemError("history_sup_norm needs a mesh built with the delay")
-    t = float(t)
+    mesh, t = traj.mesh, float(t)
     nodes = mesh.nodes
     if t < 0.0 or t > nodes[-1]:
         raise ValueError(f"t={t!r} outside [0, T]")
-    r = delay.r
-    lo = t - r
-    h = r / mesh.delay_steps
+    lo = t - delay.r
 
     sup = 0.0
     # trajectory part: nodes in [max(lo, 0), t], left limits inside window
@@ -727,15 +671,12 @@ def history_sup_norm(traj: Trajectory, delay: DelaySpec, t: float) -> float:
     if mesh.node_index(t) is None:
         sup = max(sup, float(np.linalg.norm(traj.evaluate(t, "left"))))
 
-    # history part: delay-aligned grid offsets below zero, plus declared knots
+    # history part: t - r and the lags below zero of the nodes right of
+    # t, plus declared knots
     if lo < 0.0:
-        j_hi = int(math.floor(-lo / h + 1e-9))
-        ss = [lo + j * h for j in range(0, j_hi + 1)]
-        ss = [s for s in ss if s < 0.0]
-        ss.append(min(0.0, t))
-        for s in delay.sample_times:
-            if lo - 1e-12 <= s < 0.0:
-                ss.append(s)
+        lags = nodes[nodes > t] - delay.r
+        ss = [lo, *lags[lags < 0.0].tolist(), min(0.0, t)]
+        ss += [s for s in delay.sample_times if lo - 1e-12 <= s < 0.0]
         vals = _history_values(delay, np.array(ss), traj.dim)
         sup = max(sup, float(np.max(np.linalg.norm(vals, axis=1))))
     return sup

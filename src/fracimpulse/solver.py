@@ -53,7 +53,9 @@ a time, so a sweep holds one chunk of Python outputs, not one per node.
 Every sweep, of the mesh, of a window or of one corrector step, takes
 its jumps from _Jumps and stores its iterate on one delay grid
 (_DelayData) before it reads the lags and window sups of its nodes,
-their own |x| included, with an O(N) sliding max (_Sampler.sweep).
+their own |x| included, with an O(N) range max (_Sampler.sweep).  The
+delay grid fits any mesh: a lag t - r that is no node is the linear
+interpolant of the nodes around it.
 
 Right limits of a returned trajectory are rebuilt from the final left
 limits, so right - left = I_k(left) holds to roundoff.
@@ -100,6 +102,9 @@ STALL_SWEEPS = 64
 # of at most this degree through the solved samples to its left
 # (_Windows._extrapolate).
 PREDICTOR_DEGREE = 3
+# A Picard window stops once its update r <= tol and, at the last update
+# ratio rho < 1, r rho / (1 - rho) <= tol / SETTLE (_Windows._window).
+SETTLE = 4
 # Picard windows hold at most this many nodes: a larger block of
 # WeightTable.windows is solved as its halves (_Windows).
 WINDOW = 32
@@ -161,75 +166,118 @@ def _diverges(updates: list[float]) -> bool:
     return len(updates) >= 3 and updates[-3] < updates[-2] < updates[-1]
 
 
-def _sliding_max(a: np.ndarray, width: int) -> np.ndarray:
-    """out[k] = max(a[k : k + width]) for each full window of a, in O(len(a)).
+def _range_max(a: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """out[k] = max(a[first[k] : m + k + 1]), m = len(a) - len(first), for a
+    nondecreasing first with first[k] <= m + k: the maxima of the ranges
+    that end at the last len(first) entries of a, in O(len(a) w / v) for
+    ranges of widths v .. w.
 
-    van Herk / Gil-Werman: pad the tail with -inf, cut into blocks of
-    width, and combine each block's suffix max at k with the next
-    block's prefix max at k + width - 1.
+    van Herk / Gil-Werman: pad the tail with -inf and cut into blocks of
+    the narrowest range's width v.  A range is the suffix of first[k]'s
+    block, the prefix of its last entry's block and the whole blocks
+    between, at most w / v of them, each added in one pass over the
+    ranges.  With first[k] = k this is the sliding max of width m + 1.
     """
-    n = a.size - width + 1
+    n = first.size
+    m = a.size - n
+    ends = np.arange(m, a.size)
+    widths = ends - first
+    width = int(widths.min()) + 1
     blocks = -(-a.size // width)
     padded = np.full(blocks * width, -np.inf)
     padded[: a.size] = a
     cut = padded.reshape(blocks, width)
     prefix = np.maximum.accumulate(cut, axis=1).ravel()
-    suffix = np.maximum.accumulate(cut[:, ::-1], axis=1)[:, ::-1].ravel()
-    return np.maximum(suffix[:n], prefix[width - 1 : width - 1 + n])
+    suffix = np.maximum.accumulate(cut[:, ::-1], axis=1)[:, ::-1]
+    out = np.maximum(suffix.ravel()[first], prefix[m : a.size])
+    if widths.max() > width:
+        lo, hi = first // width, ends // width
+        for skip in range(1, int(np.max(hi - lo))):  # the whole blocks inside
+            inside = lo + skip < hi
+            out[inside] = np.maximum(out[inside], suffix[lo[inside] + skip, 0])
+    return out
 
 
 class _DelayData:
-    """Delay grid: rows 0 .. q-1 hold the history at -q h .. -h (sampled like
-    the RHS), row q + j node j once stored; norms holds |row|, 0 until then.
-    Node j's lag x(t_j - r) is row j, and its window [t_j - r, t_j] rows j .. j + q."""
+    """Delay grid: rows 0 .. p-1 hold the history, in time order, at the lags
+    t_i - r < 0 of the nodes below r and at the declared knots below 0
+    (sampled like the RHS), row p + i node i once stored; norms holds
+    |row|, 0 until then.
+
+    A node below r reads its lag x(t_j - r) from its own row.  Above, it
+    reads row p + i when t_j - r is node i (to Mesh.node_index's slack),
+    else the linear interpolant of nodes i and i + 1 around it, from node
+    i's right limit when node i is an impulse node (Trajectory.evaluate's
+    rule).  Node j's window [t_j - r, t_j] holds the rows first[j] .. p + j
+    and, for an interpolated lag, the lag itself."""
 
     def __init__(self, spec: ProblemSpec, mesh: Mesh):
-        delay = spec.delay
-        q = mesh.delay_steps
-        if q is None:
-            raise SolverError("delay problem requires a mesh built with the delay")
-        self.q = q
-        h = delay.r / q
+        delay, nodes, n = spec.delay, mesh.nodes, mesh.n_nodes
+        lags = nodes - delay.r
+        slack = 1e-12 * np.maximum(1.0, np.abs(lags))
+        at = np.searchsorted(nodes, lags - slack)  # the first node at or right of each lag
+        exact = nodes[at] <= lags + slack
+        below = int(np.count_nonzero(~exact[at == 0]))  # the nodes whose lag is below 0
+        times = np.sort(np.append(lags[:below], [s for s in delay.sample_times if s < 0.0]))
+        self.p = p = times.size
+        inside = ~exact & (np.arange(n) >= below)  # an interpolated lag, at and above 0
+        self.first = np.append(np.searchsorted(times, lags[:below] - 1e-12), p + at[below:])
+        self.lag_rows = np.append(np.searchsorted(times, lags[:below]), p + at[below:] - inside[below:])
+        # the nodes whose lag starts from a right limit, or lies inside a
+        # cell: after numbers the impulse at the lag's row (or is -1), and
+        # the lag is (1 - w) times its row, or that impulse's right limit,
+        # plus w times the next row (w = 0 on a node)
+        impulse = np.full(p + n, -1)
+        impulse[p + np.array(mesh.impulse_idx, dtype=int)] = np.arange(len(mesh.impulse_idx))
+        after = impulse[self.lag_rows]
+        special = inside | (after >= 0)
+        self.special, self.count = np.flatnonzero(special), np.cumsum(np.append(0, special))
+        self.after, self.moves = after[special], inside[special]
+        left = self.lag_rows[special] - p
+        w = (lags[special] - nodes[left]) / (nodes[left + 1] - nodes[left])
+        self.w = np.where(self.moves, w, 0.0)[:, None]
 
         # sampled from t = 0 down, so an error names the failure nearest 0
-        phi = _history_values(delay, -np.arange(q + 1) * h, spec.dim)
-        self.rows = np.zeros((q + mesh.n_nodes, spec.dim))
-        self.norms = np.zeros(q + mesh.n_nodes)
-        self.rows[:q] = phi[q:0:-1]
-        self.norms[:q] = _norms(self.rows[:q])
-        # knots join the windows of nodes i < q, which reach below t = 0:
-        # a suffix max over the knots at or right of the window's left end
-        knots = np.array(sorted(s for s in delay.sample_times if s < 0.0))
-        self.knot_sups = None
-        if knots.size:
-            knot_norms = _norms(_history_values(delay, knots, spec.dim))
-            first = np.searchsorted(knots, (np.arange(min(q, mesh.n_nodes)) - q) * h - 1e-12)
-            suffix = np.maximum.accumulate(knot_norms[::-1])[::-1]
-            self.knot_sups = np.append(suffix, -np.inf)[first]
+        phi = _history_values(delay, np.append(0.0, times[::-1]), spec.dim)
+        self.rows = np.zeros((p + n, spec.dim))
+        self.norms = np.zeros(p + n)
+        self.rows[:p] = phi[p:0:-1]
+        self.norms[:p] = _norms(self.rows[:p])
 
     def store(self, start: int, x: np.ndarray) -> None:
         """Write the (n, d) rows of nodes start .. start + n - 1 and their norms."""
-        at = slice(self.q + start, self.q + start + len(x))
+        at = slice(self.p + start, self.p + start + len(x))
         self.rows[at] = x
         self.norms[at] = _norms(x)
 
-    def window(self, start: int, stop: int, right_norms: np.ndarray):
+    def window(self, start: int, stop: int, jumps: _Jumps):
         """Lags (n, d) and window sups (n,) of nodes start .. stop - 1.
 
-        Node j's sup is the max of norms[j : j + q + 1] (impulse nodes by
-        their left limits), of the declared knots when j < q, and of
-        right_norms[j - q], the (N,) right-limit norms, 0 off impulse nodes.
+        Node j's sup is the max of norms[first[j] : p + j + 1] (impulse
+        nodes by their left limits, knots in the window included), of the
+        right limit jumps.rights[k] when its lag is impulse k's node, and
+        of |lag| when the lag is interpolated.  Declared knots widen the
+        windows below r, so K knots cost _range_max K / q more passes.
         """
-        q = self.q
-        span = self.norms[start : stop + q]
-        sups = span.max(keepdims=True) if stop - start == 1 else _sliding_max(span, q + 1)
-        if start < q and self.knot_sups is not None:
-            k = min(stop, q) - start
-            sups[:k] = np.maximum(sups[:k], self.knot_sups[start : start + k])
-        lo = max(start, q)
-        if lo < stop:
-            sups[lo - start :] = np.maximum(sups[lo - start :], right_norms[lo - q : stop - q])
-        return self.rows[start:stop], sups
+        p, first = self.p, self.first
+        span = self.norms[first[start] : p + stop]
+        if stop - start == 1:
+            sups = span.max(keepdims=True)
+        else:
+            sups = _range_max(span, first[start:stop] - first[start])
+        lags = self.rows[self.lag_rows[start:stop]]
+        a, b = self.count[start], self.count[stop]
+        if a < b:
+            at = self.special[a:b]
+            left = lags[at - start]
+            after = self.after[a:b]
+            left[after >= 0] = jumps.rights[after[after >= 0]]
+            with np.errstate(over="ignore"):
+                lag = (1.0 - self.w[a:b]) * left + self.w[a:b] * self.rows[self.first[at]]
+                sups[at - start] = np.maximum(sups[at - start], _norms(lag))
+            moves = self.moves[a:b]
+            lags[at[moves] - start] = lag[moves]
+        return lags, sups
 
 
 class _Sampler:
@@ -265,15 +313,16 @@ class _Sampler:
         self.times = mesh.nodes
         self.delay = _DelayData(spec, mesh) if spec.delay is not None else None
 
-    def sweep(self, start: int, x: np.ndarray, right_norms: np.ndarray) -> np.ndarray:
+    def sweep(self, start: int, x: np.ndarray, jumps: _Jumps) -> np.ndarray:
         """f at nodes start .. start + n - 1 from the (n, d) iterate x, which
         a delay RHS stores on the delay grid before it reads the lags and
-        window sups of those nodes, their own |x| included."""
+        window sups of those nodes, their own |x| included, with the right
+        limits of jumps."""
         dd = self.delay
         if dd is None:
             return self(start, x)
         dd.store(start, x)
-        return self(start, x, *dd.window(start, start + x.shape[0], right_norms))
+        return self(start, x, *dd.window(start, start + x.shape[0], jumps))
 
     def __call__(self, start: int, x, x_lag=None, sups=None) -> np.ndarray:
         """f at nodes start .. start + n - 1 from (n, d) x and x_lag, (n,) sups."""
@@ -303,29 +352,27 @@ class _Sampler:
 
 class _Jumps:
     """The increments I_k at an iterate's left limits as of the last update
-    of their nodes (0 before), and the (N,) right-limit norms that delay
-    sups read.  reach[j], for j = 0 .. N + 1, counts the impulses left of
-    node j, and node j's offset is levels[reach[j]]: x0 plus the prefix
-    sum of the increments of those impulses."""
+    of their nodes (0 before), and the right limits left + I_k that delay
+    lags and sups read.  reach[j], for j = 0 .. N + 1, counts the impulses
+    left of node j, and node j's offset is levels[reach[j]]: x0 plus the
+    prefix sum of the increments of those impulses."""
 
     def __init__(self, spec: ProblemSpec, mesh: Mesh):
         self.spec, self.idx = spec, mesh.impulse_idx
         self.incs = np.zeros((len(self.idx), spec.dim))
-        self.right_norms = np.zeros(mesh.n_nodes)
+        self.rights = np.zeros_like(self.incs)
         self.levels = spec.x0 + np.zeros((len(self.idx) + 1, spec.dim))
         self.reach = np.searchsorted(np.array(self.idx, dtype=int), np.arange(mesh.n_nodes + 1))
 
     def update(self, values: np.ndarray, lo: int, hi: int) -> None:
-        """Recompute the jumps of the impulses at nodes lo .. hi - 1 from
-        values; a right-limit norm whose squares pass ~1e308 is inf."""
+        """Recompute the jumps of the impulses at nodes lo .. hi - 1 from values."""
         first, stop = self.reach[lo], self.reach[hi]
         if first == stop:
             return
         for k in range(first, stop):
             idx = self.idx[k]
             self.incs[k] = self.spec.impulses.apply(k, values[idx])
-            with np.errstate(over="ignore"):
-                self.right_norms[idx] = _norms(values[idx] + self.incs[k])
+            self.rights[k] = values[idx] + self.incs[k]
         self.levels[1:] = self.spec.x0 + np.cumsum(self.incs, axis=0)
 
     def offsets(self, lo: int, hi: int) -> np.ndarray:
@@ -354,8 +401,7 @@ def _initial_iterate(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
 def _final_trajectory(spec: ProblemSpec, mesh: Mesh, values: np.ndarray) -> Trajectory:
     jumps = _Jumps(spec, mesh)
     jumps.update(values, 0, mesh.n_nodes)
-    rights = values[list(mesh.impulse_idx)] + jumps.incs
-    return Trajectory(mesh=mesh, values=values, right_values=rights)
+    return Trajectory(mesh=mesh, values=values, right_values=jumps.rights)
 
 
 def _sweeps(spec, mesh, table, sampler, tol: float, max_iter: int):
@@ -368,7 +414,7 @@ def _sweeps(spec, mesh, table, sampler, tol: float, max_iter: int):
     jumps = _Jumps(spec, mesh)
     while True:
         jumps.update(values, 0, mesh.n_nodes)
-        g = sampler.sweep(0, values, jumps.right_norms)
+        g = sampler.sweep(0, values, jumps)
         new = jumps.offsets(0, mesh.n_nodes) + table.apply(g)
         residual = _residual(new, values)
         if residual == math.inf:
@@ -393,13 +439,15 @@ def solve_picard(
     nodes starts in windows at the initial iterate.
 
     Stops when every node's update between consecutive iterates is at
-    most tol in the sup norm; converged=False once some node has had
-    max_iter sweeps otherwise.  iterations is the most sweeps any node
-    had, residual_history holds the largest update at each sweep index
-    (whole-mesh sweeps, then window sweeps) and final_residual the
-    largest last update.  A one-node window whose update grows three
-    sweeps in a row, or overflows, ends the solve there, unconverged,
-    with its node as stop_node.
+    most tol in the sup norm, and a window's updates also bound its
+    distance to its own fixed point by tol / SETTLE; converged=False
+    once some node has had max_iter sweeps with an update over tol.
+    iterations is the most sweeps any node had, residual_history holds
+    the largest update at each sweep index (whole-mesh sweeps, then
+    window sweeps) and final_residual the largest last update.  A
+    one-node window whose update grows three sweeps in a row, or
+    overflows, ends the solve there, unconverged, with its node as
+    stop_node.
     Raises SolverError when a whole-mesh update overflows (a diverging
     iterate).
     """
@@ -414,7 +462,7 @@ def solve_picard(
     if not spec.rhs.vectorized and mesh.n_nodes > PER_NODE_WINDOWS:
         values, history, stalled = _initial_iterate(spec, mesh), [], True
         g = np.zeros_like(values)  # node 0's sample; the windows sample the rest
-        g[0] = sampler.sweep(0, values[:1], np.zeros(mesh.n_nodes))[0]
+        g[0] = sampler.sweep(0, values[:1], _Jumps(spec, mesh))[0]
     else:
         values, g, history, stalled = _sweeps(spec, mesh, table, sampler, tol, max_iter)
     stop_node = None
@@ -470,6 +518,8 @@ class _Windows:
     Before its first sweep a window, except the first one at node 1,
     takes offsets + base + near @ g_hat, where g_hat extrapolates the
     samples of its smooth piece (_extrapolate); this costs no call of f.
+    A window stops once its update is at most tol and, by the ratio of
+    its last two updates, it lies within tol / SETTLE of its fixed point.
     A window whose own sweeps stall (_stalls), or whose update overflows,
     is solved again as its two halves, each predicted again (the right
     one off the finished left one), down to one node, where a sweep is
@@ -513,7 +563,7 @@ class _Windows:
                 jumps.update(values, lo, hi)
                 known = jumps.offsets(lo, hi) + base
             x = values[lo:hi]
-            g[lo:hi] = self.sampler.sweep(lo, x, jumps.right_norms)
+            g[lo:hi] = self.sampler.sweep(lo, x, jumps)
             new = known + near @ g[lo:hi]
             residual = _residual(new, x)
             hist.append(residual)
@@ -523,8 +573,9 @@ class _Windows:
             else:
                 history.append(residual)
             values[lo:hi] = new
-            if residual <= self.tol:
-                break
+            rho = residual / hist[-2] if len(hist) > 1 else 0.0
+            if residual <= self.tol and (rho >= 1.0 or SETTLE * residual * rho <= self.tol * (1.0 - rho)):
+                break  # settled: its error is frozen into every window to its right
             if hi - lo == 1:
                 if residual == math.inf or _diverges(hist):
                     self.worst = max(self.worst, residual)
@@ -595,7 +646,7 @@ def solve_marching(spec: ProblemSpec, mesh: Mesh, scheme: str = "trapezoid") -> 
     jumps = _Jumps(spec, mesh)
     values = np.tile(spec.x0, (mesh.n_nodes, 1))
     g = np.zeros_like(values)
-    g[0] = sampler.sweep(0, values[:1], jumps.right_norms)[0]
+    g[0] = sampler.sweep(0, values[:1], jumps)[0]
     predictions = None
     if scheme == "trapezoid":  # the rectangle value predicts the corrector
         predictions = _rows(build_weights(mesh, spec.alpha, "rectangle"), g)
@@ -611,7 +662,7 @@ def solve_marching(spec: ProblemSpec, mesh: Mesh, scheme: str = "trapezoid") -> 
             known, x = x, offset + next(predictions)[1]
             gaps: list[float] = []
             for count in range(1, MAX_CORRECTIONS + 1):
-                nxt = known + wjj * sampler.sweep(j, x[None, :], jumps.right_norms)[0]
+                nxt = known + wjj * sampler.sweep(j, x[None, :], jumps)[0]
                 gaps.append(float(np.abs(nxt - x).max()))
                 x = nxt
                 met = gaps[-1] <= CORRECTOR_TOL * (1.0 + float(np.abs(x).max()))
@@ -625,7 +676,7 @@ def solve_marching(spec: ProblemSpec, mesh: Mesh, scheme: str = "trapezoid") -> 
         values[j] = x
         if stop_node is not None:
             break  # the nodes to the right keep x0
-        g[j] = sampler.sweep(j, values[j : j + 1], jumps.right_norms)[0]
+        g[j] = sampler.sweep(j, values[j : j + 1], jumps)[0]
         jumps.update(values, j, j + 1)
 
     return SolveReport(

@@ -147,7 +147,9 @@ def lp_seminorm(g: Callable[[float], float], p: float, T: float) -> float:
     raises the ValueError of Envelope.__call__, and a result too large
     for a double raises SeminormError.  A plain callable is integrated
     by composite 16-point Gauss-Legendre quadrature with panel doubling
-    until the relative change drops below 1e-10, capped at 2^20 nodes.
+    until the seminorm's relative change drops below 1e-10 twice in a
+    row (across a kink two levels can agree once by chance), capped at
+    2^20 nodes.
     The quadrature integrates (g/M)^{1/p}, M the largest sampled value,
     and multiplies M back after the power, so g^{1/p} can neither
     underflow to 0 nor overflow for small p.  A quadrature that does
@@ -178,9 +180,9 @@ def lp_seminorm(g: Callable[[float], float], p: float, T: float) -> float:
         weights = (half[:, None] * gl_weights[None, :]).ravel()
         return float(weights @ (vals / scale) ** inv_p), scale
 
-    panels = 1
+    panels, agreed = 1, 0
     prev, scale = level(panels, 0.0)
-    while True:
+    while agreed < 2:
         panels *= 2
         if panels * _PANEL_ORDER > _SEMINORM_MAX_NODES:
             raise SeminormError(
@@ -192,8 +194,7 @@ def lp_seminorm(g: Callable[[float], float], p: float, T: float) -> float:
         if new_scale > scale:  # a larger sample: restate prev in the new scale
             prev *= (scale / new_scale) ** inv_p
             scale = new_scale
-        if abs(cur - prev) <= _SEMINORM_REL_TOL * max(abs(cur), 1e-300):
-            break
+        agreed = agreed + 1 if abs(cur**p - prev**p) <= _SEMINORM_REL_TOL * max(cur**p, 1e-300) else 0
         prev = cur
     return scale * cur**p
 

@@ -21,7 +21,7 @@ from fracimpulse.problem import (
     build_mesh,
     history_sup_norm,
 )
-from fracimpulse.solver import _DelayData
+from fracimpulse.solver import _DelayData, _Jumps
 
 
 def _plain_spec(T=1.0, times=(), jumps=None, alpha=0.5, x0=1.0, **impulse_kwargs):
@@ -386,48 +386,56 @@ class TestBuildMesh:
     def test_delay_global_step_alignment(self):
         spec = _delay_spec(r=0.5, times=(0.5,))
         mesh = build_mesh(spec, 2.0**-4)
-        q = mesh.delay_steps
-        assert q == 8  # h = 0.5/8 = 2^-4 divides both segments
+        # h = 2^-4 divides r: each lag t_j - 0.5 is the node j - 8, bitwise
         n = mesh.n_nodes
-        assert np.allclose(mesh.nodes[q:] - 0.5, mesh.nodes[: n - q], atol=1e-12)
+        assert [mesh.node_index(t - 0.5) for t in mesh.nodes[8:]] == list(range(n - 8))
+        assert np.array_equal(mesh.nodes[8:] - 0.5, mesh.nodes[: n - 8])
 
     def test_delay_step_refines_to_fit(self):
-        # r = 0.5 with target 0.3 forces h = 0.25
+        # r = 0.5 with target 0.3 gives h = 0.25, as without the delay
         spec = _delay_spec(r=0.5, times=(0.5,), T=1.0)
         mesh = build_mesh(spec, 0.3)
-        assert mesh.delay_steps == 2
         assert mesh.seg_steps == (0.25, 0.25)
+        assert mesh.nodes.tolist() == build_mesh(_plain_spec(times=(0.5,)), 0.3).nodes.tolist()
 
     def test_delay_segments_off_by_roundoff_take_the_global_step(self):
         # 3.3/66, 0.1/2 and 1.6/32 are all 0.05 but differ by more than
-        # STEP_ULPS ulps: the delay mesh keeps its nodes, and its weights
-        # one step, r/q
+        # STEP_ULPS ulps: the mesh is the grid k 0.05 with 3.3 and 3.4,
+        # which are not bitwise grid nodes, inserted, and its weights one step
         spec = _delay_spec(r=0.1, T=5.0, times=(3.3, 3.4))
         mesh = build_mesh(spec, 0.05)
-        assert mesh.delay_steps == 2 and mesh.seg_steps == (0.05, 0.05, 0.05)
-        assert mesh.boundary_idx == (0, 66, 68, 100)
+        assert mesh.seg_steps == (0.05, 0.05, 0.05)
+        assert mesh.n_nodes == 103 and mesh.boundary_idx == (0, 66, 69, 102)
+        assert mesh.nodes[[66, 69]].tolist() == [3.3, 3.4]
         table = build_weights(mesh, 0.5, "trapezoid")
         W, g = table.dense(), np.cos(mesh.nodes)
         assert np.all(np.abs(table.apply(g) - W @ g) <= 1e-12 * (np.abs(W) @ np.abs(g)))
+        assert solver.solve_picard(spec, mesh).converged
 
-    def test_delay_segments_off_the_step_grid_are_refused(self):
-        # 0.3 + 1e-10 is 6 steps of 0.05 only to 1e-9, so its segments'
-        # nodes would lie up to 1e-10 off the grid k h that the weights use
+    def test_delay_segments_off_the_step_grid_get_an_inserted_node(self):
+        # 0.3 + 1e-10 is 6 steps of 0.05 only to 1e-9: it is inserted into
+        # the grid k 0.05, and its own lag falls inside a cell
         spec = _delay_spec(r=0.1, T=1.0, times=(0.3 + 1e-10,))
-        with pytest.raises(MeshError, match="miss the grid k h; choose commensurate"):
-            build_mesh(spec, 0.05)
+        mesh = build_mesh(spec, 0.05)
+        grid = np.linspace(0.0, 1.0, 21)
+        assert mesh.nodes.tolist() == np.insert(grid, 7, 0.3 + 1e-10).tolist()
+        assert mesh.node_index(mesh.nodes[7] - 0.1) is None
+        assert solver.solve_marching(spec, mesh).converged
 
-    def test_delay_node_cap_names_the_delay(self):
-        # h = 2^-15 = r/16384 is the first commensurate step, one node too many
-        spec = _delay_spec(r=0.5, times=(0.5,))
-        with pytest.raises(MeshError, match="delay-commensurate mesh needs 32769 nodes.*commensurate"):
-            build_mesh(spec, 2.0**-15)
+    def test_delay_node_cap_is_the_plain_cap(self):
+        # 2^15 steps need one node over the cap, with or without the delay
+        for spec in (_delay_spec(r=0.5, times=(0.5,)), _plain_spec(times=(0.5,))):
+            with pytest.raises(MeshError, match=r"^mesh would need 32769 nodes, over the 32768 cap"):
+                build_mesh(spec, 2.0**-15)
 
-    def test_incommensurate_delay_fails(self):
-        # r irrational relative to the segment layout: no h = r/q divides 0.5
+    def test_incommensurate_delay_gets_the_plain_mesh(self):
+        # no step r/q divides 0.5 for r = sqrt(2)/4; the mesh is the
+        # delay-free one, and every lag above 0 lies inside a cell
         spec = _delay_spec(r=2.0 ** 0.5 / 4.0, times=(0.5,))
-        with pytest.raises(MeshError, match="incommensurate"):
-            build_mesh(spec, 0.1)
+        mesh = build_mesh(spec, 0.1)
+        assert mesh.nodes.tolist() == build_mesh(_plain_spec(times=(0.5,)), 0.1).nodes.tolist()
+        assert all(mesh.node_index(t - spec.delay.r) is None for t in mesh.nodes)
+        assert solver.solve_picard(spec, mesh).converged
 
 
 class TestTrajectory:
@@ -538,13 +546,13 @@ class TestHistorySupNorm:
             mesh=mesh, values=np.zeros((mesh.n_nodes, 1)), right_values=np.array([[7.0]])
         )
         i = mesh.node_index(0.7)
-        assert i is not None and 0.7 - 0.3 != mesh.nodes[i - mesh.delay_steps]
+        assert i is not None and 0.7 - 0.3 != mesh.nodes[i - 6]
         assert history_sup_norm(traj, spec.delay, 0.7) == 7.0
         dd = _DelayData(spec, mesh)
-        right_norms = np.zeros(mesh.n_nodes)
-        right_norms[mesh.impulse_idx[0]] = 7.0
-        assert dd.window(i, i + 1, right_norms)[1].tolist() == [7.0]
-        assert dd.window(0, mesh.n_nodes, right_norms)[1][i] == 7.0
+        jumps = _Jumps(spec, mesh)
+        jumps.rights[0] = 7.0
+        assert dd.window(i, i + 1, jumps)[1].tolist() == [7.0]
+        assert dd.window(0, mesh.n_nodes, jumps)[1][i] == 7.0
 
     def test_non_finite_history_raises_like_the_solver(self):
         # a NaN history value used to drop out of max(sup, nan); solve_picard
@@ -557,7 +565,8 @@ class TestHistorySupNorm:
         traj = Trajectory(
             mesh=mesh, values=np.ones((mesh.n_nodes, 1)), right_values=np.zeros((0, 1))
         )
-        for t, s in ((0.0, "-0.375"), (0.1, "-0.275")):
+        # between nodes the window samples t - r and then the node lags
+        for t, s in ((0.0, "-0.375"), (0.1, "-0.375")):
             with pytest.raises(SolverError, match=rf"^history at t={s} returned a non-finite value$"):
                 history_sup_norm(traj, spec.delay, t)
         with pytest.raises(SolverError, match=r"^history at t=-0.25 returned a non-finite value$"):
@@ -580,15 +589,16 @@ class TestHistorySupNorm:
         assert history_sup_norm(traj, delay, 0.0) == 0.5
         assert calls == [(9,)]  # the grid -0.5, -0.4375, ..., -0.0625 and 0
 
-    def test_needs_delay_mesh(self):
+    def test_any_mesh_serves(self):
+        # a mesh built without the delay: r = 0.3 is no multiple of 0.25
         plain = _plain_spec()
         mesh = build_mesh(plain, 0.25)
         traj = Trajectory(
             mesh=mesh, values=np.zeros((mesh.n_nodes, 1)), right_values=np.zeros((0, 1))
         )
-        delay = DelaySpec(r=0.5, history=lambda s: np.array([1.0]))
-        with pytest.raises(ProblemError):
-            history_sup_norm(traj, delay, 0.5)
+        delay = DelaySpec(r=0.3, history=lambda s: np.array([1.0 - s]))
+        assert history_sup_norm(traj, delay, 0.25) == pytest.approx(1.05)
+        assert history_sup_norm(traj, delay, 0.5) == 0.0
 
     def test_sampled_history_knots_enter_window(self):
         # piecewise linear history peaking between delay-grid points

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fracimpulse import certify, exprlang
@@ -16,7 +16,6 @@ from fracimpulse.config import builtin_example, parse_config
 from fracimpulse.problem import (
     DelaySpec,
     ImpulseSchedule,
-    Mesh,
     ProblemError,
     ProblemSpec,
     RhsSpec,
@@ -26,7 +25,7 @@ from fracimpulse.problem import (
     build_mesh,
     history_sup_norm,
 )
-from fracimpulse.solver import SolverError, _DelayData, solve_marching, solve_picard
+from fracimpulse.solver import SolverError, _DelayData, _Jumps, solve_marching, solve_picard
 
 PROPERTY = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -35,75 +34,113 @@ PROPERTY = settings(
 
 @st.composite
 def delay_windows(draw, max_dim=2):
-    """A delay mesh with a dyadic step (node times and window ends are
-    exact) or any other step (t - r then misses its node by rounding),
-    a history with knots, and a random iterate of dimension 1 .. max_dim
-    whose right limits often dominate.  q may exceed the node count, so
-    every node can sit below q; when some window starts on a node, one
-    impulse sits at a window's left endpoint."""
+    """A delay problem on its mesh from build_mesh, with a dyadic step
+    (node times and window ends are exact) or any other step, and a
+    delay that is a multiple of the step (t - r then meets its node,
+    bitwise or to rounding) or not (lags above 0 fall inside cells, and
+    r < h puts them in the node's own cell).  Up to five impulses sit on
+    grid nodes or off them, as inserted nodes.  A history with knots,
+    and a random iterate of dimension 1 .. max_dim whose right limits
+    often dominate.  r may exceed T, so every node can sit below r; when
+    r is a multiple of the step, one impulse often sits at a window's
+    left endpoint."""
     h = draw(st.one_of(st.integers(3, 6).map(lambda k: 2.0**-k), st.floats(0.01, 0.2)))
     steps = draw(st.integers(4, 120))
-    q = draw(st.integers(1, steps + 10))
     d = draw(st.integers(1, max_dim))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    cuts = set(draw(st.sets(st.integers(1, steps - 1), max_size=3)))
-    if steps - q >= 1:
-        cuts.add(draw(st.integers(1, min(steps - q, steps - 1))))
-    cuts = sorted(cuts)
-    mesh = Mesh(
-        nodes=h * np.arange(steps + 1.0),
-        boundary_idx=(0, *cuts, steps),
-        seg_steps=(h,) * (len(cuts) + 1),
-        delay_steps=q,
-    )
-    r = q * h
+    grid = np.linspace(0.0, steps * h, steps + 1)
+    cuts = set(draw(st.sets(st.integers(1, steps - 1), max_size=2)))
+    if draw(st.booleans()):
+        q = draw(st.integers(1, steps + 10))
+        r = q * h
+        if steps - q >= 1:
+            cuts.add(draw(st.integers(1, min(steps - q, steps - 1))))
+    else:
+        r = h * draw(st.floats(0.3, steps + 10.0))
+    times = {float(grid[k]) for k in cuts}
+    times |= {float(t) for t in rng.uniform(0.0, grid[-1], size=draw(st.integers(0, 2)))}
+    times = sorted(t for t in times if 0.0 < t < grid[-1])
     # tents narrower than a step, centred on the knots: a knot off the
-    # grid is often the largest history value in its window
+    # grid is often the largest history value in its window; a wave of
+    # about a step's period between them, so that the history points of
+    # a window decide its sup
     knots = [float(s) for s in rng.uniform(-r, 0.0, size=draw(st.integers(0, 4)))]
-    knots.append(-h * float(rng.integers(0, q + 1)))  # one knot on the grid
+    knots.append(-h * float(rng.integers(0, int(r / h) + 1)))  # one knot on the step grid
     base, peaks = rng.uniform(-0.5, 0.5, d), rng.uniform(0.0, 3.0, (len(knots), d))
+    wave = rng.uniform(0.0, 1.0, d)
 
     def history(s):
         tents = np.maximum(0.0, 1.0 - np.abs(s - np.array(knots)) / (h / 4))
-        return base + tents @ peaks
+        return base + tents @ peaks + wave * np.sin(5.0 * s / h)
 
     spec = ProblemSpec(
         alpha=0.5,
-        T=steps * h,
+        T=float(grid[-1]),
         rhs=RhsSpec(kind="delay", f=lambda t, x, xr, sup: x),
+        impulses=ImpulseSchedule(times=times, jumps=tuple(lambda x: x for _ in times)),
         delay=DelaySpec(r=r, history=history, sample_times=tuple(knots)),
     )
-    values = 0.5 * rng.normal(size=(steps + 1, d))
+    mesh = build_mesh(spec, h)
+    values = 0.5 * rng.normal(size=(mesh.n_nodes, d))
     values[0] = spec.x0  # x(0) = phi(0)
-    rights = 3.0 * rng.normal(size=(len(cuts), d))
+    rights = 3.0 * rng.normal(size=(len(times), d))
     return spec, mesh, values, rights
 
 
-def _right_norms(mesh, rights):
-    """The (N,) right-limit norms a window reads: 0 off impulse nodes."""
-    out = np.zeros(mesh.n_nodes)
-    out[list(mesh.impulse_idx)] = np.linalg.norm(rights, axis=1)
-    return out
+def _jumps(spec, mesh, rights):
+    """A _Jumps holding the right limits rights, whatever the jump maps."""
+    jumps = _Jumps(spec, mesh)
+    jumps.rights[:] = rights
+    return jumps
 
 
 @PROPERTY
 @given(case=delay_windows())
 def test_batched_window_sups_match_per_node_and_oracle(case):
     spec, mesh, values, rights = case
-    n, q = mesh.n_nodes, mesh.delay_steps
-    right_norms = _right_norms(mesh, rights)
+    n, r = mesh.n_nodes, spec.delay.r
+    jumps = _jumps(spec, mesh, rights)
     dd = _DelayData(spec, mesh)
     dd.store(0, values)
-    lags, sups = dd.window(0, n, right_norms)
-    per_node = [dd.window(i, i + 1, right_norms) for i in range(n)]
+    lags, sups = dd.window(0, n, jumps)
+    per_node = [dd.window(i, i + 1, jumps) for i in range(n)]
     # max never rounds: bitwise
     assert np.concatenate([s for _, s in per_node]).tobytes() == sups.tobytes()
     assert np.concatenate([lag for lag, _ in per_node]).tobytes() == lags.tobytes()
-    h = spec.delay.r / q
-    below = [spec.delay.history((i - q) * h) for i in range(min(q, n))]
-    expected = np.concatenate([np.reshape(below, (-1, values.shape[1])), values[: max(n - q, 0)]])
-    assert lags.tobytes() == expected.tobytes()
+    # a lag on a node reads it, below 0 the history, else the interpolant
     traj = Trajectory(mesh=mesh, values=values, right_values=rights)
+    expected = []
+    for t in mesh.nodes.tolist():
+        i = mesh.node_index(t - r)
+        if i is not None:
+            expected.append(values[i])
+        else:
+            expected.append(spec.delay.history(t - r) if t - r < 0.0 else traj.evaluate(t - r))
+    assert lags.tobytes() == np.reshape(expected, lags.shape).tobytes()
+    oracle = [history_sup_norm(traj, spec.delay, t) for t in mesh.nodes]
+    np.testing.assert_allclose(sups, oracle, rtol=1e-12, atol=0.0)
+
+
+def test_inserted_node_below_r_samples_the_lags_of_its_window():
+    # at the inserted node 0.3 the window below 0 holds the lags 0.3 - r,
+    # 0.3125 - r and 0.34375 - r of the nodes up to r = 0.37, which the
+    # grid 0.3 - r + k/32 misses; sin(40 s) peaks between the two sets
+    spec = ProblemSpec(
+        alpha=0.5,
+        T=1.0,
+        rhs=RhsSpec(kind="delay", f=lambda t, x, xr, sup: x),
+        impulses=ImpulseSchedule(times=(0.3,), jumps=(lambda x: x,)),
+        delay=DelaySpec(r=0.37, history=lambda s: np.array([np.sin(40.0 * s)])),
+    )
+    mesh = build_mesh(spec, 2.0**-5)
+    values = np.zeros((mesh.n_nodes, 1))
+    dd = _DelayData(spec, mesh)
+    dd.store(0, values)
+    sups = dd.window(0, mesh.n_nodes, _Jumps(spec, mesh))[1]
+    k = mesh.impulse_idx[0]
+    lags = np.array([0.3, 0.3125, 0.34375]) - 0.37
+    assert mesh.nodes[k] == 0.3 and sups[k] == np.max(np.abs(np.sin(40.0 * lags)))
+    traj = Trajectory(mesh=mesh, values=values, right_values=np.zeros((1, 1)))
     oracle = [history_sup_norm(traj, spec.delay, t) for t in mesh.nodes]
     np.testing.assert_allclose(sups, oracle, rtol=1e-12, atol=0.0)
 
@@ -111,31 +148,34 @@ def test_batched_window_sups_match_per_node_and_oracle(case):
 @PROPERTY
 @given(case=delay_windows(max_dim=3), data=st.data())
 def test_consecutive_windows_read_like_one_whole_mesh_read(case, data):
-    # windows of at most q nodes (the method of steps): every lag is
-    # stored before its window is read, and the window's own nodes
+    # windows whose lags all lie left of them (the method of steps): every
+    # lag is stored before its window is read, and the window's own nodes
     # fold into the sups as a running max.  A grid stored window by
     # window holds the norms of one stored whole, bit for bit
     spec, mesh, values, rights = case
-    n, q = mesh.n_nodes, mesh.delay_steps
-    right_norms = _right_norms(mesh, rights)
+    n = mesh.n_nodes
+    jumps = _jumps(spec, mesh, rights)
     dd = _DelayData(spec, mesh)
+    p = dd.p
+    assume(np.all(dd.first < p + np.arange(n)))  # no lag in its node's own cell
     lags, sups = [], []
     start = 0
     while start < n:
-        stop = min(n, start + data.draw(st.integers(1, q), label="window size"))
-        assert not dd.norms[q + start : q + stop].any()  # its own rows are empty
-        lag, sup = dd.window(start, stop, right_norms)
+        most = int(np.searchsorted(dd.first, p + start)) - start  # lags left of start
+        stop = min(n, start + data.draw(st.integers(1, most), label="window size"))
+        assert not dd.norms[p + start : p + stop].any()  # its own rows are empty
+        lag, sup = dd.window(start, stop, jumps)
         lags.append(lag.copy())
         dd.store(start, values[start:stop])
-        sups.append(np.maximum(sup, np.maximum.accumulate(dd.norms[q + start : q + stop])))
+        sups.append(np.maximum(sup, np.maximum.accumulate(dd.norms[p + start : p + stop])))
         start = stop
     whole = _DelayData(spec, mesh)
     whole.store(0, values)
     assert dd.norms.tobytes() == whole.norms.tobytes()
-    whole_lags, whole_sups = whole.window(0, n, right_norms)
+    whole_lags, whole_sups = whole.window(0, n, jumps)
     assert np.concatenate(lags).tobytes() == whole_lags.tobytes()
     assert np.concatenate(sups).tobytes() == whole_sups.tobytes()
-    assert dd.rows[q:].tobytes() == values.tobytes()
+    assert dd.rows[p:].tobytes() == values.tobytes()
 
 
 def _linear_config(lam, alpha, x0, impulses):
@@ -523,10 +563,8 @@ class TestHistoryGrid:
         spec = _delay_problem(history)
         mesh = build_mesh(spec, 2.0**-5)
         dd = _DelayData(spec, mesh)
-        q = mesh.delay_steps
-        h = spec.delay.r / q
-        grid = [history((k - q) * h) for k in range(q)]  # rows -q h .. -h
-        assert dd.rows[:q].tobytes() == np.array(grid).tobytes()
+        grid = [history(t - 0.5) for t in mesh.nodes[: dd.p]]  # rows -q h .. -h
+        assert dd.p == 16 and dd.rows[:16].tobytes() == np.array(grid).tobytes()
         rep = solve_picard(spec, mesh)
         assert rep.converged and rep.trajectory.values.shape == (mesh.n_nodes, 2)
         assert rep.trajectory.values[0].tolist() == [1.0, 1.0]
@@ -562,18 +600,16 @@ class TestVectorizedHistory:
             mesh = build_mesh(spec, 2.0**-5)
             calls.clear()
             data[vectorized] = _DelayData(spec, mesh)
-            if vectorized:  # the grid and the knots, one call each
-                assert calls == [(mesh.delay_steps + 1,), (len(knots),)]
-            else:
-                assert calls == [()] * (mesh.delay_steps + 1 + len(knots))
-        q = mesh.delay_steps
-        for name in ("rows", "norms", "knot_sups"):
+            # 0, then the lags of the 16 nodes below r = 0.5 and the knots in
+            # one descending run: one call when vectorized
+            assert calls == ([(17 + len(knots),)] if vectorized else [()] * (17 + len(knots)))
+        for name in ("rows", "norms"):
             assert getattr(data[True], name).tobytes() == getattr(data[False], name).tobytes()
-        right_norms = np.zeros(mesh.n_nodes)
-        reads = [dd.window(0, q, right_norms) for dd in data.values()]
+        jumps = _Jumps(spec, mesh)
+        reads = [dd.window(0, 16, jumps) for dd in data.values()]
         assert reads[0][1].tobytes() == reads[1][1].tobytes()
         knot = np.linalg.norm(_vector_history(np.array([-0.015625])), axis=1)
-        assert reads[0][1][q - 1] == knot[0]  # off the grid: the knot is the max
+        assert reads[0][1][15] == knot[0]  # off the grid: the knot is the max
 
     def test_batched_solve_matches_per_point_solve(self):
         reports = [

@@ -1,5 +1,6 @@
 """Solvers: exactness cases, oracle error bounds, method agreement."""
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -220,11 +221,48 @@ class TestDelay:
         assert np.all(np.diff(vals) >= -1e-12)  # nondecreasing
         assert vals[-1] > 2.0  # once x exceeds phi the sup follows x
 
-    def test_delay_requires_delay_mesh(self):
-        spec = self._delay_ignoring_history()
+    def test_delay_runs_on_a_plain_mesh(self):
+        # r = 0.3 is no multiple of the step 0.25: lags above 0 interpolate
+        spec = dataclasses.replace(
+            self._delay_ignoring_history(), delay=DelaySpec(r=0.3, history=lambda s: np.array([1.0]))
+        )
         plain_mesh = build_mesh(_linear(), 0.25)
-        with pytest.raises(SolverError):
-            solve_picard(spec, plain_mesh)
+        a = solve_picard(spec, plain_mesh)
+        b = solve_picard(_linear(), plain_mesh)
+        assert a.converged and a.trajectory.values.tobytes() == b.trajectory.values.tobytes()
+
+    def test_values_before_an_impulse_ignore_it_on_an_incommensurate_delay(self):
+        # r = 1/pi is no multiple of h = 0.005, and a lag in the cell after
+        # the impulse at 0.3 reads its right limit, which no node before the
+        # impulse may see: marching and Picard at tol = 0 (as in criterion 9)
+        # give those nodes bitwise.  0.3 is a grid node, so both meshes
+        # have the same Picard windows
+        def f(t, x, xr, sup):
+            return -x + 0.5 * np.sin(xr) + 0.2 * sup / (1.0 + sup)
+
+        def spec(times):
+            return ProblemSpec(
+                alpha=0.5,
+                T=1.0,
+                rhs=RhsSpec(kind="delay", f=f),
+                impulses=ImpulseSchedule(times=times, jumps=tuple(lambda x: 0.5 * x + 1.0 for _ in times)),
+                delay=DelaySpec(r=1.0 / math.pi, history=lambda s: np.array([1.0 + s])),
+            )
+
+        bare, jumped = spec(()), spec((0.3,))
+        mesh_b, mesh_j = build_mesh(bare, 0.005), build_mesh(jumped, 0.005)
+        idx = mesh_j.impulse_idx[0]
+        assert mesh_b.nodes[: idx + 1].tobytes() == mesh_j.nodes[: idx + 1].tobytes()
+        lags = mesh_j.nodes - 1.0 / math.pi
+        assert np.any((0.3 < lags) & (lags < mesh_j.nodes[idx + 1]))
+        solves = (
+            lambda s, m: solve_marching(s, m, scheme="trapezoid"),
+            lambda s, m: solve_picard(s, m, scheme="trapezoid", tol=0.0, max_iter=20),
+        )
+        for solve in solves:
+            a, b = solve(bare, mesh_b), solve(jumped, mesh_j)
+            assert not np.array_equal(a.trajectory.values[-1], b.trajectory.values[-1])
+            assert a.trajectory.values[: idx + 1].tobytes() == b.trajectory.values[: idx + 1].tobytes()
 
 
 class TestFailureModes:
