@@ -22,16 +22,16 @@ envelopes, the equicontinuity modulus of the compact split part, and
 the classical-Gronwall growth bound for the impulsive logistic
 example.  certify() assembles everything for a ProblemSpec, optionally
 minimizing the stated gamma over a 64-point grid of exponents
-(choose_p).  The search evaluates the whole grid in one numpy pass, with
-special.closed_form_seminorms for every envelope form (constant,
-exp_decay and samples alike), and re-evaluates the scalar gamma only at
-the few points the pass cannot tell apart from its minimum, so it picks
-bitwise the exponent of a scalar loop over the grid.  No seminorm of a
-certificate goes through a quadrature.
+(choose_p).  Seminorms, c and T^(alpha-p) come only from numpy array
+code, which lp_seminorm and holder_constant run at [p], so the search's
+one pass over the grid picks bitwise the exponent of a scalar loop over
+it, and certify reads the constants of its objective at the chosen
+index.  No seminorm of a certificate goes through a quadrature.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -42,9 +42,9 @@ from .problem import ProblemSpec
 from .special import (
     Envelope,
     SeminormError,
+    _holder_constants,
     closed_form_seminorms,
     gamma,
-    holder_constant,
     lp_seminorm,
 )
 
@@ -77,44 +77,83 @@ class ContractionPair(NamedTuple):
     proof: float  # denominator gamma(alpha)
 
 
-def _check_common(alpha: float, p: float, T: float, m: int):
+def _check_common(alpha: float, p: float, T: float, m: int, **nonnegative: float):
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if not 0.0 < p < alpha:
         raise ValueError(f"p must lie in (0, alpha), got p={p!r}, alpha={alpha!r}")
-    if not T > 0.0:
-        raise ValueError(f"T must be positive, got {T!r}")
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m!r}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T!r}")
+    _check_nonnegative(m=m, **nonnegative)
 
 
-def _kernel_factor(norm: float, alpha: float, p: float, T: float) -> float:
-    return holder_constant(alpha, p) * norm * T ** (alpha - p)
+def _check_nonnegative(**values: float):
+    for name, v in values.items():
+        if not 0.0 <= v < math.inf:  # nan fails too
+            raise ValueError(f"{name} must be finite and nonnegative, got {v!r}")
 
 
-def _pair(m: int, jump_lip: float, norm_sum: float, alpha: float, p: float, T: float) -> ContractionPair:
-    base = _kernel_factor(norm_sum, alpha, p, T)
-    jumps = m * jump_lip
-    return ContractionPair(
-        stated=jumps + base / gamma(alpha + 1.0),
-        proof=jumps + base / gamma(alpha),
-    )
+def _t_powers(alpha: float, ps: np.ndarray, T: float) -> np.ndarray:
+    """T^(alpha - p) at each exponent of the float array ps."""
+    return T ** (alpha - ps)
+
+
+class _Exponent:
+    """A Holder exponent p with the factors of p that every constant
+    carries, c = holder_constant(alpha, p) and T^(alpha - p), and the
+    constants they give for a seminorm.  The factors are elements of the
+    search's arrays, or of the same array code run at [p]; T^(alpha - p)
+    is computed only once a constant needs it."""
+
+    def __init__(self, alpha: float, T: float, p: float, holder: float, tpow: float | None = None):
+        self.alpha, self.T, self.p, self.holder = alpha, T, p, holder
+        if tpow is not None:
+            self.tpow = tpow
+
+    @functools.cached_property
+    def tpow(self) -> float:
+        return _t_powers(self.alpha, np.array([self.p]), self.T).item()
+
+    def pair(self, jumps: float, norm: float) -> ContractionPair:
+        base = self.holder * norm * self.tpow
+        return ContractionPair(
+            stated=jumps + base / gamma(self.alpha + 1.0), proof=jumps + base / gamma(self.alpha)
+        )
+
+    def tail(self, norm: float) -> float:
+        """c * norm * T^(alpha - p) / gamma(alpha): the radii's last term, the Schaefer q."""
+        return self.holder * norm * self.tpow / gamma(self.alpha)
+
+    def radii(self, x0_norm: float, l1: float, m: int, norm: float) -> tuple[float, ...]:
+        tail = self.tail(norm)
+        return tuple(x0_norm + k * l1 + tail for k in range(m + 1))
+
+    def schaefer(self, phi0_norm: float, l1_star: float, m: int, norm: float) -> tuple[float, float | None]:
+        """q and the bound (|phi(0)| + m*l1* + q) / (1 - q), None when q >= 1."""
+        q = self.tail(norm)
+        return q, (phi0_norm + m * l1_star + q) / (1.0 - q) if q < 1.0 else None
+
+    def equicontinuity(self, norm: float) -> float:
+        return 2.0 * self.holder * norm / gamma(self.alpha)
+
+
+def _exponent(alpha: float, p: float, T: float) -> _Exponent:
+    return _Exponent(alpha, T, p, _holder_constants(alpha, np.array([p])).item())
 
 
 def contraction_split(
     m: int, jump_lip: float, f1_lip: Envelope, alpha: float, p: float, T: float
 ) -> ContractionPair:
     """Contraction constant for a split RHS (Lipschitz part f1)."""
-    _check_common(alpha, p, T, m)
-    return _pair(m, jump_lip, lp_seminorm(f1_lip, p, T), alpha, p, T)
+    _check_common(alpha, p, T, m, jump_lip=jump_lip)
+    return _exponent(alpha, p, T).pair(m * jump_lip, lp_seminorm(f1_lip, p, T))
 
 
 def contraction_delay(
     m: int, jump_lip: float, lip: Envelope, alpha: float, p: float, T: float
 ) -> ContractionPair:
     """Contraction constant for a single-history-argument delay RHS."""
-    _check_common(alpha, p, T, m)
-    return _pair(m, jump_lip, lp_seminorm(lip, p, T), alpha, p, T)
+    return contraction_split(m, jump_lip, lip, alpha, p, T)
 
 
 def contraction_general(
@@ -127,9 +166,9 @@ def contraction_general(
     T: float,
 ) -> ContractionPair:
     """Contraction constant for f(t, x, x_t): state and history envelopes add."""
-    _check_common(alpha, p, T, m)
+    _check_common(alpha, p, T, m, jump_lip=jump_lip)
     norm = lp_seminorm(state_lip, p, T) + lp_seminorm(history_lip, p, T)
-    return _pair(m, jump_lip, norm, alpha, p, T)
+    return _exponent(alpha, p, T).pair(m * jump_lip, norm)
 
 
 def a_priori_radii(
@@ -147,14 +186,11 @@ def a_priori_radii(
     lambda_k = |x0| + k*l1 + c*(||M1|| + ||M2||)*T^(alpha-p)/gamma(alpha)
     for k = 0..m; returns (radii, lambda) with lambda = max = last.
     """
-    _check_common(alpha, p, T, m)
-    if x0_norm < 0.0 or l1 < 0.0:
-        raise ValueError("x0_norm and l1 must be nonnegative")
+    _check_common(alpha, p, T, m, x0_norm=x0_norm, l1=l1)
     norm = lp_seminorm(M1, p, T)
     if M2 is not None:
         norm += lp_seminorm(M2, p, T)
-    tail = _kernel_factor(norm, alpha, p, T) / gamma(alpha)
-    radii = tuple(x0_norm + k * l1 + tail for k in range(m + 1))
+    radii = _exponent(alpha, p, T).radii(x0_norm, l1, m, norm)
     return radii, radii[-1]
 
 
@@ -173,15 +209,13 @@ def schaefer_bound(
     (|phi(0)| + m*l1* + q) / (1 - q).  Returns (q, bound); q >= 1
     raises CertificateError (the route gives no bound there).
     """
-    _check_common(alpha, p, T, m)
-    if phi0_norm < 0.0 or l1_star < 0.0:
-        raise ValueError("phi0_norm and l1_star must be nonnegative")
-    q = _kernel_factor(lp_seminorm(M4, p, T), alpha, p, T) / gamma(alpha)
-    if q >= 1.0:
+    _check_common(alpha, p, T, m, phi0_norm=phi0_norm, l1_star=l1_star)
+    q, bound = _exponent(alpha, p, T).schaefer(phi0_norm, l1_star, m, lp_seminorm(M4, p, T))
+    if bound is None:
         raise CertificateError(
             f"linear-growth factor q={q:.6g} >= 1: no a-priori bound at p={p!r}"
         )
-    return q, (phi0_norm + m * l1_star + q) / (1.0 - q)
+    return q, bound
 
 
 def equicontinuity_modulus(
@@ -190,7 +224,7 @@ def equicontinuity_modulus(
     """Coefficient C in |F2(tau2) - F2(tau1)| <= C*(tau2 - tau1)^(alpha-p)
     for the compact part's fractional integral: C = 2c*||M2||_{1/p}/gamma(alpha)."""
     _check_common(alpha, p, T, 0)
-    return 2.0 * holder_constant(alpha, p) * lp_seminorm(M2, p, T) / gamma(alpha)
+    return _exponent(alpha, p, T).equicontinuity(lp_seminorm(M2, p, T))
 
 
 def logistic_growth_bound(
@@ -200,8 +234,7 @@ def logistic_growth_bound(
     impulsive logistic equation with rates a(t) <= a*, b(t) <= b*."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if min(x0_norm, l1, a_max, b_max) < 0.0 or m < 0:
-        raise ValueError("arguments must be nonnegative")
+    _check_nonnegative(x0_norm=x0_norm, m=m, l1=l1, a_max=a_max, b_max=b_max)
     return (x0_norm + m * l1) * math.exp((a_max + b_max) / gamma(alpha + 1.0))
 
 
@@ -235,23 +268,23 @@ _LIP_ROLES = {
 }
 
 
-def _contraction_inputs(spec: ProblemSpec) -> tuple[int, float, tuple[Envelope, ...]] | None:
-    """(m, jump Lipschitz constant, Lipschitz envelopes) of gamma, or
-    None when spec does not declare all of them."""
-    envs = spec.rhs.envelopes
-    m = len(spec.impulses)
+def _contraction_inputs(spec: ProblemSpec) -> tuple[int, float, tuple[str, ...]] | None:
+    """(m, jump Lipschitz constant, roles of the Lipschitz envelopes) of
+    gamma, or None when spec does not declare all of them."""
+    m = len(spec.impulses.times)
     l2 = spec.impulses.jump_lip
     roles = _LIP_ROLES[spec.rhs.kind]
-    if (m > 0 and l2 is None) or any(role not in envs for role in roles):
+    if (m > 0 and l2 is None) or not all(map(spec.rhs.envelopes.__contains__, roles)):
         return None
-    return m, 0.0 if l2 is None else l2, tuple(envs[role] for role in roles)
+    return m, 0.0 if l2 is None else l2, roles
 
 
 def _gamma_pair_for(spec: ProblemSpec, p: float) -> ContractionPair | None:
     inputs = _contraction_inputs(spec)
     if inputs is None:
         return None
-    m, l2, lips = inputs
+    m, l2, roles = inputs
+    lips = [spec.rhs.envelopes[role] for role in roles]
     if len(lips) == 2:
         return contraction_general(m, l2, *lips, spec.alpha, p, spec.T)
     return contraction_split(m, l2, lips[0], spec.alpha, p, spec.T)
@@ -260,41 +293,11 @@ def _gamma_pair_for(spec: ProblemSpec, p: float) -> ContractionPair | None:
 def _schaefer_q_for(spec: ProblemSpec, p: float) -> float | None:
     if spec.rhs.kind != "delay" or "growth" not in spec.rhs.envelopes:
         return None
-    return _kernel_factor(
-        lp_seminorm(spec.rhs.envelopes["growth"], p, spec.T), spec.alpha, p, spec.T
-    ) / gamma(spec.alpha)
+    growth = lp_seminorm(spec.rhs.envelopes["growth"], p, spec.T)
+    return _exponent(spec.alpha, p, spec.T).tail(growth)
 
 
-# The array pass of choose_p repeats the scalar operations, and only
-# numpy's pow, expm1, exp and log may round differently from the C
-# library's: by at most 1 ulp as measured (numpy 2.4, AVX-512), taken as
-# 4 ulp here.  At most four such calls compound in one value (the Hölder
-# constant, T^(alpha-p) and two inside a seminorm; the two seminorms of
-# the general kind add, which keeps the larger relative error), and each
-# adds its relative error, except that the log of the x <= -700 exp_decay
-# branch enters through exp(p * log(.)) with |p * log(.)| at most 745.
-# A samples seminorm runs the same numpy calls in both passes, on the
-# same operands and with each exponent's pieces summed along one row, so
-# only a vector loop that rounded by the array's length could part them.
-# Were it to, the same 4-ulp bound covers log1p, expm1 and pow in each
-# piece (expm1 of r <= 0 has condition at most 1; the quotient and the
-# sum of positive pieces keep the largest relative error) and the final
-# pow, whose exponent p < 1 shrinks the error it is given: six calls
-# with the Hölder constant and T^(alpha-p), far below the 1e-12 below.
-# While every factor is a normal double far from both ends of the range
-# (_NORMAL), an array value is thus within 1e-12 relative of its scalar
-# twin.  A grid point whose scalar value ties or beats the scalar value at
-# the array minimum then has an array value within (1 + 1e-12)/(1 - 1e-12),
-# about 1 + 2e-12, of the array minimum; the band is 50 times that margin,
-# so the scalar loop over the band finds the minimum of the whole grid.
-_CONFIRM_BAND = 1e-10
-_NORMAL = (1e-290, 1e290)
 _GRID_INDEX = np.arange(1.0, P_GRID_POINTS + 1)
-
-
-def _is_normal(a: np.ndarray) -> bool:
-    """Whether every element of a lies in _NORMAL (a nan does not)."""
-    return bool(_NORMAL[0] <= a.min() and a.max() <= _NORMAL[1])
 
 
 def choose_p(spec: ProblemSpec) -> tuple[float, bool]:
@@ -303,67 +306,52 @@ def choose_p(spec: ProblemSpec) -> tuple[float, bool]:
     Minimizes gamma_stated when a Lipschitz envelope is declared, else
     the Schaefer growth factor q, else falls back to alpha/2; ties keep
     the smallest exponent.  One array pass evaluates the objective at
-    every grid point, and the scalar gamma_stated or q is re-evaluated
-    only at the points within _CONFIRM_BAND of the array minimum, so the
-    chosen p is bitwise the one a scalar loop over the whole grid picks.
-    The array pass is one path for every envelope form: it takes
-    closed_form_seminorms of each envelope, which marks an overflow as
-    inf instead of raising.  When the pass leaves the range where its
-    error bound holds (an overflow, a zero objective), the scalar loop
-    runs over the whole grid and raises what it raises, at the first
-    exponent that fails.  A samples envelope whose knots do not cover
-    [0, T] raises its ValueError from the array pass.  When no grid
-    exponent gives a finite objective (it overflows everywhere),
-    CertificateError names the envelope roles that feed it.
+    every grid point, with the array code that lp_seminorm and
+    holder_constant run at [p], so each grid value is bitwise the value
+    of a scalar loop over the grid and the first minimum among the
+    finite values is the exponent that loop picks.  A seminorm that is
+    not finite at some grid exponent raises the SeminormError of the
+    first such exponent, naming the first such envelope in role order;
+    a samples envelope whose knots do not cover [0, T] raises its
+    ValueError.  When no grid exponent gives a finite objective (it
+    overflows everywhere), CertificateError names the envelope roles
+    that feed it.
     """
+    return _search(spec, _contraction_inputs(spec))[0].p, True
+
+
+def _search(spec: ProblemSpec, inputs) -> tuple[_Exponent, dict[str, float]]:
+    """The exponent choose_p picks, with the seminorms that its grid pass
+    evaluated there, by envelope role; inputs are _contraction_inputs(spec)."""
     alpha, T = spec.alpha, spec.T
-    grid = alpha * _GRID_INDEX / (P_GRID_POINTS + 1)
-    ps = grid.tolist()
-    inputs = _contraction_inputs(spec)
     if inputs is not None:
-        m, l2, envs = inputs
-        jumps, denom = m * l2, gamma(alpha + 1.0)
-        objective, roles = "gamma_stated", _LIP_ROLES[spec.rhs.kind]
-
-        def scalar(p: float) -> float:
-            return _gamma_pair_for(spec, p).stated
-
+        m, l2, roles = inputs
+        jumps, denom, objective = m * l2, gamma(alpha + 1.0), "gamma_stated"
     elif spec.rhs.kind == "delay" and "growth" in spec.rhs.envelopes:
-        envs, jumps, denom = (spec.rhs.envelopes["growth"],), 0.0, gamma(alpha)
-        objective, roles = "the Schaefer q", ("growth",)
-
-        def scalar(p: float) -> float:
-            return _schaefer_q_for(spec, p)
-
+        roles, jumps, denom, objective = ("growth",), 0.0, gamma(alpha), "the Schaefer q"
     else:
-        return alpha / 2.0, True
+        return _exponent(alpha, alpha / 2.0, T), {}
 
+    grid = alpha * _GRID_INDEX / (P_GRID_POINTS + 1)
+    envs = [spec.rhs.envelopes[role] for role in roles]
     norms = [closed_form_seminorms(env, grid, T) for env in envs]
-    with np.errstate(all="ignore"):
+    bad = ~np.isfinite(norms)
+    if bad.any():  # lp_seminorm raises there what the scalar loop raises first
+        i = bad.any(axis=0).argmax()
+        lp_seminorm(envs[bad[:, i].argmax()], grid[i].item(), T)
+    holder, tpow = _holder_constants(alpha, grid), _t_powers(alpha, grid, T)
+    with np.errstate(over="ignore"):
         norm = norms[0] if len(norms) == 1 else norms[0] + norms[1]
-        holder = ((1.0 - grid) / (alpha - grid)) ** (1.0 - grid)
-        vals = jumps + holder * norm * T ** (alpha - grid) / denom
-    # holder > 1, and T^(alpha - p) lies between T and 1
-    candidates = range(P_GRID_POINTS)
-    if (
-        _NORMAL[0] <= T <= _NORMAL[1]
-        and _is_normal(vals)
-        and all(_is_normal(n) or not n.any() for n in norms)
-    ):
-        candidates = np.flatnonzero(vals <= vals.min() * (1.0 + _CONFIRM_BAND)).tolist()
-
-    best_p, best_val = None, math.inf
-    for i in candidates:
-        val = scalar(ps[i])
-        if val < best_val:
-            best_p, best_val = ps[i], val
-    if best_p is None:
+        vals = jumps + holder * norm * tpow / denom
+    i = int(np.argmin(np.where(np.isfinite(vals), vals, np.inf)))
+    if not math.isfinite(vals[i]):
         named = ", ".join(map(repr, roles))
         raise CertificateError(
             f"no exponent of the p-grid on (0, {alpha!r}) gives a finite {objective} "
             f"from envelope{'s' if len(roles) > 1 else ''} {named}"
         )
-    return best_p, True
+    at = _Exponent(alpha, T, grid[i].item(), holder[i].item(), tpow[i].item())
+    return at, {role: n[i].item() for role, n in zip(roles, norms)}
 
 
 def certify(spec: ProblemSpec, p: float | str = "auto") -> Certificate:
@@ -384,70 +372,58 @@ def certify(spec: ProblemSpec, p: float | str = "auto") -> Certificate:
 
 
 def _certificate(spec: ProblemSpec, p: float | str) -> Certificate:
+    alpha, T = spec.alpha, spec.T
+    inputs = _contraction_inputs(spec)
     if p == "auto":
-        p_val, p_auto = choose_p(spec)
+        (at, searched), p_auto = _search(spec, inputs), True
     else:
         p_val = float(p)
-        if not 0.0 < p_val < spec.alpha:
+        if not 0.0 < p_val < alpha:
             raise ValueError(
-                f"p must lie in (0, alpha)=(0, {spec.alpha!r}), got {p_val!r}"
+                f"p must lie in (0, alpha)=(0, {alpha!r}), got {p_val!r}"
             )
-        p_auto = False
+        at, searched, p_auto = _exponent(alpha, p_val, T), {}, False
 
-    alpha, T = spec.alpha, spec.T
     m = len(spec.impulses)
     envs = spec.rhs.envelopes
     kind = spec.rhs.kind
 
-    pair = _gamma_pair_for(spec, p_val)
-    if pair is None:
+    def norm(*roles: str) -> float:
+        """Sum of the seminorms of the envelopes roles at p, in role order,
+        with the search's values where it evaluated them."""
+        total = 0.0
+        for role in roles:
+            value = searched.get(role)
+            total += lp_seminorm(envs[role], at.p, T) if value is None else value
+        return total
+
+    if inputs is None:
         verdict = "not_applicable"
         gamma_stated = gamma_proof = None
     else:
-        gamma_stated, gamma_proof = pair.stated, pair.proof
+        _, l2, roles = inputs
+        gamma_stated, gamma_proof = at.pair(m * l2, norm(*roles))
         verdict = "contraction_holds" if gamma_stated < 1.0 else "contraction_fails"
 
     radii = radius = None
     l1 = spec.impulses.jump_bound
-    bound_envs: tuple[Envelope, Envelope | None] | None = None
-    if kind == "split" and "f1_bound" in envs and "f2_bound" in envs:
-        bound_envs = (envs["f1_bound"], envs["f2_bound"])
-    elif kind in ("plain", "delay", "general_delay") and "bound" in envs:
-        bound_envs = (envs["bound"], None)
-    if bound_envs is not None and (m == 0 or l1 is not None):
-        radii, radius = a_priori_radii(
-            float(np.linalg.norm(spec.x0)),
-            0.0 if l1 is None else l1,
-            m,
-            bound_envs[0],
-            bound_envs[1],
-            alpha,
-            p_val,
-            T,
-        )
+    bound_roles = ("f1_bound", "f2_bound") if kind == "split" else ("bound",)
+    if (m == 0 or l1 is not None) and all(role in envs for role in bound_roles):
+        x0_norm = float(np.linalg.norm(spec.x0))
+        radii = at.radii(x0_norm, l1 or 0.0, m, norm(*bound_roles))
+        radius = radii[-1]
 
     schaefer_q = schaefer_value = None
     l1_star = spec.impulses.jump_bound_star
     if l1_star is None:
-        l1_star = spec.impulses.jump_bound
+        l1_star = l1
     if kind == "delay" and "growth" in envs and (m == 0 or l1_star is not None):
-        try:
-            schaefer_q, schaefer_value = schaefer_bound(
-                float(np.linalg.norm(spec.x0)),
-                0.0 if l1_star is None else l1_star,
-                m,
-                envs["growth"],
-                alpha,
-                p_val,
-                T,
-            )
-        except CertificateError:
-            schaefer_q = _schaefer_q_for(spec, p_val)
-            schaefer_value = None
+        phi0_norm = float(np.linalg.norm(spec.x0))
+        schaefer_q, schaefer_value = at.schaefer(phi0_norm, l1_star or 0.0, m, norm("growth"))
 
     equi = None
     if kind == "split" and "f2_bound" in envs:
-        equi = equicontinuity_modulus(envs["f2_bound"], alpha, p_val, T)
+        equi = at.equicontinuity(norm("f2_bound"))
 
     if radius is not None and m > 0:
         spec.impulses.spot_check(radius, spec.dim)
@@ -455,10 +431,10 @@ def _certificate(spec: ProblemSpec, p: float | str) -> Certificate:
     return Certificate(
         kind=kind,
         alpha=alpha,
-        p=p_val,
+        p=at.p,
         T=T,
         m=m,
-        holder_c=holder_constant(alpha, p_val),
+        holder_c=at.holder,
         gamma_stated=gamma_stated,
         gamma_proof=gamma_proof,
         radii=radii,

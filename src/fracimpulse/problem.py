@@ -538,6 +538,11 @@ def build_mesh(spec: ProblemSpec, target_h: float) -> Mesh:
     target_h = float(target_h)
     if not (target_h > 0.0 and math.isfinite(target_h)):
         raise MeshError(f"target_h must be positive and finite, got {target_h!r}")
+    if spec.T / target_h > MAX_MESH_NODES:  # any mesh goes over; the counts may overflow
+        raise MeshError(
+            f"mesh would need T / target_h = {spec.T / target_h:.6g} steps, over the "
+            f"{MAX_MESH_NODES} cap; enlarge target_h"
+        )
     edges = [0.0, *spec.impulses.times, spec.T]
     lengths = [b - a for a, b in zip(edges, edges[1:])]
     counts = [max(1, math.ceil(L / target_h - 1e-12)) for L in lengths]
@@ -616,7 +621,7 @@ class Trajectory:
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         t = float(t)
         nodes = self.mesh.nodes
-        if t < nodes[0] or t > nodes[-1]:
+        if not nodes[0] <= t <= nodes[-1]:  # nan fails too
             raise ValueError(f"t={t!r} outside [{nodes[0]!r}, {nodes[-1]!r}]")
         impulse = self.mesh.impulse_idx
         exact = self.mesh.node_index(t)
@@ -650,7 +655,7 @@ def history_sup_norm(traj: Trajectory, delay: DelaySpec, t: float) -> float:
     """
     mesh, t = traj.mesh, float(t)
     nodes = mesh.nodes
-    if t < 0.0 or t > nodes[-1]:
+    if not 0.0 <= t <= nodes[-1]:  # nan fails too
         raise ValueError(f"t={t!r} outside [0, T]")
     lo = t - delay.r
 

@@ -20,13 +20,17 @@ forms so config files can declare them: constants, decaying exponentials
 scale*exp(-rate*t), and piecewise-linear sample tables.  Every form has
 a closed-form seminorm; a sample table's is exact piece by piece on
 (g/M)^(1/p), M its largest value on [0, T], so no exponent p in (0, 1)
-underflows or overflows g^(1/p).  Only plain callables are integrated,
-by a Gauss-Legendre quadrature of the same scaled power.  Its nodes are
-built on the first quadrature, so importing this module, or taking
-seminorms of envelopes only, leaves numpy.polynomial unloaded.  A
-seminorm that has no finite double value raises SeminormError, which
-names the envelope.  _pow_diff (A^e - B^e, accurate for A near B) serves
-both the sampled seminorm and the product-integration weights.
+underflows or overflows g^(1/p).  The closed forms and the Holder
+constant exist only as numpy array code (closed_form_seminorms,
+_holder_constants); lp_seminorm and holder_constant take its element at
+[p], which numpy rounds as it rounds p's element of any grid.  Only
+plain callables are integrated, by a Gauss-Legendre quadrature of the
+same scaled power.  Its nodes are built on the first quadrature, so
+importing this module, or taking seminorms of envelopes only, leaves
+numpy.polynomial unloaded.  A seminorm that has no finite double value
+raises SeminormError, which names the envelope.  _pow_diff (A^e - B^e,
+accurate for A near B) serves both the sampled seminorm and the
+product-integration weights.
 """
 
 from __future__ import annotations
@@ -142,14 +146,14 @@ def lp_seminorm(g: Callable[[float], float], p: float, T: float) -> float:
     g must be nonnegative and evaluable on [0, T].  Envelopes take their
     closed forms: v*T^p for the constant v, s*(p/r*(1 - exp(-r*T/p)))^p
     for s*exp(-r*t) (s*T^p at r = 0), and for samples the exact integral
-    of each linear piece (see closed_form_seminorms, whose numpy code it
-    runs at [p]).  A sampled envelope whose knots do not cover [0, T]
-    raises the ValueError of Envelope.__call__, and a result too large
-    for a double raises SeminormError.  A plain callable is integrated
-    by composite 16-point Gauss-Legendre quadrature with panel doubling
-    until the seminorm's relative change drops below 1e-10 twice in a
-    row (across a kink two levels can agree once by chance), capped at
-    2^20 nodes.
+    of each linear piece; the value is element 0 of
+    closed_form_seminorms(g, [p], T).  A sampled envelope whose knots do
+    not cover [0, T] raises the ValueError of Envelope.__call__, and a
+    result too large for a double raises SeminormError.  A plain
+    callable is integrated by composite 16-point Gauss-Legendre
+    quadrature with panel doubling until the seminorm's relative change
+    drops below 1e-10 twice in a row (across a kink two levels can agree
+    once by chance), capped at 2^20 nodes.
     The quadrature integrates (g/M)^{1/p}, M the largest sampled value,
     and multiplies M back after the power, so g^{1/p} can neither
     underflow to 0 nor overflow for small p.  A quadrature that does
@@ -162,7 +166,12 @@ def lp_seminorm(g: Callable[[float], float], p: float, T: float) -> float:
     if not T > 0.0:
         raise ValueError(f"lp_seminorm requires T > 0, got T={T!r}")
     if isinstance(g, Envelope):
-        return _closed_form_seminorm(g, p, T)
+        norm = closed_form_seminorms(g, np.array([p]), T).item()
+        if not math.isfinite(norm):
+            raise SeminormError(
+                f"lp_seminorm of {g!r} over [0, {T!r}] at p={p!r} overflows a double", g
+            )
+        return norm
 
     inv_p = 1.0 / p
     gl_nodes, gl_weights = _gauss_legendre()
@@ -199,51 +208,21 @@ def lp_seminorm(g: Callable[[float], float], p: float, T: float) -> float:
     return scale * cur**p
 
 
-def _closed_form_seminorm(env: "Envelope", p: float, T: float) -> float:
-    if env.form == "constant":
-        out = env.value * T**p
-    elif env.form == "samples":
-        out = float(_sampled_seminorms(env, np.array([p]), T)[0])
-    else:
-        # int_0^T e^{-rt/p} dt = T * (1 - e^{-x})/x with x = rT/p; the
-        # ratio stays accurate when r (and x) is tiny or subnormal
-        scale, rate = env.scale, env.rate
-        x = rate * T / p
-        if x == 0.0 or scale == 0.0:
-            out = scale * T**p
-        elif x > 700.0:  # e^{-x} is below 1e-304 and x may be inf: p/r
-            out = scale * (p / rate) ** p
-        elif x > -700.0:
-            out = scale * (T * (-math.expm1(-x) / x)) ** p
-        else:  # e^{-x} overflows: take logs, -log1p(-e^x) is below 1e-304
-            try:
-                out = scale * math.exp(p * (-x + math.log(p / -rate)))
-            except OverflowError:
-                out = math.inf
-    if not math.isfinite(out):
-        raise SeminormError(
-            f"lp_seminorm of {env!r} over [0, {T!r}] at p={p!r} overflows a double", env
-        )
-    return out
-
-
 def closed_form_seminorms(env: "Envelope", ps: np.ndarray, T: float) -> np.ndarray:
     """lp_seminorm of an envelope at each exponent of the float array
-    ps, in one array pass.
+    ps, in one array pass; lp_seminorm is its element at [p].
 
-    A constant or exp_decay element takes the branch and the operations
-    of the scalar closed form, so it differs from lp_seminorm only where
-    numpy's pow, expm1, exp and log round differently from the C library
-    (by 1 ulp on about 5% of inputs, measured with numpy 2.4 on an
-    AVX-512 machine).  A samples envelope runs the numpy code that
-    lp_seminorm runs at [p]: with q = 1/p, a linear piece of length dt
-    whose end values, scaled by the largest value M on [0, T], are
-    hi >= lo contributes dt*(hi^(q+1) - lo^(q+1))/((q+1)(hi - lo)), or
-    dt*hi^q when flat, and the seminorm is M*(sum of pieces)^p; the
-    power difference goes through _pow_diff, so near-equal ends do not
-    cancel.  Where the scalar form raises SeminormError, the element is
-    inf or nan instead; knots that do not cover [0, T] raise ValueError
-    here too.
+    An exp_decay element, with x = rate*T/p, is s*(T*(1 - e^(-x))/x)^p
+    through expm1; s*(p/rate)^p for x > 700, where e^(-x) is below
+    1e-304 and x may be inf; and s*exp(p*(-x + log(p/-rate))) for
+    x <= -700, where e^(-x) overflows.  For a samples envelope, with
+    q = 1/p, a linear piece of length dt whose end values, scaled by the
+    largest value M on [0, T], are hi >= lo contributes
+    dt*(hi^(q+1) - lo^(q+1))/((q+1)(hi - lo)), or dt*hi^q when flat,
+    and the seminorm is M*(sum of pieces)^p; the power difference goes
+    through _pow_diff, so near-equal ends do not cancel.  Where
+    lp_seminorm raises SeminormError, the element is inf or nan instead;
+    knots that do not cover [0, T] raise ValueError here too.
     """
     if env.form == "samples":
         return _sampled_seminorms(env, ps, T)
@@ -251,19 +230,15 @@ def closed_form_seminorms(env: "Envelope", ps: np.ndarray, T: float) -> np.ndarr
         if env.form == "constant":
             return env.value * T**ps
         scale, rate = env.scale, env.rate
-        if scale == 0.0 or rate == 0.0:
+        if scale == 0.0 or rate * T == 0.0:  # rate * T may underflow
             return scale * T**ps
         x = rate * T / ps
-        big, low, zero = x > 700.0, x <= -700.0, x == 0.0  # zero: rate * T underflows
-        mid = ~(big | low | zero)
-        if mid.all():
-            return scale * (T * (-np.expm1(-x) / x)) ** ps
-        out = scale * T**ps
-        out[big] = scale * (ps[big] / rate) ** ps[big]
-        out[mid] = scale * (T * (-np.expm1(-x[mid]) / x[mid])) ** ps[mid]
-        pl = ps[low]
-        out[low] = scale * np.exp(pl * (-x[low] + np.log(pl / -rate)))
-    return out
+        mid = scale * (T * (-np.expm1(-x) / x)) ** ps
+        if -700.0 < x.min() and x.max() <= 700.0:
+            return mid
+        big = scale * (ps / rate) ** ps
+        low = scale * np.exp(ps * (-x + np.log(ps / -rate)))
+        return np.where(x > 700.0, big, np.where(x <= -700.0, low, mid))
 
 
 def _pow_diff(A: np.ndarray, B: np.ndarray, expo: float | np.ndarray) -> np.ndarray:
@@ -313,7 +288,8 @@ def _eval_nonnegative(g: Callable[[float], float], nodes: np.ndarray) -> np.ndar
 
 
 def holder_constant(alpha: float, p: float) -> float:
-    """Holder pairing constant ((1 - p)/(alpha - p))^(1 - p), 0 < p < alpha < 1."""
+    """Holder pairing constant ((1 - p)/(alpha - p))^(1 - p), 0 < p < alpha < 1:
+    element 0 of _holder_constants(alpha, [p])."""
     alpha = float(alpha)
     p = float(p)
     if not 0.0 < alpha < 1.0:
@@ -322,7 +298,13 @@ def holder_constant(alpha: float, p: float) -> float:
         raise ValueError(
             f"holder_constant requires 0 < p < alpha, got p={p!r}, alpha={alpha!r}"
         )
-    return ((1.0 - p) / (alpha - p)) ** (1.0 - p)
+    return _holder_constants(alpha, np.array([p])).item()
+
+
+def _holder_constants(alpha: float, ps: np.ndarray) -> np.ndarray:
+    """holder_constant(alpha, p) at each exponent of the float array ps."""
+    a = 1.0 - ps
+    return (a / (alpha - ps)) ** a
 
 
 def _finite(name: str, x):

@@ -359,6 +359,25 @@ class TestExitCodes:
             f"config error: --h-list: steps must be positive and finite, got {bad!r}\n"
         )
 
+    @pytest.mark.parametrize("command", ["solve", "order"])
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-310])
+    def test_step_too_small_to_count_is_a_problem_error(self, tmp_path, capsys, command, tiny):
+        # T / target_h overflows: the node cap, not an OverflowError traceback
+        data = {
+            "problem": {"alpha": 0.5, "T": 1.0, "x0": 1.0, "rhs": {"kind": "plain", "f": "-x"}},
+            "numerics": {"target_h": tiny if command == "solve" else 0.25},
+        }
+        cfg = write_config(tmp_path, data)
+        if command == "solve":
+            args = ["--out", str(tmp_path / "x.csv")]
+        else:
+            args = ["--h-list", f"0.25,0.125,{tiny!r}"]
+        code = main([command, "--config", str(cfg), *args])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("problem error: mesh would need T / target_h = inf steps")
+        assert "Traceback" not in captured.err
+
     def test_h_list_must_decrease_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, coarse("logistic"))
         code = main(["order", "--config", str(cfg), "--h-list", "0.05,0.1,0.2"])

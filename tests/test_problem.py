@@ -428,6 +428,13 @@ class TestBuildMesh:
             with pytest.raises(MeshError, match=r"^mesh would need 32769 nodes, over the 32768 cap"):
                 build_mesh(spec, 2.0**-15)
 
+    @pytest.mark.parametrize("target_h", [5e-324, 1e-310, 1e-300])
+    def test_step_too_small_to_count_hits_the_node_cap(self, target_h):
+        # T / target_h overflows to inf for the first two, whose node
+        # count once raised OverflowError
+        with pytest.raises(MeshError, match=r"^mesh would need T / target_h = .* over the 32768 cap"):
+            build_mesh(_plain_spec(times=(0.5,)), target_h)
+
     def test_incommensurate_delay_gets_the_plain_mesh(self):
         # no step r/q divides 0.5 for r = sqrt(2)/4; the mesh is the
         # delay-free one, and every lag above 0 lies inside a cell
@@ -488,6 +495,8 @@ class TestTrajectory:
             traj.evaluate(1.1)
         with pytest.raises(ValueError):
             traj.evaluate(0.5, side="middle")
+        with pytest.raises(ValueError, match=r"^t=nan outside"):
+            traj.evaluate(float("nan"))
 
     def test_shape_validation(self):
         mesh, _ = self._traj()
@@ -553,6 +562,16 @@ class TestHistorySupNorm:
         jumps.rights[0] = 7.0
         assert dd.window(i, i + 1, jumps)[1].tolist() == [7.0]
         assert dd.window(0, mesh.n_nodes, jumps)[1][i] == 7.0
+
+    @pytest.mark.parametrize("t", [float("nan"), -0.1, 1.1])
+    def test_time_outside_the_mesh_raises(self, t):
+        spec = _delay_spec(r=0.5, times=(), history=lambda s: np.array([1.0]))
+        mesh = build_mesh(spec, 2.0**-4)
+        traj = Trajectory(
+            mesh=mesh, values=np.ones((mesh.n_nodes, 1)), right_values=np.zeros((0, 1))
+        )
+        with pytest.raises(ValueError, match=r"outside \[0, T\]"):
+            history_sup_norm(traj, spec.delay, t)
 
     def test_non_finite_history_raises_like_the_solver(self):
         # a NaN history value used to drop out of max(sup, nan); solve_picard
