@@ -231,11 +231,18 @@ def logistic_growth_bound(
     x0_norm: float, m: int, l1: float, a_max: float, b_max: float, alpha: float
 ) -> float:
     """Growth bound (|x0| + m*l1)*exp((a* + b*)/gamma(alpha+1)) for the
-    impulsive logistic equation with rates a(t) <= a*, b(t) <= b*."""
+    impulsive logistic equation with rates a(t) <= a*, b(t) <= b*: inf
+    when the exponential overflows, 0 when |x0| + m*l1 = 0."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     _check_nonnegative(x0_norm=x0_norm, m=m, l1=l1, a_max=a_max, b_max=b_max)
-    return (x0_norm + m * l1) * math.exp((a_max + b_max) / gamma(alpha + 1.0))
+    scale = x0_norm + m * l1
+    if scale == 0.0:
+        return 0.0
+    try:
+        return scale * math.exp((a_max + b_max) / gamma(alpha + 1.0))
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

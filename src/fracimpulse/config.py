@@ -22,8 +22,8 @@ Layout (unknown keys are rejected everywhere, errors carry field paths):
 Right-hand sides, jumps, and histories are expressions (see exprlang);
 for state dimension d > 1 they become lists of d expressions over
 components x1..xd (and xr1..xrd), and x0 a list of d numbers.  All
-become callables by one rule (_compiled): one point takes the tree
-walk, a batch the compiled numpy closures.  The
+become callables by one rule (_compiled): one point takes the generated
+scalar functions, a batch the generated array functions.  The
 delay spec is present exactly when rhs.kind is delay/general_delay,
 and x0 may then be omitted (taken from history(0)).  numerics.tol and
 numerics.max_iter apply to the picard method only; marching uses the
@@ -151,52 +151,34 @@ def _names(prefix: str, d: int) -> tuple[str, ...]:
     return (prefix,) if d == 1 else tuple(f"{prefix}{i + 1}" for i in range(d))
 
 
-def _components(prefix: str, x: np.ndarray) -> dict[str, np.ndarray]:
-    names = _names(prefix, x.shape[-1])
-    if len(names) == 1:  # a literal is cheaper than the comprehension per call
-        return {names[0]: x[..., 0]}
-    return {name: x[..., i] for i, name in enumerate(names)}
-
-
-def _compiled(trees: tuple[Expr, ...], bind: Callable) -> Callable:
-    """A right-hand side part, jump map or history: bind(*args) gives the
-    binding (arrays) and the leading shape lead; the result is lead + (d,).
-    One point (no leading axes, or one row) takes the tree walk, cheaper
-    than numpy there; anything larger the compiled closures."""
-    fns = [exprlang.compile_expr(tree) for tree in trees]
-    used = frozenset().union(*map(exprlang.variables, trees))
+def _compiled(trees: tuple[Expr, ...], params: tuple[str, ...], kinds: str) -> Callable:
+    """A right-hand side part, jump map or history over the variables
+    params, of arguments of kinds: "x" a (..., d) state binding d of them,
+    "t" a (...) array binding one.  The result is lead + (len(trees),),
+    lead the leading shape of the first state, else of the first argument.
+    One point (lead () or (1,)) takes the generated scalar functions,
+    anything larger the array functions (exprlang)."""
+    codes = [exprlang.compile_expr(tree, params) for tree in trees]
+    state = kinds.find("x")
 
     def call(*args):
-        env, lead = bind(*args)
+        args = [np.asarray(a, dtype=float) for a in args]
+        lead = args[0].shape if state < 0 else args[state].shape[:-1]
         if lead in ((), (1,)):
-            point = {name: env[name].item() for name in used if name in env}
-            values = [exprlang.evaluate(tree, point) for tree in trees]
-            return np.array([values] if lead else values)
-        out = np.empty(lead + (len(fns),))
-        for k, fn in enumerate(fns):
-            out[..., k] = fn(env)
+            point = []
+            for a in args:
+                point += a.ravel().tolist()
+            row = [code.scalar(*point) for code in codes]
+            return np.array([row] if lead else row)
+        values = []
+        for a, kind in zip(args, kinds):
+            values += [a[..., i] for i in range(a.shape[-1])] if kind == "x" else [a]
+        out = np.empty(lead + (len(codes),))
+        for k, code in enumerate(codes):
+            out[..., k] = code.array(*values)
         return out
 
     return call
-
-
-def _bind_rhs(t, x, x_lag=None, hist_sup=None):  # t (...), x and x_lag (..., d), hist_sup (...)
-    x = np.asarray(x, dtype=float)
-    env = _components("x", x)
-    env["t"] = np.asarray(t)
-    if x_lag is not None:
-        env.update(_components("xr", np.asarray(x_lag, dtype=float)), xtsup=np.asarray(hist_sup))
-    return env, x.shape[:-1]
-
-
-def _bind_jump(x):  # one (d,) state or a (..., d) batch
-    x = np.asarray(x, dtype=float)
-    return _components("x", x), x.shape[:-1]
-
-
-def _bind_history(t):  # one time or a (...) array of times
-    t = np.asarray(t)
-    return {"t": t}, t.shape
 
 
 @dataclass(frozen=True)
@@ -302,10 +284,8 @@ def parse_config(data: Any) -> RunConfig:
         hist = prob["delay"].get("history") if isinstance(prob["delay"], dict) else None
         dim = len(hist) if isinstance(hist, list) else 1
 
-    state_vars = frozenset(_names("x", dim))
-    rhs_vars = state_vars | {"t"}
-    if delayed:
-        rhs_vars = rhs_vars | set(_names("xr", dim)) | {"xtsup"}
+    state = _names("x", dim)
+    rhs_params = ("t", *state) + ((*_names("xr", dim), "xtsup") if delayed else ())
 
     split = kind == "split"
     parts = ("f1", "f2") if split else ("f",)
@@ -319,7 +299,7 @@ def parse_config(data: Any) -> RunConfig:
         elif key not in rhs_raw:
             _fail("problem.rhs", f"{owner} requires {key!r}")
         else:
-            asts[f"rhs.{key}"] = _parse_expr_vector(rhs_raw[key], path, dim, rhs_vars)
+            asts[f"rhs.{key}"] = _parse_expr_vector(rhs_raw[key], path, dim, frozenset(rhs_params))
 
     impulses_raw = prob.get("impulses", [])
     if not isinstance(impulses_raw, list):
@@ -331,10 +311,10 @@ def parse_config(data: Any) -> RunConfig:
         tk = _expect_number(item["time"], f"{ipath}.time")
         if not 0.0 < tk < T:
             _fail(f"{ipath}.time", f"must lie strictly inside (0, {T!r}), got {tk!r}")
-        trees = _parse_expr_vector(item["jump"], f"{ipath}.jump", dim, state_vars)
+        trees = _parse_expr_vector(item["jump"], f"{ipath}.jump", dim, frozenset(state))
         asts[f"impulses[{i}].jump"] = trees
         times.append(tk)
-        jump_fns.append(_compiled(trees, _bind_jump))
+        jump_fns.append(_compiled(trees, state, "x"))
 
     cert_raw = _expect_mapping(
         data.get("certificate", {}),
@@ -408,9 +388,9 @@ def parse_config(data: Any) -> RunConfig:
             _fail("problem.delay.r", f"must be positive, got {r!r}")
         trees = _parse_expr_vector(draw["history"], "problem.delay.history", dim, frozenset({"t"}))
         asts["delay.history"] = trees
-        delay_spec = DelaySpec(r=r, history=_compiled(trees, _bind_history), vectorized=True)
+        delay_spec = DelaySpec(r=r, history=_compiled(trees, ("t",), "t"), vectorized=True)
 
-    fns = {key: _compiled(asts[f"rhs.{key}"], _bind_rhs) for key in parts}
+    fns = {key: _compiled(asts[f"rhs.{key}"], rhs_params, "txxt") for key in parts}
     rhs = RhsSpec(kind=kind, envelopes=envelopes, vectorized=True, **fns)
 
     try:

@@ -21,26 +21,31 @@ their domains, negative base to a non-integer power, and overflow all
 raise EvalError naming the offending subexpression instead of letting
 NaN or inf propagate.
 
-Two evaluators share these semantics.  evaluate walks the tree for one
-binding of scalars.  compile_expr turns a tree, once, into a numpy
-closure fn(env) whose variables may be arrays: it broadcasts over their
-shapes and returns a float64 array of the broadcast shape, so the same
-closure serves one point (scalars) and a whole mesh (arrays).  ``^`` is
-np.power, never Python ``**`` (which turns a negative base with a
-non-integer exponent into a complex number).  The closure runs under
-np.errstate(divide, over, invalid = "raise"); when numpy raises
-FloatingPointError it evaluates the bindings one by one with evaluate,
-in C order, so the first failing binding raises the same EvalError,
-naming the same subexpression, that evaluate raises.  The tree walk is
-the error oracle; the closure only makes the success path fast.  With
-finite inputs every domain error and overflow raises in numpy too;
-non-finite inputs propagate as IEEE arithmetic has them (the solvers
-reject non-finite right-hand sides).  Transcendental functions may
-differ from the math module's in the last bit.
+One code generator serves every evaluation.  compile_expr writes a tree
+out once as Python source, one assignment per operation in evaluation
+order (left operand, right operand, operator), and compiles from it, on
+first use, two functions of the variables.  scalar, on floats, uses
+Python operators and math (math.pow for ``^``) and tests each operation
+as it goes: a failed domain check, an exception or a non-finite value
+raises EvalError naming that subexpression.  array, on floats or arrays
+that broadcast together, uses numpy ufuncs under np.errstate(raise)
+(np.power for ``^``, never ``**``, which makes a negative base complex)
+and tests only its result: under errstate finite operands give a finite
+value or raise.  On FloatingPointError or a non-finite result it runs
+scalar at each binding in C order, so a point and a batch raise the
+same EvalError.  evaluate runs a tree's scalar function, kept in a
+bounded cache.  math and numpy may differ in the last bit; a non-finite input
+whose effect does not reach the result passes the array path.
+
+No config text reaches compile() unparsed: the source holds generated
+names (v0, v1, ... for values; c0, c1, ... for numbers, which are
+default arguments), variable names that _VAR_RE admits and fixed
+function names.  Trees of one shape share code from a bounded cache.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -61,6 +66,7 @@ __all__ = [
     "parse",
     "evaluate",
     "compile_expr",
+    "Compiled",
     "pretty",
     "variables",
     "monomial",
@@ -271,142 +277,155 @@ def _fail(node: Expr, reason: str) -> "EvalError":
     return EvalError(f"{reason} in subexpression '{pretty(node)}'")
 
 
-def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
-    """Evaluate the tree with variables bound by env."""
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return float(env[expr.name])
-        except KeyError:
-            raise EvalError(f"unbound variable '{expr.name}'") from None
-    if isinstance(expr, Unary):
-        return -evaluate(expr.operand, env)
-    if isinstance(expr, BinOp):
-        a = evaluate(expr.left, env)
-        b = evaluate(expr.right, env)
-        if expr.op == "+":
-            r = a + b
-        elif expr.op == "-":
-            r = a - b
-        elif expr.op == "*":
-            r = a * b
-        elif expr.op == "/":
-            if b == 0.0:
-                raise _fail(expr, "division by zero")
-            r = a / b
-        else:  # '^'
-            if a == 0.0 and b < 0.0:
-                raise _fail(expr, "zero raised to a negative power")
-            if a < 0.0 and b != math.floor(b):
-                raise _fail(expr, "negative base with non-integer exponent")
-            try:
-                r = math.pow(a, b)
-            except (ValueError, OverflowError) as e:
-                raise _fail(expr, str(e)) from None
-        if not math.isfinite(r):
-            raise _fail(expr, "overflow")
-        return r
-    if isinstance(expr, Call):
-        v = evaluate(expr.arg, env)
-        try:
-            if expr.func == "exp":
-                r = math.exp(v)
-            elif expr.func == "sin":
-                r = math.sin(v)
-            elif expr.func == "cos":
-                r = math.cos(v)
-            elif expr.func == "abs":
-                r = abs(v)
-            elif expr.func == "sqrt":
-                if v < 0.0:
-                    raise _fail(expr, "square root of a negative number")
-                r = math.sqrt(v)
-            elif expr.func == "ln":
-                if v <= 0.0:
-                    raise _fail(expr, "logarithm of a non-positive number")
-                r = math.log(v)
-            else:
-                raise _fail(expr, f"unknown function {expr.func!r}")
-        except OverflowError:
-            raise _fail(expr, "overflow") from None
-        if not math.isfinite(r):
-            raise _fail(expr, "overflow")
-        return r
-    raise TypeError(f"not an Expr node: {expr!r}")
-
-
-_NP_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
-_NP_FUNCTIONS = {
-    "exp": np.exp,
-    "sin": np.sin,
-    "cos": np.cos,
-    "abs": np.abs,
-    "sqrt": np.sqrt,
-    "ln": np.log,
+# each operation's scalar form on its operands {0}, {1} and its numpy ufunc
+_FORMS = {
+    "+": ("{0} + {1}", "add"), "-": ("{0} - {1}", "subtract"), "*": ("{0} * {1}", "multiply"),
+    "/": ("{0} / {1}", "divide"), "^": ("pow({0}, {1})", "power"), "neg": ("-{0}", "negative"),
+    "exp": ("exp({0})", "exp"), "sin": ("sin({0})", "sin"), "cos": ("cos({0})", "cos"),
+    "abs": ("abs({0})", "absolute"), "sqrt": ("sqrt({0})", "sqrt"), "ln": ("log({0})", "log"),
 }
+# what scalar tests before an operation: (condition, reason)
+_GUARDS = {
+    "/": (("{1} == 0.0", "division by zero"),),
+    "^": (("{0} == 0.0 and {1} < 0.0", "zero raised to a negative power"),
+          ("{0} < 0.0 and {1} != floor({1})", "negative base with non-integer exponent")),
+    "sqrt": (("{0} < 0.0", "square root of a negative number"),),
+    "ln": (("{0} <= 0.0", "logarithm of a non-positive number"),),
+}
+_SCALAR_NAMES = {f: getattr(math, f) for f in ("exp", "sin", "cos", "sqrt", "log", "pow", "floor", "isfinite")}
+_ARRAY_NAMES = {f: getattr(np, f) for f in ("isfinite", "errstate", *(u for _, u in _FORMS.values()))}
+
+# compiled sources, least recently used first: trees of one shape share one
+_CODES: dict[str, object] = {}
+_CODES_KEPT = 256
+# id(tree) -> (tree, its code) for evaluate: a kept tree keeps its id
+_EVALUATED: dict[int, tuple] = {}
 
 
-def _numpy_closure(expr: Expr) -> Callable[[Mapping[str, np.ndarray]], object]:
-    if isinstance(expr, Num):
-        value = expr.value
-        return lambda env: value
-    if isinstance(expr, Var):
-        name = expr.name
-
-        def var(env):
-            try:
-                return np.asarray(env[name], dtype=float)
-            except KeyError:
-                raise EvalError(f"unbound variable '{name}'") from None
-
-        return var
-    if isinstance(expr, Unary):
-        operand = _numpy_closure(expr.operand)
-        return lambda env: np.negative(operand(env))
-    if isinstance(expr, BinOp):
-        op = _NP_BINARY[expr.op]
-        left, right = _numpy_closure(expr.left), _numpy_closure(expr.right)
-        return lambda env: op(left(env), right(env))
-    if isinstance(expr, Call):
-        if expr.func not in _NP_FUNCTIONS:
-            raise _fail(expr, f"unknown function {expr.func!r}")
-        fn, arg = _NP_FUNCTIONS[expr.func], _numpy_closure(expr.arg)
-        return lambda env: fn(arg(env))
-    raise TypeError(f"not an Expr node: {expr!r}")
-
-
-def _walk_each(expr: Expr, env: Mapping[str, object]) -> np.ndarray:
-    """evaluate at every binding of the broadcast env, in C order."""
-    names = list(env)
-    arrays = np.broadcast_arrays(*(np.asarray(env[name], dtype=float) for name in names))
-    shape = arrays[0].shape if arrays else ()
-    out = np.empty(shape)
-    for idx in np.ndindex(shape):
-        out[idx] = evaluate(expr, {name: a[idx] for name, a in zip(names, arrays)})
+def _each(scalar: Callable, *args) -> np.ndarray:
+    """scalar at every binding of the broadcast args, in C order."""
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    out = np.empty(arrays[0].shape if arrays else ())
+    for idx in np.ndindex(out.shape):
+        out[idx] = scalar(*(float(a[idx]) for a in arrays))
     return out
 
 
-def compile_expr(expr: Expr) -> Callable[[Mapping[str, object]], np.ndarray]:
-    """The tree as a numpy closure fn(env) -> array of env's broadcast shape.
+def _bound(params: tuple[str, ...], env: Mapping[str, object]) -> list:
+    """env's value of each parameter; EvalError names the first unbound one."""
+    for name in params:
+        if name not in env:
+            raise EvalError(f"unbound variable '{name}'")
+    return [env[name] for name in params]
 
-    env maps variable names to floats or arrays.  Errors are those of
-    evaluate at the first failing binding in C order (see the module
-    docstring).
-    """
-    body = _numpy_closure(expr)
 
-    def run(env: Mapping[str, object]) -> np.ndarray:
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                value = body(env)
-        except FloatingPointError:
-            return _walk_each(expr, env)
+class Compiled:
+    """The generated functions scalar and array of one tree over params
+    (default: the variables in the order of their first read), each
+    compiled on first use.  Called with env, a mapping of variable names
+    to floats or arrays, it gives an array of env's broadcast shape, or
+    raises the EvalError of evaluate at the first failing binding in C
+    order."""
+
+    def __init__(self, expr: Expr, params: tuple[str, ...] | None = None):
+        self._nodes: list[Expr] = []  # the operations, in evaluation order
+        self._steps: list[tuple] = []  # (index, key, operands) per operation
+        self._reads: list[str] = []  # the variables, in the order of their first read
+        self._constants: list[float] = []  # the numbers, default arguments c0, c1, ...
+        self._result = self._emit(expr)
+        self.params = tuple(self._reads if params is None else params)
+        if not all(map(_VAR_RE.fullmatch, self.params)):
+            raise ValueError(f"not variable names: {self.params!r}")
+        _bound(self._reads, dict.fromkeys(self.params))  # every variable is a parameter
+
+    def _emit(self, node: Expr) -> str:
+        """The operand naming node's value, after the steps computing it."""
+        if isinstance(node, Num):
+            self._constants.append(float(node.value))
+            return f"c{len(self._constants) - 1}"
+        if isinstance(node, Var):
+            if node.name not in self._reads:
+                self._reads.append(node.name)
+            return node.name
+        if isinstance(node, Unary):
+            key, operands = "neg", (self._emit(node.operand),)
+        elif isinstance(node, BinOp) and node.op in _BINARY_BP:
+            key, operands = node.op, (self._emit(node.left), self._emit(node.right))
+        elif isinstance(node, Call):
+            if node.func not in FUNCTIONS:
+                raise _fail(node, f"unknown function {node.func!r}")
+            key, operands = node.func, (self._emit(node.arg),)
+        else:
+            raise TypeError(f"not an Expr node: {node!r}")
+        self._steps.append((len(self._nodes), key, operands))
+        self._nodes.append(node)
+        return f"v{len(self._nodes) - 1}"
+
+    def _compile(self, kind: str, names: dict, **extra) -> Callable:
+        numbers = [f"c{k}" for k in range(len(self._constants))]
+        lines = [f"def {kind}({', '.join([*self.params, *(f'{c}={c}' for c in numbers)])}):"]
+        if kind == "scalar":
+            for step in self._steps:
+                lines += _scalar_lines(*step)
+        elif self._steps:
+            args = ", ".join(self.params)
+            lines += ["    try:", '        with errstate(divide="raise", over="raise", invalid="raise"):',
+                      *(f"            v{i} = {_FORMS[key][1]}({', '.join(operands)})" for i, key, operands in self._steps),
+                      "    except FloatingPointError:", f"        return _each({args})",
+                      f"    if not isfinite({self._result}).all():", f"        return _each({args})"]
+        lines.append(f"    return {self._result}")
+        source = "\n".join(lines)
+        code = _CODES.pop(source, None) or compile(source, "<exprlang>", "exec")
+        _CODES[source] = code  # the most recently used last
+        if len(_CODES) > _CODES_KEPT:
+            del _CODES[next(iter(_CODES))]
+        namespace = {**names, **dict(zip(numbers, self._constants)), **extra}
+        exec(code, namespace)
+        return namespace.pop(kind)  # a function in its own globals would be a reference cycle
+
+    scalar = functools.cached_property(
+        lambda self: self._compile("scalar", _SCALAR_NAMES, _fail=_fail, _nodes=self._nodes))
+    array = functools.cached_property(
+        lambda self: self._compile("array", _ARRAY_NAMES, _each=functools.partial(_each, self.scalar)))
+
+    def __call__(self, env: Mapping[str, object]) -> np.ndarray:
+        value = self.array(*(np.asarray(a, dtype=float) for a in _bound(self.params, env)))
         out = np.empty(np.broadcast_shapes(*(np.shape(v) for v in env.values())))
         out[...] = value
         return out
 
-    return run
+
+def _scalar_lines(index: int, key: str, operands: tuple[str, ...]) -> list[str]:
+    """One operation of the scalar function, raising the EvalError of its
+    node on a failed guard, an exception or a non-finite value."""
+    fail = f"raise _fail(_nodes[{index}], {{}})"
+    lines = []
+    for condition, reason in _GUARDS.get(key, ()):
+        lines += [f"    if {condition.format(*operands)}:", "        " + fail.format(repr(reason))]
+    line = f"v{index} = {_FORMS[key][0].format(*operands)}"
+    if key == "neg":
+        return lines + ["    " + line]
+    caught, reason = ("(ValueError, OverflowError) as e", "str(e)") if key == "^" else ("OverflowError", "'overflow'")
+    return lines + ["    try:", "        " + line, f"    except {caught}:", f"        {fail.format(reason)} from None",
+                    f"    if not isfinite(v{index}):", "        " + fail.format("'overflow'")]
+
+
+def compile_expr(expr: Expr, params: tuple[str, ...] | None = None) -> Compiled:
+    """The generated functions of the tree over params (Compiled)."""
+    return Compiled(expr, params)
+
+
+def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
+    """Evaluate the tree with variables bound by env: its generated
+    scalar function, compiled once per tree while the tree is among the
+    last _CODES_KEPT evaluated."""
+    hit = _EVALUATED.get(id(expr))
+    if hit is None:
+        hit = _EVALUATED[id(expr)] = (expr, Compiled(expr))
+        if len(_EVALUATED) > _CODES_KEPT:
+            del _EVALUATED[next(iter(_EVALUATED))]
+    code = hit[1]
+    return code.scalar(*map(float, _bound(code.params, env)))
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "unary": 3, "^": 4, "atom": 5}

@@ -553,7 +553,7 @@ def build_mesh(spec: ProblemSpec, target_h: float) -> Mesh:
         nodes = np.concatenate([np.linspace(a, b, n + 1)[j > 0 :] for j, (a, b, n) in enumerate(segments)])
         boundary_idx = [0, *np.cumsum(counts).tolist()]
     else:  # the grid k h with the off-grid impulse times inserted
-        n = math.ceil(spec.T / target_h - 1e-12)
+        n = max(1, math.ceil(spec.T / target_h - 1e-12))
         _check_nodes(n + 1)
         grid = np.linspace(0.0, spec.T, n + 1)
         times = np.array(spec.impulses.times)
@@ -622,7 +622,7 @@ class Trajectory:
         t = float(t)
         nodes = self.mesh.nodes
         if not nodes[0] <= t <= nodes[-1]:  # nan fails too
-            raise ValueError(f"t={t!r} outside [{nodes[0]!r}, {nodes[-1]!r}]")
+            raise ValueError(f"t={t!r} outside [{float(nodes[0])!r}, {float(nodes[-1])!r}]")
         impulse = self.mesh.impulse_idx
         exact = self.mesh.node_index(t)
         if exact is not None:

@@ -174,6 +174,13 @@ def test_equicontinuity_modulus_frozen():
     assert got == pytest.approx(2.0 * C_HOLDER / math.sqrt(math.pi), rel=1e-10)
 
 
+def test_logistic_growth_bound_overflow_is_inf_unless_the_scale_is_zero():
+    # (a* + b*) / Gamma(1.5) = 1.13e308 overflows exp
+    assert logistic_growth_bound(0.1, 2, 0.05, 1e308, 1.0, 0.5) == math.inf
+    assert logistic_growth_bound(0.0, 2, 0.0, 1e308, 1.0, 0.5) == 0.0
+    assert logistic_growth_bound(0.0, 0, 0.05, 1.0, 1.0, 0.5) == 0.0
+
+
 def test_logistic_growth_bound_frozen():
     # (|x0| + m*l1) * exp((a* + b*)/Gamma(alpha+1))
     assert logistic_growth_bound(0.1, 2, 0.05, 1.0, 1.0, 0.5) == pytest.approx(
@@ -632,17 +639,7 @@ def test_array_seminorms_match_the_scalar_closed_forms(data, alpha, T):
     """Each value at one exponent is bitwise its element of the grid
     arrays that choose_p evaluates: seminorms, Holder constants, gamma
     and the kernel term c * norm * T^(alpha - p) / Gamma(alpha)."""
-    env = data.draw(
-        st.one_of(
-            st.floats(0.0, 1e300).map(Envelope.constant),
-            st.builds(
-                Envelope.exp_decay,
-                st.one_of(st.just(0.0), st.floats(1e-300, 1e300)),
-                st.one_of(st.just(0.0), st.floats(-1e4, 1e6)),
-            ),
-            envelopes(T).filter(lambda env: env.form == "samples"),
-        )
-    )
+    env = data.draw(grid_envelopes(T))
     grid = alpha * np.arange(1.0, P_GRID_POINTS + 1) / (P_GRID_POINTS + 1)
     norms = closed_form_seminorms(env, grid, T)
     holders, tpows = _holder_constants(alpha, grid), certificates._t_powers(alpha, grid, T)
@@ -660,3 +657,34 @@ def test_array_seminorms_match_the_scalar_closed_forms(data, alpha, T):
         assert norm == norms[i]
         assert at.tail(norm) == tails[i]
         assert at.pair(0.5, norm).stated == stated[i]
+
+
+def grid_envelopes(T):
+    """constant, exp_decay and samples envelopes for the p-grid arrays."""
+    return st.one_of(
+        st.floats(0.0, 1e300).map(Envelope.constant),
+        st.builds(
+            Envelope.exp_decay,
+            st.one_of(st.just(0.0), st.floats(1e-300, 1e300)),
+            st.one_of(st.just(0.0), st.floats(-1e4, 1e6)),
+        ),
+        envelopes(T).filter(lambda env: env.form == "samples"),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), alpha=st.floats(0.01, 0.99), T=st.floats(1e-3, 1e3))
+def test_grid_arrays_are_elementwise_their_values_at_one_exponent(data, alpha, T):
+    """numpy rounds an element alike whatever the array's length, so the
+    search's grid arrays are bitwise their values at [p], the one-exponent
+    path of lp_seminorm, holder_constant and certify."""
+    env = data.draw(grid_envelopes(T))
+    grid = alpha * np.arange(1.0, P_GRID_POINTS + 1) / (P_GRID_POINTS + 1)
+    for array in (
+        lambda ps: closed_form_seminorms(env, ps, T),
+        lambda ps: _holder_constants(alpha, ps),
+        lambda ps: certificates._t_powers(alpha, ps, T),
+    ):
+        whole = array(grid)
+        ones = np.concatenate([array(np.array([p])) for p in grid.tolist()])
+        assert whole.tobytes() == ones.tobytes()

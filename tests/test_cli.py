@@ -378,6 +378,19 @@ class TestExitCodes:
         assert captured.err.startswith("problem error: mesh would need T / target_h = inf steps")
         assert "Traceback" not in captured.err
 
+    def test_step_longer_than_the_horizon_solves(self, tmp_path, capsys):
+        # the logistic's segments differ, so its mesh is the grid k h with
+        # the impulses inserted: one step, not an IndexError traceback
+        data = builtin_example("logistic")
+        data["numerics"]["target_h"] = 1e300
+        cfg = write_config(tmp_path, data)
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "nodes=4 impulses=2" in captured.out
+        assert captured.err == ""
+        assert len((tmp_path / "x.csv").read_text().splitlines()) == 1 + 4 + 2
+
     def test_h_list_must_decrease_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, coarse("logistic"))
         code = main(["order", "--config", str(cfg), "--h-list", "0.05,0.1,0.2"])

@@ -498,6 +498,12 @@ class TestTrajectory:
         with pytest.raises(ValueError, match=r"^t=nan outside"):
             traj.evaluate(float("nan"))
 
+    def test_range_error_prints_the_bounds_as_floats(self):
+        _, traj = self._traj()
+        with pytest.raises(ValueError) as err:
+            traj.evaluate(1.5)
+        assert str(err.value) == "t=1.5 outside [0.0, 1.0]"
+
     def test_shape_validation(self):
         mesh, _ = self._traj()
         with pytest.raises(ProblemError):
