@@ -335,7 +335,7 @@ def _search(spec: ProblemSpec, inputs) -> tuple[_Exponent, dict[str, float]]:
         m, l2, roles = inputs
         jumps, denom, objective = m * l2, gamma(alpha + 1.0), "gamma_stated"
     elif spec.rhs.kind == "delay" and "growth" in spec.rhs.envelopes:
-        roles, jumps, denom, objective = ("growth",), 0.0, gamma(alpha), "the Schaefer q"
+        roles, jumps, denom, objective = ("growth",), 0.0, gamma(alpha), "Schaefer q"
     else:
         return _exponent(alpha, alpha / 2.0, T), {}
 
@@ -416,7 +416,8 @@ def _certificate(spec: ProblemSpec, p: float | str) -> Certificate:
     l1 = spec.impulses.jump_bound
     bound_roles = ("f1_bound", "f2_bound") if kind == "split" else ("bound",)
     if (m == 0 or l1 is not None) and all(role in envs for role in bound_roles):
-        x0_norm = float(np.linalg.norm(spec.x0))
+        with np.errstate(over="ignore"):  # inf past about 1e154, which the spot check refuses
+            x0_norm = float(np.linalg.norm(spec.x0))
         radii = at.radii(x0_norm, l1 or 0.0, m, norm(*bound_roles))
         radius = radii[-1]
 
@@ -425,7 +426,8 @@ def _certificate(spec: ProblemSpec, p: float | str) -> Certificate:
     if l1_star is None:
         l1_star = l1
     if kind == "delay" and "growth" in envs and (m == 0 or l1_star is not None):
-        phi0_norm = float(np.linalg.norm(spec.x0))
+        with np.errstate(over="ignore"):  # inf past about 1e154, and so is the bound
+            phi0_norm = float(np.linalg.norm(spec.x0))
         schaefer_q, schaefer_value = at.schaefer(phi0_norm, l1_star or 0.0, m, norm("growth"))
 
     equi = None

@@ -156,7 +156,8 @@ class WeightTable:
         return int(self.nodes.size)
 
     def apply(self, g) -> np.ndarray:
-        """W @ g for samples g of shape (N+1,) or (N+1, d)."""
+        """W @ g for samples g of shape (N+1,) or (N+1, d); an overflow gives
+        inf or nan entries, without a warning."""
         g = np.asarray(g, dtype=float)
         if g.ndim not in (1, 2) or g.shape[0] != self.n_nodes:
             raise ValueError(f"expected {self.n_nodes} samples, got shape {g.shape}")
@@ -164,28 +165,29 @@ class WeightTable:
         gg = g2[self.grid]
         rows, pad, d = self.grid.size - 1, self.gen.size - 1, g2.shape[1]
         blocks = -(-rows // BLOCK)
-        gp = np.zeros((pad, d))
-        gp[:rows] = gg[:rows]  # the grid columns 0 .. M-1
-        near = (self.tri @ gp[: blocks * BLOCK].reshape(blocks, BLOCK, d)).reshape(-1, d)
-        gt = np.ascontiguousarray(gp.T)
-        far = np.zeros((d, pad))
-        b = BLOCK
-        for spectrum in self.spectra:
-            count = (rows - 1 - b) // (2 * b) + 1  # blocks whose first row is a grid row
-            if count <= 0:
-                break
-            src = gt.reshape(d, -1, 2 * b)[:, :count, :b]
-            conv = np.fft.irfft(np.fft.rfft(src, n=2 * b) * spectrum, n=2 * b)
-            far.reshape(d, -1, 2 * b)[:, :count, b:] += conv[..., b:]
-            b *= 2
-        y = near[:rows] + far.T[:rows]
-        y += self.gen[0] * gg[1:]
-        for col, v in self.corrections:
-            y += v[:rows, None] * g2[col]
-        out = np.zeros_like(g2)
-        out[self.grid[1:]] = y
-        for q, w in self.node_rows:
-            out[q] = w @ g2[: q + 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            gp = np.zeros((pad, d))
+            gp[:rows] = gg[:rows]  # the grid columns 0 .. M-1
+            near = (self.tri @ gp[: blocks * BLOCK].reshape(blocks, BLOCK, d)).reshape(-1, d)
+            gt = np.ascontiguousarray(gp.T)
+            far = np.zeros((d, pad))
+            b = BLOCK
+            for spectrum in self.spectra:
+                count = (rows - 1 - b) // (2 * b) + 1  # blocks whose first row is a grid row
+                if count <= 0:
+                    break
+                src = gt.reshape(d, -1, 2 * b)[:, :count, :b]
+                conv = np.fft.irfft(np.fft.rfft(src, n=2 * b) * spectrum, n=2 * b)
+                far.reshape(d, -1, 2 * b)[:, :count, b:] += conv[..., b:]
+                b *= 2
+            y = near[:rows] + far.T[:rows]
+            y += self.gen[0] * gg[1:]
+            for col, v in self.corrections:
+                y += v[:rows, None] * g2[col]
+            out = np.zeros_like(g2)
+            out[self.grid[1:]] = y
+            for q, w in self.node_rows:
+                out[q] = w @ g2[: q + 1]
         return out.reshape(g.shape)
 
     def windows(self, g: np.ndarray):

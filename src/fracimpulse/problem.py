@@ -279,8 +279,11 @@ class ImpulseSchedule:
         """
         if self.jump_bound is None and self.jump_lip is None:
             return
-        rng = np.random.default_rng(20240801)
         radius = float(radius)
+        if not math.isfinite(4.0 * radius * radius):  # the largest squared distance of two samples
+            raise ProblemError(f"cannot spot-check the jump maps on a ball of radius {radius!r}: "
+                               "distances on it overflow a double")
+        rng = np.random.default_rng(20240801)
         for k, tk in enumerate(self.times):
             direc = rng.standard_normal((samples, dim))
             direc /= np.maximum(np.linalg.norm(direc, axis=1, keepdims=True), 1e-300)
@@ -295,7 +298,8 @@ class ImpulseSchedule:
             except SolverError as e:  # a misdeclared map is an input error here
                 raise ProblemError(str(e)) from e
             if self.jump_bound is not None:
-                worst = float(np.max(np.linalg.norm(vals, axis=1)))
+                with np.errstate(over="ignore"):  # an infinite |I_k| fails the bound
+                    worst = float(np.max(np.linalg.norm(vals, axis=1)))
                 if worst > self.jump_bound * (1.0 + 1e-9) + 1e-12:
                     raise ProblemError(
                         f"impulse {k} at t={tk!r}: |I_k| reached "
@@ -304,7 +308,8 @@ class ImpulseSchedule:
             if self.jump_lip is not None:
                 perm = rng.permutation(samples)
                 ys, vals2 = xs[perm], vals[perm]
-                gaps = np.linalg.norm(vals - vals2, axis=1)
+                with np.errstate(over="ignore"):  # an infinite gap fails the bound
+                    gaps = np.linalg.norm(vals - vals2, axis=1)
                 dists = np.linalg.norm(xs - ys, axis=1)
                 bad = gaps > self.jump_lip * dists * (1.0 + 1e-9) + 1e-12
                 if np.any(bad):
@@ -473,8 +478,11 @@ class ProblemSpec:
             raise ProblemError("impulse times must lie strictly inside (0, T)")
 
         for key, env in self.rhs.envelopes.items():
-            vals = env(np.linspace(0.0, self.T, 100))
-            if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+                vals = env(np.linspace(0.0, self.T, 100))
+            if not np.all(np.isfinite(vals)):
+                raise ProblemError(f"envelope {key!r} must be finite on [0, T]")
+            if np.any(vals < 0.0):
                 raise ProblemError(f"envelope {key!r} must be nonnegative on [0, T]")
 
     @property

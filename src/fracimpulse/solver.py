@@ -241,14 +241,15 @@ class _DelayData:
         phi = _history_values(delay, np.append(0.0, times[::-1]), spec.dim)
         self.rows = np.zeros((p + n, spec.dim))
         self.norms = np.zeros(p + n)
-        self.rows[:p] = phi[p:0:-1]
-        self.norms[:p] = _norms(self.rows[:p])
+        self.store(-p, phi[p:0:-1])  # the history rows
 
     def store(self, start: int, x: np.ndarray) -> None:
-        """Write the (n, d) rows of nodes start .. start + n - 1 and their norms."""
+        """Write the (n, d) rows of nodes start .. start + n - 1 and their norms;
+        a norm past ~1e154 is inf, which fails the RHS sample that reads it."""
         at = slice(self.p + start, self.p + start + len(x))
         self.rows[at] = x
-        self.norms[at] = _norms(x)
+        with np.errstate(over="ignore"):
+            self.norms[at] = _norms(x)
 
     def window(self, start: int, stop: int, jumps: _Jumps):
         """Lags (n, d) and window sups (n,) of nodes start .. stop - 1.

@@ -603,7 +603,7 @@ def test_choose_p_breaks_a_last_ulp_tie_by_the_scalar_value(alpha, T, rate):
     [
         # every seminorm is 1.5e308: the Hölder constant times it overflows
         ({"lip": Envelope.constant(1.5e308)}, "gamma_stated from envelope 'lip'"),
-        ({"growth": Envelope.constant(1.5e308)}, "the Schaefer q from envelope 'growth'"),
+        ({"growth": Envelope.constant(1.5e308)}, "Schaefer q from envelope 'growth'"),
     ],
 )
 def test_no_finite_objective_is_a_certificate_error(envs, message):

@@ -137,7 +137,7 @@ class TestExitCodes:
         out = tmp_path / "traj.csv"
         assert main(["solve", "--config", str(cfg), "--method", method, "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert "converged=no" in captured.out and out.exists()
+        assert "converged=no" in captured.out and len(out.read_text().splitlines()) == 1 + 129
         assert captured.err.startswith(warning) and captured.err.count("\n") == 1
 
     def test_history_domain_error_exits_2_naming_the_time(self, tmp_path, capsys):
@@ -240,7 +240,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.err == ""
-        assert "verdict: contraction_fails" in captured.out
+        assert "\nverdict: contraction_fails\n" in captured.out
 
     def test_check_without_a_finite_gamma_exits_1(self, tmp_path, capsys):
         # each seminorm is 1.5e308; the Hölder constant times it overflows

@@ -22,6 +22,7 @@ from fracimpulse.problem import (
     history_sup_norm,
 )
 from fracimpulse.solver import _DelayData, _Jumps
+from fracimpulse.special import Envelope
 
 
 def _plain_spec(T=1.0, times=(), jumps=None, alpha=0.5, x0=1.0, **impulse_kwargs):
@@ -130,12 +131,24 @@ class TestValidation:
             RhsSpec(kind="nope", f=lambda t, x: x)
 
     def test_envelope_roles_per_kind(self):
-        from fracimpulse.special import Envelope
-
         with pytest.raises(ProblemError, match="f1_lip"):
             RhsSpec(kind="plain", f=lambda t, x: x, envelopes={"f1_lip": Envelope.constant(1.0)})
         ok = RhsSpec(kind="plain", f=lambda t, x: x, envelopes={"lip": Envelope.constant(1.0)})
         assert "lip" in ok.envelopes
+
+    @pytest.mark.parametrize(
+        "env, message",
+        [
+            # scale * exp(1000 t) is inf from t = 0.02 on; evaluated without a warning
+            (Envelope.exp_decay(1e300, -1e3), "must be finite on [0, T]"),
+            (Envelope("constant", value=-1.0), "must be nonnegative on [0, T]"),  # past the factory
+        ],
+    )
+    def test_envelope_values_on_the_horizon(self, env, message):
+        rhs = RhsSpec(kind="plain", f=lambda t, x: x, envelopes={"lip": env})
+        with pytest.raises(ProblemError) as err:
+            ProblemSpec(alpha=0.5, T=1.0, rhs=rhs, x0=np.array([1.0]))
+        assert str(err.value) == f"envelope 'lip' {message}"
 
     def test_delay_iff_kind(self):
         with pytest.raises(ProblemError):
@@ -201,6 +214,23 @@ class TestSpotCheck:
             times=(0.5,), jumps=(lambda x: 3.0 * x,), jump_lip=0.5
         )
         with pytest.raises(ProblemError, match="jump_lip"):
+            sched.spot_check(radius=2.0, dim=1)
+
+    @pytest.mark.parametrize("radius", [np.inf, 1e160])
+    def test_refuses_a_ball_whose_distances_overflow(self, radius):
+        # a NaN or infinite distance would pass every comparison unseen
+        sched = ImpulseSchedule(times=(0.5,), jumps=(lambda x: np.full_like(x, 0.5),), jump_lip=0.0)
+        with pytest.raises(ProblemError) as err:
+            sched.spot_check(radius=radius, dim=1)
+        assert str(err.value) == (
+            f"cannot spot-check the jump maps on a ball of radius {radius!r}: distances on it overflow a double"
+        )
+
+    @pytest.mark.parametrize("declared", ["jump_bound", "jump_lip"])
+    def test_overflowing_jump_values_fail_their_declaration(self, declared):
+        # |1e300 x| squares past a double: its norm is inf, which fails the bound
+        sched = ImpulseSchedule(times=(0.5,), jumps=(lambda x: 1e300 * x,), **{declared: 1.0})
+        with pytest.raises(ProblemError, match=declared):
             sched.spot_check(radius=2.0, dim=1)
 
     def test_noop_without_declarations(self):

@@ -681,7 +681,7 @@ class TestProbe:
         # whole-mesh sweeps of f = -0.6 x keep contracting.  A per-node f
         # still starts in windows, where it makes 1.15 calls a node against
         # 19.1 in whole-mesh sweeps; a vectorized one, which pays per batch,
-        # sweeps the whole mesh to tol
+        # sweeps the whole mesh to tol.  Both reach marching's fixed point
         from fracimpulse import solver
 
         calls = [0]
@@ -701,6 +701,9 @@ class TestProbe:
         swept = solve_picard(vec, mesh)
         assert swept.converged and set(sizes) == {mesh.n_nodes}
         assert np.max(np.abs(routed.trajectory.values - swept.trajectory.values)) <= 1e-9
+        marched = solve_marching(node, mesh)
+        assert marched.converged
+        assert np.max(np.abs(routed.trajectory.values - marched.trajectory.values)) <= 1e-9
 
     @pytest.mark.parametrize("vectorized", [False, True])
     def test_fine_mesh_errors_are_unchanged(self, vectorized):
